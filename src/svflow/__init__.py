@@ -10,6 +10,7 @@ from .fieldcalc import (
     ParseError,
     Point,
     ScalarField,
+    SvflowError,
     UnknownIdentifierError,
     VectorField,
     differentiate,
@@ -23,10 +24,8 @@ from .fieldcalc import (
 from .flowexp import (
     FlowResult,
     Tolerance,
-    accumulate_phase,
     apply_exponential,
     displacement_series,
-    flow_jacobian,
     integrate_flow,
     pushforward_residual,
     series_oracle,

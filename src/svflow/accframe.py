@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldcalc as fc
-from .fieldcalc import Expression
+from .fieldcalc import Expression, SvflowError
 from .flowexp import DEFAULT_TOLERANCE, Tolerance
 from .quadrature import adaptive_simpson
 
@@ -33,15 +33,15 @@ from .quadrature import adaptive_simpson
 FRAME_TOLERANCE = Tolerance(absolute=1e-8, relative=1e-8)
 
 
-class SuperluminalError(Exception):
+class SuperluminalError(SvflowError):
     """|v| >= c somewhere it matters."""
 
 
-class WorldlineOutsideGridError(Exception):
+class WorldlineOutsideGridError(SvflowError):
     pass
 
 
-class FrameInversionError(Exception):
+class FrameInversionError(SvflowError):
     """x'(t, .) stopped being monotone in x; cannot invert."""
 
 

@@ -21,14 +21,13 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import accframe, flowexp, geomcurv, nrlimit, svgen, verification
 from .fieldcalc import (
     ExpressionError,
     ParseError,
     Point,
     ScalarField,
+    SvflowError,
     parse_expression,
     scalar_field,
     vector_field,
@@ -47,11 +46,11 @@ SUBCOMMANDS = (
 )
 
 
-class ConfigError(Exception):
+class ConfigError(SvflowError):
     pass
 
 
-class VerificationFailure(Exception):
+class VerificationFailure(SvflowError):
     """Raised with the name of the invariant that missed its tolerance."""
 
 
@@ -169,8 +168,9 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
     psi_text = _merge(args, cfg, "psi", None, str)
 
     res = flowexp.integrate_flow(B, x, rho, tol)
-    J = flowexp.flow_jacobian(B, x, rho, tol)
-    push = flowexp.pushforward_residual(B, x, rho, tol)
+    variational = flowexp.integrate_flow(B, x, rho, tol, jacobian=True)
+    J = variational.jacobian
+    push = flowexp.pushforward_defect(B, x, variational)
     rows = [("endpoint", i, v) for i, v in enumerate(res.endpoint.coords)]
     rows += [
         ("jacobian", i * len(chart) + j, float(J[i, j]))
@@ -212,27 +212,12 @@ def _run_virasoro(args, cfg, out_dir: Path, seed: int):
         chi=_merge(args, cfg, "chi", 0.7, float),
         N=_merge(args, cfg, "n_aniso", 1.0, float),
     )
-    rng = np.random.default_rng(seed)
-    points = [
-        Point(svgen.CHART, (float(rng.uniform(0.6, 1.6)), float(rng.uniform(0.5, 1.5))))
-        for _ in range(n_points)
+    table = verification.virasoro_residuals(p, seed, max_index, n_points)
+    rows = [
+        (m_idx, n_idx, res, *svgen.monomial_bracket(m_idx, n_idx), seed)
+        for m_idx, n_idx, res in table
     ]
-    tests = [scalar_field(s, svgen.CHART) for s in verification.VIRASORO_TEST_FUNCTIONS]
-    rows = []
-    worst = 0.0
-    for m_idx in range(-max_index, max_index + 1):
-        for n_idx in range(-max_index, max_index + 1):
-            res = max(
-                svgen.bracket_residual(
-                    svgen.EpsilonFn.monomial(m_idx),
-                    svgen.EpsilonFn.monomial(n_idx),
-                    p, psi, points,
-                )
-                for psi in tests
-            )
-            coeff, idx = svgen.monomial_bracket(m_idx, n_idx)
-            rows.append((m_idx, n_idx, res, coeff, idx, seed))
-            worst = max(worst, res)
+    worst = max((res for _, _, res in table), default=0.0)
     _write_csv(
         out_dir / "virasoro.csv",
         ("m", "n", "max_residual", "bracket_coefficient", "bracket_index", "seed"),
@@ -551,23 +536,7 @@ def run(argv: list[str] | None = None) -> int:
     except VerificationFailure as err:
         print(f"svflow: verification FAILED: {err}", file=sys.stderr)
         return 1
-    except (
-        ExpressionError,
-        flowexp.FlowError,
-        svgen.EpsilonRootError,
-        svgen.NegativeScaleRatioError,
-        svgen.ReparametrizationError,
-        svgen.CorrelatorSingularityError,
-        nrlimit.PhaseOverflowError,
-        nrlimit.DegenerateFitError,
-        nrlimit.RootOnPathError,
-        geomcurv.DegenerateMetricError,
-        geomcurv.MetricFileError,
-        accframe.SuperluminalError,
-        accframe.WorldlineOutsideGridError,
-        accframe.FrameInversionError,
-        ValueError,
-    ) as err:
+    except (SvflowError, ValueError) as err:
         print(f"svflow: error: {err}", file=sys.stderr)
         return 1
     for line in summary:

@@ -32,7 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
 
 
-class ExpressionError(Exception):
+class SvflowError(Exception):
+    """Base class of every error svflow raises on purpose."""
+
+
+class ExpressionError(SvflowError):
     """Base class for errors raised by this module."""
 
 
@@ -65,9 +69,6 @@ class DomainError(ExpressionError):
 class Expression:
     def __str__(self) -> str:
         return to_string(self)
-
-    def __post_init__(self):
-        pass
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The central statement being verified: applying exp(rho (B + C)) to a
 smooth test function psi equals exp(T(x, rho)) * psi(x'(x, rho)), where
 x' is the flow of B alone and T is the integral of C along that flow.
-This module computes the flow, its Jacobian (variational system), the
-phase T, the factorized exponential, and two independent series oracles,
-plus the pushforward residual of the flow's defining lemma.
+integrate_flow computes the flow, and on request the phase T and the
+Jacobian (variational system), in one augmented run.  On top of it sit
+the factorized exponential and the pushforward residual of the flow's
+defining lemma; two independent series oracles check both.
 
 Integration is classic fixed-step RK4 with a step-doubling Richardson
 error estimate: deterministic and reproducible.  The phase and Jacobian
@@ -27,6 +28,7 @@ from .fieldcalc import (
     Expression,
     Point,
     ScalarField,
+    SvflowError,
     VectorField,
     compile_expression,
     evaluate,
@@ -37,7 +39,7 @@ DEFAULT_MAX_ORDER = 8
 DEFAULT_MAX_NODES = 2_000_000
 
 
-class FlowError(Exception):
+class FlowError(SvflowError):
     pass
 
 
@@ -73,14 +75,14 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True)
 class FlowResult:
+    """One augmented run: the endpoint x', the phase T (0.0 without a
+    charge) and, on request, the Jacobian dx'/dx."""
+
     endpoint: Point
     phase: float
-    samples: tuple[tuple[float, Point], ...]
     steps: int
     estimated_error: float
-
-    def sample_points(self) -> list[Point]:
-        return [p for _, p in self.samples]
+    jacobian: np.ndarray | None = None
 
 
 def _require_same_chart(*objs):
@@ -104,12 +106,10 @@ def _compile_components(exprs, chart):
 # Core integrator
 
 
-def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords, record=False):
-    """n fixed RK4 steps from 0 to rho; optional subsampled trajectory."""
+def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
+    """n fixed RK4 steps from 0 to rho."""
     h = rho / n
     y = np.array(y0, dtype=float)
-    stride = max(1, n // 1024)
-    samples = [(0.0, y.copy())] if record else None
     for k in range(n):
         try:
             k1 = np.asarray(deriv(y))
@@ -127,40 +127,33 @@ def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords, record=False):
             raise BlowupError(
                 f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
             )
-        if record and ((k + 1) % stride == 0 or k + 1 == n):
-            samples.append(((k + 1) * h, y.copy()))
-    return y, samples
+    return y
 
 
-def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None,
-               record=False):
-    """Step-doubling driver.  Returns (state, samples, steps, est_error)."""
+def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
+    """Step-doubling driver.  Returns (state, steps, est_error)."""
     y0 = np.array(y0, dtype=float)
     if rho == 0.0:
-        return y0, [(0.0, y0.copy())], 0, 0.0
+        return y0, 0, 0.0
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
             raise ValueError("n_steps must be a positive even integer")
-        coarse, _ = _rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
-        fine, samples = _rk4_run(
-            deriv, y0, rho, n_steps, blowup_bound, n_coords, record
-        )
+        coarse = _rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
+        fine = _rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords)
         est = float(np.max(np.abs(fine - coarse))) / 15.0
-        return fine, samples, n_steps, est
+        return fine, n_steps, est
     n = 8
-    y_coarse, _ = _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords)
+    y_coarse = _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords)
     while True:
         if 2 * n > tol.max_steps:
             raise StepLimitError(
                 f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
             )
-        y_fine, samples = _rk4_run(
-            deriv, y0, rho, 2 * n, blowup_bound, n_coords, record
-        )
+        y_fine = _rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords)
         err = np.abs(y_fine - y_coarse) / 15.0
         scale = tol.absolute + tol.relative * np.abs(y_fine)
         if np.all(err <= scale):
-            return y_fine, samples, 2 * n, float(np.max(err))
+            return y_fine, 2 * n, float(np.max(err))
         n *= 2
         y_coarse = y_fine
 
@@ -170,10 +163,7 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
     """Derivative of the stacked state [x, T?, J?] for the augmented system."""
     d = B.dimension
     b_at = _compile_components(B.components, B.chart)
-    c_at = None
-    if C is not None:
-        c_at = compile_expression(C.expression)
-    jac_at = None
+    c_at = compile_expression(C.expression) if C is not None else None
     if with_jacobian:
         grads = [
             fc.differentiate(comp, name)
@@ -208,101 +198,41 @@ def integrate_flow(
     rho: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
     *,
+    charge: ScalarField | None = None,
+    jacobian: bool = False,
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
     n_steps: int | None = None,
 ) -> FlowResult:
-    """Solve dx'/drho = B(x') from x over [0, rho].
+    """Solve dx'/drho = B(x') from x over [0, rho] in one augmented run.
 
-    The endpoint meets the step-doubling error estimate against tol, the
-    recorded samples run from (0, x) to (rho, endpoint), and the phase
-    field is zero because no scalar charge is involved here.
+    With a charge C the phase T = integral of C along the flow rides along
+    as an extra state variable; with jacobian=True so does the variational
+    system dJ/drho = (dB/dx)(x') J, J(0) = identity, giving
+    J^nu_mu = dx'^nu/dx^mu.  The step-doubling error estimate covers the
+    whole state.  The x-update never reads the extra state, so at fixed
+    n_steps the endpoint is bitwise the same in every mode.
     """
-    _require_same_chart(B)
+    _require_same_chart(B, charge)
     if x.chart != B.chart:
         raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
     if not math.isfinite(rho):
         raise ValueError("rho must be finite")
-    deriv = _field_deriv(B)
-    y, samples, steps, est = _integrate(
-        deriv, np.array(x.coords), rho, tol, blowup_bound, B.dimension,
-        n_steps=n_steps, record=True,
-    )
-    pts = tuple((s, Point(B.chart, tuple(v))) for s, v in samples)
-    return FlowResult(
-        endpoint=Point(B.chart, tuple(y)),
-        phase=0.0,
-        samples=pts,
-        steps=steps,
-        estimated_error=est,
-    )
-
-
-def flow_jacobian(
-    B: VectorField,
-    x: Point,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-) -> np.ndarray:
-    """J^nu_mu = d x'^nu / d x^mu by integrating the variational system
-    dJ/drho = (dB/dx)(x') J alongside the flow, J(0) = identity."""
-    if x.chart != B.chart:
-        raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
     d = B.dimension
-    deriv = _field_deriv(B, with_jacobian=True)
-    y0 = np.concatenate([np.array(x.coords), np.eye(d).ravel()])
-    y, _, _, _ = _integrate(deriv, y0, rho, tol, blowup_bound, d)
-    return y[d:].reshape(d, d)
-
-
-def accumulate_phase(
-    B: VectorField,
-    C: ScalarField,
-    x: Point,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-) -> float:
-    """T(x, rho) = integral of C along the flow of B, advanced as an extra
-    state variable of the same RK4 run."""
-    _require_same_chart(B, C)
-    if x.chart != B.chart:
-        raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
-    deriv = _field_deriv(B, C)
-    y0 = np.concatenate([np.array(x.coords), [0.0]])
-    y, _, _, _ = _integrate(deriv, y0, rho, tol, blowup_bound, B.dimension)
-    return float(y[-1])
-
-
-def flow_with_phase(
-    B: VectorField,
-    C: ScalarField | None,
-    x: Point,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
-    n_steps: int | None = None,
-) -> FlowResult:
-    """One augmented run returning both the endpoint and the phase."""
-    _require_same_chart(B, C)
-    if x.chart != B.chart:
-        raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
-    d = B.dimension
-    deriv = _field_deriv(B, C)
-    y0 = np.array(list(x.coords) + ([0.0] if C is not None else []))
-    y, samples, steps, est = _integrate(
-        deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps, record=True
+    y0 = list(x.coords)
+    if charge is not None:
+        y0.append(0.0)
+    if jacobian:
+        y0.extend(np.eye(d).ravel())
+    deriv = _field_deriv(B, charge, with_jacobian=jacobian)
+    y, steps, est = _integrate(
+        deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps
     )
-    pts = tuple((s, Point(B.chart, tuple(v[:d]))) for s, v in samples)
     return FlowResult(
         endpoint=Point(B.chart, tuple(y[:d])),
-        phase=float(y[d]) if C is not None else 0.0,
-        samples=pts,
+        phase=float(y[d]) if charge is not None else 0.0,
         steps=steps,
         estimated_error=est,
+        jacobian=y[-d * d:].reshape(d, d) if jacobian else None,
     )
 
 
@@ -318,8 +248,8 @@ def apply_exponential(
 ) -> float:
     """exp(T(x, rho)) * psi(x'(x, rho)): the factorized exponential."""
     _require_same_chart(B, C, psi)
-    res = flow_with_phase(B, C, x, rho, tol, blowup_bound=blowup_bound)
-    return math.exp(res.phase) * psi.eval_at(res.endpoint)
+    res = integrate_flow(B, x, rho, tol, charge=C, blowup_bound=blowup_bound)
+    return fc._eval_exp(res.phase) * psi.eval_at(res.endpoint)
 
 
 def apply_operator(B: VectorField, C: ScalarField | None,
@@ -418,6 +348,14 @@ def displacement_series(
     return tuple(offsets)
 
 
+def pushforward_defect(B: VectorField, x: Point, flow: FlowResult) -> float:
+    """max over nu of |B^nu(x') - sum_mu B^mu(x) dx'^nu/dx^mu| for a flow
+    from x integrated with jacobian=True."""
+    b_origin = np.array(B.eval_at(x))
+    b_end = np.array(B.eval_at(flow.endpoint))
+    return float(np.max(np.abs(b_end - flow.jacobian @ b_origin)))
+
+
 def pushforward_residual(
     B: VectorField,
     x: Point,
@@ -426,19 +364,10 @@ def pushforward_residual(
     *,
     blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> float:
-    """max over nu of |B^nu(x') - sum_mu B^mu(x) dx'^nu/dx^mu|.
+    """The pushforward defect of the flow over [0, rho].
 
     Zero (to integrator accuracy) exactly when the flow pushes B forward
     onto itself, which is the lemma underlying the factorization.
     """
-    if x.chart != B.chart:
-        raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
-    d = B.dimension
-    deriv = _field_deriv(B, with_jacobian=True)
-    y0 = np.concatenate([np.array(x.coords), np.eye(d).ravel()])
-    y, _, _, _ = _integrate(deriv, y0, rho, tol, blowup_bound, d)
-    endpoint = Point(B.chart, tuple(y[:d]))
-    J = y[d:].reshape(d, d)
-    b_origin = np.array(B.eval_at(x))
-    b_end = np.array(B.eval_at(endpoint))
-    return float(np.max(np.abs(b_end - J @ b_origin)))
+    flow = integrate_flow(B, x, rho, tol, jacobian=True, blowup_bound=blowup_bound)
+    return pushforward_defect(B, x, flow)

@@ -27,17 +27,17 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import fieldcalc as fc
-from .fieldcalc import Const, Expression, Point, parse_expression
+from .fieldcalc import Const, Expression, Point, SvflowError, parse_expression
 
 DEGENERACY_EPS = 1e-12
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-class DegenerateMetricError(Exception):
+class DegenerateMetricError(SvflowError):
     """|det G| fell below the degeneracy threshold at an evaluation point."""
 
 
-class MetricFileError(Exception):
+class MetricFileError(SvflowError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line

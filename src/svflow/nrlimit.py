@@ -23,7 +23,9 @@ import numpy as np
 
 from . import fieldcalc as fc
 from . import flowexp
-from .fieldcalc import Const, Expression, Point, ScalarField, Var, VectorField
+from .fieldcalc import (
+    Const, Expression, Point, ScalarField, SvflowError, Var, VectorField,
+)
 from .flowexp import DEFAULT_TOLERANCE, Tolerance
 
 PSI_CHART = ("t", "x")
@@ -31,15 +33,15 @@ LIFT_CHART = ("t", "x0", "x")
 EXP_CAP = 700.0
 
 
-class PhaseOverflowError(Exception):
+class PhaseOverflowError(SvflowError):
     """The lift exponent exceeded the configured overflow cap."""
 
 
-class DegenerateFitError(Exception):
+class DegenerateFitError(SvflowError):
     """All defect samples vanished; no slope can be fitted."""
 
 
-class RootOnPathError(Exception):
+class RootOnPathError(SvflowError):
     """The reparametrizing function vanishes at the expansion point."""
 
 
@@ -216,7 +218,7 @@ def barut_flow_identity(
         raise RootOnPathError(f"f vanishes at the expansion point t = {t}")
     B = VectorField(("t",), (f,))
     C = ScalarField(("t",), fc.mul(Const(a), f))
-    res = flowexp.flow_with_phase(B, C, Point(("t",), (t,)), rho, tol)
+    res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol, charge=C)
     t_prime = res.endpoint.coords[0]
     expected_phase = a * (t_prime - t)
     if abs(res.phase) > exp_cap or abs(expected_phase) > exp_cap:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .fieldcalc import SvflowError
 
-class QuadratureError(Exception):
+
+class QuadratureError(SvflowError):
     """Subdivision budget exhausted before reaching the tolerance."""
 
 

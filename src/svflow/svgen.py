@@ -35,6 +35,7 @@ from .fieldcalc import (
     Expression,
     Point,
     ScalarField,
+    SvflowError,
     Var,
     VectorField,
 )
@@ -44,19 +45,19 @@ from .quadrature import QuadratureError, adaptive_simpson
 CHART = ("t", "r")
 
 
-class EpsilonRootError(Exception):
+class EpsilonRootError(SvflowError):
     """eps vanishes at the start point or on the reparametrization path."""
 
 
-class NegativeScaleRatioError(Exception):
+class NegativeScaleRatioError(SvflowError):
     """eps(t')/eps(t) <= 0: the transformation law has no real branch."""
 
 
-class ReparametrizationError(Exception):
+class ReparametrizationError(SvflowError):
     """The integral residual of the t' equation exceeded its tolerance."""
 
 
-class CorrelatorSingularityError(Exception):
+class CorrelatorSingularityError(SvflowError):
     """Both terms of the correlator denominator vanish."""
 
 
@@ -228,10 +229,6 @@ class SVParams:
             raise ValueError("N must be nonzero")
 
     @property
-    def theta(self) -> float:
-        return 2.0 / self.N
-
-    @property
     def r_exponent(self) -> float:
         return 2.0 / self.N
 
@@ -349,16 +346,6 @@ def solve_tprime(
     return float(t_prime)
 
 
-def _checked_exp(arg: float) -> float:
-    if abs(arg) > 700.0:
-        raise DomainError(f"exp({arg}) overflows", kind="overflow")
-    return math.exp(arg)
-
-
-def _r_power(r: float, expo: float) -> float:
-    return fc._eval_pow(r, expo)
-
-
 def primary_transform(
     eps: EpsilonFn,
     p: SVParams,
@@ -380,11 +367,11 @@ def primary_transform(
     k = p.r_exponent
     weight = ratio ** (p.N * p.chi / 2.0)
     arg = (p.m / 4.0) * (
-        _r_power(r_prime, k) * eps.deriv(t_prime) / eps.value(t_prime)
-        - _r_power(r, k) * eps.deriv(t) / eps.value(t)
+        fc._eval_pow(r_prime, k) * eps.deriv(t_prime) / eps.value(t_prime)
+        - fc._eval_pow(r, k) * eps.deriv(t) / eps.value(t)
     )
     return PrimaryTransform(
-        t_prime=t_prime, r_prime=r_prime, prefactor=weight * _checked_exp(arg)
+        t_prime=t_prime, r_prime=r_prime, prefactor=weight * fc._eval_exp(arg)
     )
 
 
@@ -406,6 +393,39 @@ def primary_vs_flow_residual(
     return abs(lhs - rhs)
 
 
+def weight_form_terms(
+    eps: EpsilonFn,
+    p: SVParams,
+    t: float,
+    r: float,
+    rho: float = 1.0,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> tuple[float, float]:
+    """Check the time-dependent-scale form of the transformation law.
+
+    With sigma = log eps, the law says the combination
+    phi * (dt)^{N chi/2} * exp((m r^{2/N}/4) sigma'(t)) is invariant.
+    Returns (|dt'/dt - eps(t')/eps(t)|, invariance defect), with dt'/dt
+    computed independently through the variational equation.
+    """
+    tr = primary_transform(eps, p, t, r, rho, tol)
+    if eps.value(t) <= 0.0 or eps.value(tr.t_prime) <= 0.0:
+        raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
+    B1 = VectorField(("t",), (eps.expression("t", 0),))
+    flow = flowexp.integrate_flow(B1, Point(("t",), (t,)), rho, tol, jacobian=True)
+    jac = flow.jacobian[0, 0]
+    ratio = eps.value(tr.t_prime) / eps.value(t)
+
+    k = p.r_exponent
+    sdot_t = eps.deriv(t) / eps.value(t)
+    sdot_tp = eps.deriv(tr.t_prime) / eps.value(tr.t_prime)
+    lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * sdot_t)
+    rhs = jac ** (p.N * p.chi / 2.0) * fc._eval_exp(
+        (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * sdot_tp
+    )
+    return abs(jac - ratio), abs(lhs - rhs)
+
+
 def weight_form_residual(
     eps: EpsilonFn,
     p: SVParams,
@@ -414,29 +434,9 @@ def weight_form_residual(
     rho: float = 1.0,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
-    """Check the time-dependent-scale form of the transformation law.
-
-    With sigma = log eps, the law says the combination
-    phi * (dt)^{N chi/2} * exp((m r^{2/N}/4) sigma'(t)) is invariant.
-    Returns |dt'/dt - eps(t')/eps(t)| plus the invariance defect, with
-    dt'/dt computed independently through the variational equation.
-    """
-    tr = primary_transform(eps, p, t, r, rho, tol)
-    if eps.value(t) <= 0.0 or eps.value(tr.t_prime) <= 0.0:
-        raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
-    B1 = VectorField(("t",), (eps.expression("t", 0),))
-    jac = flowexp.flow_jacobian(B1, Point(("t",), (t,)), rho, tol)[0, 0]
-    ratio = eps.value(tr.t_prime) / eps.value(t)
-    res1 = abs(jac - ratio)
-
-    k = p.r_exponent
-    sdot_t = eps.deriv(t) / eps.value(t)
-    sdot_tp = eps.deriv(tr.t_prime) / eps.value(tr.t_prime)
-    lhs = tr.prefactor * _checked_exp((p.m / 4.0) * _r_power(r, k) * sdot_t)
-    rhs = jac ** (p.N * p.chi / 2.0) * _checked_exp(
-        (p.m / 4.0) * _r_power(tr.r_prime, k) * sdot_tp
-    )
-    return res1 + abs(lhs - rhs)
+    """The sum of the two weight_form_terms."""
+    jac_res, defect = weight_form_terms(eps, p, t, r, rho, tol)
+    return jac_res + defect
 
 
 def map_halfspace(
@@ -487,4 +487,4 @@ def halfspace_correlator(
         )
     power = base ** (-(d - 2) / 2.0)
     weight = (T / t_prime) ** (p.chi / 2.0)
-    return power * weight * _checked_exp(-p.m * r_prime**2 / (4.0 * t_prime))
+    return power * weight * fc._eval_exp(-p.m * r_prime**2 / (4.0 * t_prime))

@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one
 pass/fail line printed per criterion (run pytest -s to see them live)."""
 
+from pathlib import Path
+
 import pytest
 
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
@@ -74,3 +76,13 @@ def test_reports_cover_every_criterion(suite):
     summary = bundle["summary.csv"].decode()
     for key in results:
         assert key in summary
+
+
+def test_reports_match_golden_bundle(suite):
+    # tests/golden holds the verify-all --seed 42 bundle; a refactor that
+    # moves any reported value or byte must say so by updating it
+    _, bundle = suite
+    golden = Path(__file__).parent / "golden"
+    assert sorted(bundle) == sorted(p.name for p in golden.glob("*.csv"))
+    for name, payload in bundle.items():
+        assert payload == (golden / name).read_bytes(), name

@@ -89,6 +89,47 @@ def test_frame_failure_exit_code(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("svflow: error:")
+
+
+def test_quadrature_budget_is_a_library_error(tmp_path, capsys):
+    # three Simpson evaluations cannot reach the proper-time tolerance
+    code = run(["frame", "--max-steps", "3", "--output", str(tmp_path / "r")])
+    assert code == 1
+    _assert_one_error_line(capsys)
+
+
+def test_phase_overflow_is_a_library_error(tmp_path, capsys):
+    code = run(
+        [
+            "flow",
+            "--field", "1",
+            "--vars", "t",
+            "--point", "0",
+            "--rho", "1",
+            "--charge", "1000",
+            "--psi", "1",
+            "--output", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 1
+    _assert_one_error_line(capsys)
+
+
+def test_every_library_error_shares_one_base():
+    import svflow
+    from svflow import accframe, cli, fieldcalc, flowexp, geomcurv, nrlimit, quadrature, svgen
+
+    for module in (accframe, cli, fieldcalc, flowexp, geomcurv, nrlimit, quadrature, svgen):
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                assert issubclass(obj, svflow.SvflowError), obj
+
+
 def test_error_exit_code_for_bad_input(tmp_path, capsys):
     code = run(
         [

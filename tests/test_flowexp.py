@@ -9,11 +9,8 @@ from svflow.flowexp import (
     SeriesOrderError,
     StepLimitError,
     Tolerance,
-    accumulate_phase,
     apply_exponential,
     displacement_series,
-    flow_jacobian,
-    flow_with_phase,
     integrate_flow,
     pushforward_residual,
     series_oracle,
@@ -65,21 +62,22 @@ def test_step_limit_error():
         integrate_flow(B, Point(T1, (1.0,)), 1.0, tol)
 
 
-def test_samples_bracket_the_flow():
-    B = vector_field(["t"], T1)
-    x = Point(T1, (1.0,))
-    res = integrate_flow(B, x, 0.7)
-    s0, p0 = res.samples[0]
-    s1, p1 = res.samples[-1]
-    assert s0 == 0.0 and p0 == x
-    assert s1 == pytest.approx(0.7, rel=1e-15)
-    assert p1 == res.endpoint
-
-
 def test_chart_mismatch_rejected():
     B = vector_field(["t"], T1)
+    x = Point(T1, (1.0,))
     with pytest.raises(ValueError):
         integrate_flow(B, Point(TR, (1.0, 2.0)), 0.1)
+    with pytest.raises(ValueError):
+        integrate_flow(B, Point(TR, (1.0, 2.0)), 0.1, jacobian=True)
+    with pytest.raises(ValueError):
+        integrate_flow(B, x, 0.1, charge=scalar_field("r", TR))
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrate_flow(B, x, rho, jacobian=True)
+        with pytest.raises(ValueError):
+            integrate_flow(B, x, rho, charge=scalar_field("t", T1))
+        with pytest.raises(ValueError):
+            pushforward_residual(B, x, rho)
 
 
 def test_tolerance_validation():
@@ -94,20 +92,20 @@ def test_tolerance_validation():
 
 def test_jacobian_translation_is_identity():
     B = vector_field(["1", "1"], TR)
-    J = flow_jacobian(B, Point(TR, (0.3, -0.2)), 2.0)
+    J = integrate_flow(B, Point(TR, (0.3, -0.2)), 2.0, jacobian=True).jacobian
     assert np.allclose(J, np.eye(2), atol=1e-12)
 
 
 def test_jacobian_exponential_flow():
     B = vector_field(["t"], T1)
-    J = flow_jacobian(B, Point(T1, (1.7,)), 1.0, TIGHT)
+    J = integrate_flow(B, Point(T1, (1.7,)), 1.0, TIGHT, jacobian=True).jacobian
     assert J.shape == (1, 1)
     assert J[0, 0] == pytest.approx(math.e, rel=1e-11)
 
 
 def test_jacobian_at_zero_rho():
     B = vector_field(["t*r", "r^2 - t"], TR)
-    J = flow_jacobian(B, Point(TR, (0.4, 0.8)), 0.0)
+    J = integrate_flow(B, Point(TR, (0.4, 0.8)), 0.0, jacobian=True).jacobian
     assert np.array_equal(J, np.eye(2))
 
 
@@ -117,13 +115,13 @@ def test_jacobian_at_zero_rho():
 def test_phase_zero_charge():
     B = vector_field(["t"], T1)
     C = scalar_field("0", T1)
-    assert accumulate_phase(B, C, Point(T1, (1.0,)), 1.0) == 0.0
+    assert integrate_flow(B, Point(T1, (1.0,)), 1.0, charge=C).phase == 0.0
 
 
 def test_phase_constant_along_translation():
     B = vector_field(["1"], T1)
     C = scalar_field("3.25", T1)
-    T = accumulate_phase(B, C, Point(T1, (0.2,)), 0.8)
+    T = integrate_flow(B, Point(T1, (0.2,)), 0.8, charge=C).phase
     assert T == pytest.approx(3.25 * 0.8, rel=1e-12)
 
 
@@ -131,7 +129,7 @@ def test_phase_closed_form_path_integral():
     # B = t d/dt, C = 1/t, from t=1: T = int_0^1 e^{-s} ds = 1 - 1/e
     B = vector_field(["t"], T1)
     C = scalar_field("1/t", T1)
-    T = accumulate_phase(B, C, Point(T1, (1.0,)), 1.0, TIGHT)
+    T = integrate_flow(B, Point(T1, (1.0,)), 1.0, TIGHT, charge=C).phase
     assert T == pytest.approx(1.0 - 1.0 / math.e, rel=1e-11)
 
 
@@ -291,9 +289,9 @@ def test_phase_additivity():
     C = scalar_field("0.5*t*r + 0.2", TR)
     x = Point(TR, (0.5, 0.4))
     r1, r2 = 0.3, 0.45
-    whole = flow_with_phase(B, C, x, r1 + r2, TIGHT)
-    leg1 = flow_with_phase(B, C, x, r1, TIGHT)
-    leg2 = flow_with_phase(B, C, leg1.endpoint, r2, TIGHT)
+    whole = integrate_flow(B, x, r1 + r2, TIGHT, charge=C)
+    leg1 = integrate_flow(B, x, r1, TIGHT, charge=C)
+    leg2 = integrate_flow(B, leg1.endpoint, r2, TIGHT, charge=C)
     assert whole.phase == pytest.approx(leg1.phase + leg2.phase, abs=5e-11)
 
 
@@ -301,10 +299,18 @@ def test_endpoint_bitwise_independent_of_charge():
     B = vector_field(["0.4*t + 0.2*r^2", "0.3*r - 0.1*t"], TR)
     C = scalar_field("17.5*t*r - 3", TR)
     x = Point(TR, (0.5, 0.4))
-    bare = flow_with_phase(B, None, x, 0.8, n_steps=64)
-    charged = flow_with_phase(B, C, x, 0.8, n_steps=64)
+    bare = integrate_flow(B, x, 0.8, n_steps=64)
+    charged = integrate_flow(B, x, 0.8, charge=C, n_steps=64)
     assert bare.endpoint.coords == charged.endpoint.coords  # bitwise
     assert charged.phase != 0.0
+    # the variational block rides along without touching the endpoint either
+    varied = integrate_flow(B, x, 0.8, jacobian=True, n_steps=64)
+    both = integrate_flow(B, x, 0.8, charge=C, jacobian=True, n_steps=64)
+    assert varied.endpoint.coords == bare.endpoint.coords  # bitwise
+    assert both.endpoint.coords == bare.endpoint.coords  # bitwise
+    assert both.phase == charged.phase  # bitwise
+    assert np.array_equal(both.jacobian, varied.jacobian)
+    assert bare.jacobian is None and charged.jacobian is None
 
 
 def test_proposition_convergence_order():

@@ -179,13 +179,13 @@ def test_barut_constant_f_reduces_to_pure_lift():
     res = barut_flow_identity(f, UNIT, t=0.5, rho=0.5, tol=TIGHT)
     assert res <= 1e-10
     # phase structure: T = a rho for f = 1
-    from svflow.flowexp import flow_with_phase
-    from svflow.fieldcalc import VectorField, Const
+    from svflow.flowexp import integrate_flow
+    from svflow.fieldcalc import Const
 
     a = 2 * math.pi
     B = fc.vector_field(["1"], ("t",))
     C = ScalarField(("t",), Const(a))
-    out = flow_with_phase(B, C, Point(("t",), (0.5,)), 0.5, TIGHT)
+    out = integrate_flow(B, Point(("t",), (0.5,)), 0.5, TIGHT, charge=C)
     assert out.phase == pytest.approx(a * 0.5, rel=1e-12)
 
 

@@ -25,6 +25,7 @@ from svflow.svgen import (
     primary_vs_flow_residual,
     solve_tprime,
     weight_form_residual,
+    weight_form_terms,
 )
 
 TIGHT = Tolerance(absolute=1e-12, relative=1e-12)
@@ -337,6 +338,13 @@ def test_weight_form_generic_positive_eps():
         assert weight_form_residual(EPS_POLY, p, t, r) <= 1e-8
 
 
+def test_weight_form_terms_sum_to_residual():
+    p = SVParams(m=1.3, chi=0.7, N=1.0)
+    jac_res, defect = weight_form_terms(EPS_POLY, p, 0.6, 1.1)
+    assert 0.0 <= jac_res <= 1e-8 and 0.0 <= defect <= 1e-8
+    assert weight_form_residual(EPS_POLY, p, 0.6, 1.1) == jac_res + defect
+
+
 # ------------------------------------------------------------ half space
 
 
@@ -385,3 +393,9 @@ def test_correlator_singular_point():
     p = SVParams(m=1.0, chi=0.3)
     with pytest.raises(CorrelatorSingularityError):
         halfspace_correlator(1.0, 0.0, p, T=1.0, T_prime=1.0, d=4)
+
+
+def test_correlator_mass_factor_underflows_to_zero():
+    # exp(-m r'^2 / (4 t')) = exp(-900) underflows: a zero, not an overflow
+    p = SVParams(m=1.0, chi=0.0)
+    assert halfspace_correlator(1.0, 60.0, p, T=1.0, T_prime=1.0, d=4) == 0.0
