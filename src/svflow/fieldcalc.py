@@ -18,6 +18,11 @@ simplification is limited to constant folding and identity elimination
 (x+0, x*1, x^1 and friends), so structural equality of equivalent trees
 is not guaranteed and callers compare by evaluation instead.
 
+Evaluation has one compiler, compile_expressions: a batch of expressions
+becomes one flat register program in which every distinct subexpression
+runs once.  compile_expression and evaluate are single-expression
+shorthands for it.
+
 Power semantics: an exponent that evaluates to an integer is valid for
 any base (0 excluded for negative exponents); a non-integer exponent
 requires a strictly positive base.  All domain violations raise
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 
 class SvflowError(Exception):
@@ -253,8 +258,8 @@ def _unary_ctor(cls: type) -> Callable[[Expression], Expression]:
 
 
 # --------------------------------------------------------------------------
-# Evaluation.  Iterative post-order walk so deep trees from repeated
-# operator application cannot hit the interpreter recursion limit.
+# Evaluation: the _eval_* helpers raise DomainError instead of returning
+# NaN or infinity; compile_expressions runs them over batches of trees.
 
 
 def _check_finite(v: float, what: str) -> float:
@@ -318,11 +323,11 @@ cos_ = _unary_ctor(Cos)
 
 
 def _eval_add(a, b):
-    return a + b
+    return _check_finite(a + b, "sum")
 
 
 def _eval_sub(a, b):
-    return a - b
+    return _check_finite(a - b, "difference")
 
 
 def _eval_mul(a, b):
@@ -335,13 +340,20 @@ def _eval_div(a, b):
     return _check_finite(a / b, "quotient")
 
 
-_BINARY_EVAL: dict[type, Callable[[float, float], float]] = {
+_EVAL: dict[type, Callable] = {
+    **_UNARY_EVAL,
     Add: _eval_add,
     Sub: _eval_sub,
     Mul: _eval_mul,
     Div: _eval_div,
     Pow: _eval_pow,
 }
+
+
+def _operands(node: Expression) -> tuple[Expression, ...]:
+    if isinstance(node, _Binary):
+        return (node.left, node.right)
+    return (node.arg,) if isinstance(node, _Unary) else ()
 
 
 def _postorder(e: Expression) -> list[Expression]:
@@ -361,46 +373,75 @@ def _postorder(e: Expression) -> list[Expression]:
     return out
 
 
-def compile_expression(e: Expression) -> Callable[[Mapping[str, float]], float]:
-    """Flatten the tree once; the returned callable evaluates it against an
-    environment mapping variable names to floats."""
-    prog: list[tuple[int, object]] = []
-    for node in _postorder(e):
-        if isinstance(node, Const):
-            prog.append((0, node.value))
-        elif isinstance(node, Var):
-            prog.append((1, node.name))
-        elif isinstance(node, _Unary):
-            prog.append((2, _UNARY_EVAL[type(node)]))
-        else:
-            prog.append((3, _BINARY_EVAL[type(node)]))
+def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float]]:
+    """Compile a batch of expressions into one register program.
 
-    def run(env: Mapping[str, float]) -> float:
-        stack: list[float] = []
-        push = stack.append
-        for kind, payload in prog:
-            if kind == 0:
-                push(payload)
-            elif kind == 1:
-                push(env[payload])
-            elif kind == 2:
-                push(payload(stack.pop()))
+    The returned callable reads each variable once from env (a Point or a
+    name->value mapping) and returns the values of exprs in order.  Each
+    distinct subexpression of the batch runs once: nodes are numbered by
+    identity, then by structure (class and operand registers; a Const by
+    value and sign, so 0.0 and -0.0 stay apart).  Operations run in
+    first-occurrence post-order through the _eval_* helpers, so the values
+    and the first DomainError are those of evaluating each expression
+    alone, in order.
+    """
+    regs: list[float | None] = []  # constants preset, the rest set by run
+    loads: list[tuple[int, str]] = []
+    prog: list[tuple[int, Callable, int, int | None]] = []
+    by_id: dict[int, int] = {}
+    by_key: dict[tuple, int] = {}
+    roots: list[int] = []
+    for root in list(exprs):  # the list keeps every root alive: no id() reuse
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in by_id:
+                stack.pop()
+                continue
+            operands = _operands(node)
+            pending = [o for o in reversed(operands) if id(o) not in by_id]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if operands:
+                ids = [by_id[id(o)] for o in operands] + [None]
+                key = (type(node), ids[0], ids[1])
+            elif isinstance(node, Var):
+                key = (Var, node.name)
             else:
-                b = stack.pop()
-                push(payload(stack.pop(), b))
-        return stack[0]
+                key = (Const, node.value, math.copysign(1.0, node.value))
+            slot = by_key.get(key)
+            if slot is None:
+                slot = by_key[key] = len(regs)
+                regs.append(node.value if isinstance(node, Const) else None)
+                if operands:
+                    prog.append((slot, _EVAL[type(node)], key[1], key[2]))
+                elif isinstance(node, Var):
+                    loads.append((slot, node.name))
+            by_id[id(node)] = slot
+        roots.append(by_id[id(root)])
+
+    def run(env) -> list[float]:
+        reg = regs[:]
+        for slot, name in loads:
+            reg[slot] = env[name]
+        for slot, fn, i, j in prog:
+            reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
+        return [reg[k] for k in roots]
 
     return run
 
 
-EnvLike = Union[Mapping[str, float], "Point"]
+def compile_expression(e: Expression) -> Callable[[Mapping[str, float] | Point], float]:
+    """compile_expressions for a single expression."""
+    run = compile_expressions([e])
+    return lambda env: run(env)[0]
 
 
-def evaluate(e: Expression, env: EnvLike) -> float:
-    """Evaluate at a point (or plain name->value mapping); exact recursion
-    over the tree, raising DomainError on any real-domain violation."""
-    if isinstance(env, Point):
-        env = env.env()
+def evaluate(e: Expression, env: Mapping[str, float] | Point) -> float:
+    """Value of e at env (a Point or a name->value mapping), raising
+    DomainError on any real-domain violation."""
     return compile_expression(e)(env)
 
 
@@ -671,7 +712,10 @@ class _Parser:
     def atom(self) -> Expression:
         kind, value, pos = self.take()
         if kind == "num":
-            return Const(float(value))
+            v = float(value)
+            if not math.isfinite(v):
+                raise ParseError(f"number {value} overflows the double range", pos)
+            return Const(v)
         if kind == "ident":
             if value == "pi":
                 return Const(math.pi)
@@ -697,8 +741,13 @@ def parse_expression(text: str, variables: Iterable[str]) -> Expression:
 
     Raises ParseError (with position) on malformed input and
     UnknownIdentifierError for identifiers outside the variable list.
+    Nesting deeper than the recursive descent can hold is a ParseError.
     """
-    return _Parser(text, variables).parse()
+    parser = _Parser(text, variables)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nests too deeply", parser.peek()[2]) from None
 
 
 # --------------------------------------------------------------------------
@@ -737,6 +786,11 @@ class Point:
 
     def env(self) -> dict[str, float]:
         return dict(zip(self.chart, self.coords))
+
+    def __getitem__(self, name: str) -> float:
+        if name not in self.chart:
+            raise KeyError(name)
+        return self.coords[self.chart.index(name)]
 
 
 def _check_chart_vars(chart: Chart, exprs: Iterable[Expression], what: str):
@@ -783,8 +837,7 @@ class VectorField:
         return len(self.chart)
 
     def eval_at(self, p: Point) -> list[float]:
-        env = p.env()
-        return [evaluate(c, env) for c in self.components]
+        return compile_expressions(self.components)(p)
 
 
 def scalar_field(text: str, chart: Iterable[str]) -> ScalarField:

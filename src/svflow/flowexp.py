@@ -30,7 +30,7 @@ from .fieldcalc import (
     ScalarField,
     SvflowError,
     VectorField,
-    compile_expression,
+    compile_expression,  # unused here; perfbench/layertrace.py traces this binding
     evaluate,
 )
 
@@ -91,17 +91,6 @@ def _require_same_chart(*objs):
         raise ValueError(f"chart mismatch: {sorted(charts)}")
 
 
-def _compile_components(exprs, chart):
-    fns = [compile_expression(e) for e in exprs]
-    names = list(chart)
-
-    def at(y: np.ndarray) -> list[float]:
-        env = dict(zip(names, y))
-        return [f(env) for f in fns]
-
-    return at
-
-
 # --------------------------------------------------------------------------
 # Core integrator
 
@@ -160,29 +149,28 @@ def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
 
 def _field_deriv(B: VectorField, C: ScalarField | None = None,
                  with_jacobian=False):
-    """Derivative of the stacked state [x, T?, J?] for the augmented system."""
+    """Derivative of the stacked state [x, T?, J?] for the augmented system,
+    from one program over [B..., C?, dB^mu/dx^nu...]."""
     d = B.dimension
-    b_at = _compile_components(B.components, B.chart)
-    c_at = compile_expression(C.expression) if C is not None else None
+    exprs = list(B.components)
+    if C is not None:
+        exprs.append(C.expression)
+    head = len(exprs)
     if with_jacobian:
-        grads = [
+        exprs += [
             fc.differentiate(comp, name)
             for comp in B.components
             for name in B.chart
         ]
-        jac_rows = _compile_components(grads, B.chart)
-    names = list(B.chart)
+    run = fc.compile_expressions(exprs)
+    names = B.chart
 
     def deriv(y: np.ndarray) -> np.ndarray:
-        x = y[:d]
-        out = list(b_at(x))
-        if c_at is not None:
-            env = dict(zip(names, x))
-            out.append(c_at(env))
+        out = run(dict(zip(names, y[:d])))
         if with_jacobian:
-            A = np.array(jac_rows(x)).reshape(d, d)
-            J = y[len(out):].reshape(d, d)
-            out.extend((A @ J).ravel())
+            A = np.array(out[head:]).reshape(d, d)
+            J = y[head:].reshape(d, d)
+            out[head:] = (A @ J).ravel()
         return np.array(out)
 
     return deriv
@@ -281,16 +269,15 @@ def series_terms(
         raise ValueError("order must be non-negative")
     if order > max_order:
         raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
-    env = x.env()
     u = psi.expression
-    values = [evaluate(u, env)]
+    values = [evaluate(u, x)]
     for _ in range(order):
         u = apply_operator(B, C, u)
         if fc.node_count(u) > max_nodes:
             raise ExpressionSizeError(
                 f"series expansion exceeded {max_nodes} nodes"
             )
-        values.append(evaluate(u, env))
+        values.append(evaluate(u, x))
     return values
 
 
@@ -332,18 +319,17 @@ def displacement_series(
         raise ValueError("order must be at least 1")
     if order > max_order:
         raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
-    env = x.env()
     offsets = []
     for comp in B.components:
         u = comp
-        total = rho * evaluate(u, env)
+        total = rho * evaluate(u, x)
         for n in range(2, order + 1):
             u = apply_operator(B, None, u)
             if fc.node_count(u) > max_nodes:
                 raise ExpressionSizeError(
                     f"displacement expansion exceeded {max_nodes} nodes"
                 )
-            total += rho**n / math.factorial(n) * evaluate(u, env)
+            total += rho**n / math.factorial(n) * evaluate(u, x)
         offsets.append(total)
     return tuple(offsets)
 

@@ -134,7 +134,6 @@ def kg_diffusion_residual(
     t, x0, x = point
     E = lift_expression(psi, p)
     a = p.lift_rate
-    env = {"t": t, "x0": x0, "x": x}
 
     d00 = fc.differentiate(fc.differentiate(E, "x0"), "x0")
     dxx = fc.differentiate(fc.differentiate(E, "x"), "x")
@@ -146,11 +145,8 @@ def kg_diffusion_residual(
     relativistic = fc.mul(Const(1.0 / p.c**2), dtt)
     rhs = fc.add(diffusion, relativistic)
 
-    return KGResidual(
-        identity_residual=abs(fc.evaluate(fc.sub(lhs, rhs), env)),
-        diffusion_term=abs(fc.evaluate(diffusion, env)),
-        relativistic_term=abs(fc.evaluate(relativistic, env)),
-    )
+    run = fc.compile_expressions([fc.sub(lhs, rhs), diffusion, relativistic])
+    return KGResidual(*(abs(v) for v in run({"t": t, "x0": x0, "x": x})))
 
 
 def diffusion_defect_scaling(

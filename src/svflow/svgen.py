@@ -105,7 +105,7 @@ class EpsilonFn:
             return 1.0
         if t == 0.0 and k < 0:
             raise DomainError("eps term with negative power evaluated at t = 0")
-        return float(t) ** k
+        return fc._eval_pow(float(t), k)
 
     def value(self, t: float) -> float:
         return sum(c * self._power_value(t, n + 1) for n, c in self.terms)
@@ -188,7 +188,7 @@ def _laurent_coefficients(e: fc.Expression) -> dict[int, float]:
             if len(live) != 1:
                 raise ValueError("negative powers only of a single monomial")
             (k0, c0), = live.items()
-            return {k0 * n: c0**n}
+            return {k0 * n: fc._eval_pow(c0, n)}
         out = {0: 1.0}
         for _ in range(n):
             nxt: dict[int, float] = {}
@@ -297,7 +297,7 @@ def bracket_residual(
     if fc.node_count(residual) > max_nodes:
         raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
     run = fc.compile_expression(residual)
-    return max(abs(run(pt.env())) for pt in points)
+    return max(abs(run(pt)) for pt in points)
 
 
 def monomial_bracket(m_idx: int, n_idx: int) -> tuple[float, int]:
@@ -363,9 +363,9 @@ def primary_transform(
             f"eps(t')/eps(t) = {ratio:.3e} is not positive"
         )
     n_half = p.N / 2.0
-    r_prime = r * ratio**n_half
+    r_prime = r * fc._eval_pow(ratio, n_half)
     k = p.r_exponent
-    weight = ratio ** (p.N * p.chi / 2.0)
+    weight = fc._eval_pow(ratio, p.N * p.chi / 2.0)
     arg = (p.m / 4.0) * (
         fc._eval_pow(r_prime, k) * eps.deriv(t_prime) / eps.value(t_prime)
         - fc._eval_pow(r, k) * eps.deriv(t) / eps.value(t)
@@ -420,7 +420,7 @@ def weight_form_terms(
     sdot_t = eps.deriv(t) / eps.value(t)
     sdot_tp = eps.deriv(tr.t_prime) / eps.value(tr.t_prime)
     lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * sdot_t)
-    rhs = jac ** (p.N * p.chi / 2.0) * fc._eval_exp(
+    rhs = fc._eval_pow(jac, p.N * p.chi / 2.0) * fc._eval_exp(
         (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * sdot_tp
     )
     return abs(jac - ratio), abs(lhs - rhs)
@@ -480,11 +480,14 @@ def halfspace_correlator(
         raise ValueError("T and T' must be positive")
     if t_prime <= 0.0:
         raise ValueError("t' must lie in (0, infinity)")
-    base = (T / t_prime) * r_prime**2 + T**2 * math.log(t_prime / T_prime) ** 2
+    r2 = fc._eval_pow(r_prime, 2)
+    base = (T / t_prime) * r2 + fc._eval_pow(T, 2) * fc._eval_pow(
+        math.log(t_prime / T_prime), 2
+    )
     if base == 0.0:
         raise CorrelatorSingularityError(
             "r' = 0 and t' = T' make both denominator terms vanish"
         )
-    power = base ** (-(d - 2) / 2.0)
-    weight = (T / t_prime) ** (p.chi / 2.0)
-    return power * weight * fc._eval_exp(-p.m * r_prime**2 / (4.0 * t_prime))
+    power = fc._eval_pow(base, -(d - 2) / 2.0)
+    weight = fc._eval_pow(T / t_prime, p.chi / 2.0)
+    return power * weight * fc._eval_exp(-p.m * r2 / (4.0 * t_prime))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from svflow.cli import run
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
 
 
@@ -86,3 +87,21 @@ def test_reports_match_golden_bundle(suite):
     assert sorted(bundle) == sorted(p.name for p in golden.glob("*.csv"))
     for name, payload in bundle.items():
         assert payload == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("flow", ["--field", "t;-r", "--vars", "t,r", "--point", "1,0.5",
+                  "--rho", "0.4", "--charge", "0.3*t", "--psi", "t*r"]),
+        ("primary", ["--eps", "1 + 0.1*t + 0.05*t^2", "--chi", "0.7", "--m", "1.3",
+                     "--point", "0.5,1.2"]),
+        ("virasoro", ["--max-index", "2", "--points", "4", "--seed", "7"]),
+    ],
+)
+def test_cli_reports_match_golden(name, argv, tmp_path, capsys):
+    # tests/golden/cli holds each subcommand's CSV and stdout, byte for byte
+    golden = Path(__file__).parent / "golden" / "cli"
+    assert run([name, *argv, "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.encode() == (golden / f"{name}.stdout").read_bytes()
+    assert (tmp_path / f"{name}.csv").read_bytes() == (golden / f"{name}.csv").read_bytes()

@@ -120,6 +120,29 @@ def test_phase_overflow_is_a_library_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["primary", "--eps", "1 + t", "--chi", "2000", "--point", "0.5,1.2"],
+        ["primary", "--eps", "1 + t^6", "--point", "1e100,1"],
+    ],
+)
+def test_power_overflow_is_a_library_error(argv, tmp_path, capsys):
+    code = run(argv + ["--output", str(tmp_path / "r")])
+    assert code == 1
+    _assert_one_error_line(capsys)
+
+
+def test_deep_nesting_is_a_formula_error(tmp_path, capsys):
+    field = "(" * 2000 + "t" + ")" * 2000
+    code = run(["flow", "--field", field, "--vars", "t", "--point", "1",
+                "--output", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("svflow: formula error:") and len(err.splitlines()) == 1
+
+
 def test_every_library_error_shares_one_base():
     import svflow
     from svflow import accframe, cli, fieldcalc, flowexp, geomcurv, nrlimit, quadrature, svgen

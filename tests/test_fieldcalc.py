@@ -1,10 +1,13 @@
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svflow import fieldcalc as fc
 from svflow.fieldcalc import (
     Add,
     Const,
@@ -15,6 +18,7 @@ from svflow.fieldcalc import (
     Pow,
     UnknownIdentifierError,
     Var,
+    compile_expressions,
     differentiate,
     evaluate,
     node_count,
@@ -125,10 +129,31 @@ def test_overflow_is_an_error_not_inf():
     assert exc.value.kind == "overflow"
 
 
+def test_sum_and_difference_overflow_is_an_error_not_inf():
+    for text, values in (("x + x", {"x": 1e308}), ("x - y", {"x": 1e308, "y": -1e308})):
+        with pytest.raises(DomainError) as exc:
+            ev(text, ["x", "y"], **values)
+        assert exc.value.kind == "overflow"
+
+
+def test_non_finite_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_expression("t + 1e999", ["t"])
+    assert exc.value.position == 4
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_expression("(" * 2000 + "t" + ")" * 2000, ["t"])
+
+
 def test_point_env_and_validation():
     p = Point(("t", "r"), (1.0, 2.0))
     assert p.dimension == 2
     assert p.env() == {"t": 1.0, "r": 2.0}
+    assert p["r"] == 2.0
+    with pytest.raises(KeyError):
+        p["x"]
     with pytest.raises(ValueError):
         Point(("t", "r"), (1.0,))
 
@@ -286,6 +311,102 @@ def test_simplify_preserves_value(e):
     env = {"t": 0.7, "r": -0.4}
     assert evaluate(s, env) == pytest.approx(evaluate(e, env), rel=1e-13, abs=1e-300)
     assert node_count(s) <= node_count(e)
+
+
+# ---------------------------------------------------------------- compiler
+
+_REFERENCE_OPS = {
+    fc.Neg: lambda x: -x, fc.Exp: fc._eval_exp, fc.Log: fc._eval_log,
+    fc.Sqrt: fc._eval_sqrt, fc.Sin: math.sin, fc.Cos: math.cos,
+    fc.Add: fc._eval_add, fc.Sub: fc._eval_sub, fc.Mul: fc._eval_mul,
+    fc.Div: fc._eval_div, fc.Pow: fc._eval_pow,
+}
+
+
+def reference(e, env):
+    """Plain recursion over the tree, every occurrence evaluated anew."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, fc._Unary):
+        return _REFERENCE_OPS[type(e)](reference(e.arg, env))
+    return _REFERENCE_OPS[type(e)](reference(e.left, env), reference(e.right, env))
+
+
+def reference_batch(exprs, env):
+    """Values in order, or the first DomainError, as (values, error)."""
+    try:
+        return [reference(e, env) for e in exprs], None
+    except DomainError as err:
+        return None, err
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_LEAVES = [Const(0.0), Const(-0.0), Const(1e308), Const(-1e300), Const(2.5), Const(-1.0)]
+_OPS = sorted(_REFERENCE_OPS, key=lambda cls: cls.__name__)
+
+
+@st.composite
+def shared_batches(draw):
+    """Roots over a pool where each new node reuses earlier nodes, so the
+    roots share subtrees by identity; rebuilt copies share them by
+    structure only."""
+    pool = [Var("t"), Var("r")] + draw(
+        st.lists(st.sampled_from(_LEAVES) | st.floats(-1e3, 1e3).map(Const), max_size=3)
+    )
+    index = st.integers(0, 10**6)
+    for _ in range(draw(st.integers(1, 12))):
+        cls = draw(st.sampled_from(_OPS))
+        a = pool[draw(index) % len(pool)]
+        if issubclass(cls, fc._Unary):
+            pool.append(cls(a))
+        else:
+            pool.append(cls(a, pool[draw(index) % len(pool)]))
+        if draw(st.booleans()):  # an equal tree that shares no object
+            pool.append(copy.deepcopy(pool[-1]))
+    return [pool[draw(index) % len(pool)] for _ in range(draw(st.integers(1, 5)))]
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-320, 0.5]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_batches(), _VALUES, _VALUES)
+def test_compiled_batch_matches_reference(exprs, tv, rv):
+    env = {"t": tv, "r": rv}
+    values, error = reference_batch(exprs, env)
+    run = compile_expressions(exprs)
+    if error is None:
+        assert bits(run(env)) == bits(values)
+    else:
+        with pytest.raises(DomainError) as exc:
+            run(env)
+        assert (exc.value.kind, str(exc.value)) == (error.kind, str(error))
+
+
+def test_batch_keeps_the_sign_of_zero():
+    t = Var("t")
+    values = compile_expressions([Const(0.0), Const(-0.0), Mul(t, Const(-0.0))])({"t": 1.0})
+    assert bits(values) == bits([0.0, -0.0, -0.0])
+
+
+def test_batch_raises_the_first_error_in_order():
+    t, r = Var("t"), Var("r")
+    shared = fc.Sqrt(fc.Neg(t))  # fails for t > 0
+    exprs = [Add(t, Const(1.0)), Add(fc.Log(r), shared), shared]
+    env = {"t": 2.0, "r": -1.0}
+    for batch, first in ((exprs, "log"), (exprs[::-1], "sqrt")):
+        with pytest.raises(DomainError) as one_by_one:
+            for e in batch:
+                evaluate(e, env)
+        with pytest.raises(DomainError) as batched:
+            compile_expressions(batch)(env)
+        assert str(batched.value) == str(one_by_one.value)
+        assert str(batched.value).startswith(first)
 
 
 # ---------------------------------------------------------------- simplify

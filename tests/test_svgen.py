@@ -399,3 +399,16 @@ def test_correlator_mass_factor_underflows_to_zero():
     # exp(-m r'^2 / (4 t')) = exp(-900) underflows: a zero, not an overflow
     p = SVParams(m=1.0, chi=0.0)
     assert halfspace_correlator(1.0, 60.0, p, T=1.0, T_prime=1.0, d=4) == 0.0
+
+
+def test_power_overflow_is_a_domain_error():
+    with pytest.raises(DomainError) as exc:
+        halfspace_correlator(1.0, 1e-160, SVParams(m=0, chi=0), 1.0, 1.0, 5)
+    assert exc.value.kind == "overflow"
+    with pytest.raises(DomainError):
+        EpsilonFn.from_formula("1 + t^6").value(1e100)
+    with pytest.raises(DomainError):
+        EpsilonFn.from_formula("(1e-200*t)^-2")
+    with pytest.raises(DomainError):
+        primary_transform(EpsilonFn.from_formula("1 + t"), SVParams(m=1.3, chi=2000.0),
+                          0.5, 1.2)
