@@ -13,10 +13,17 @@ NUMBER is a decimal literal with optional fraction and exponent.  Every
 IDENT must appear in the variable list supplied to the parser; "pi" and
 the function names are reserved.
 
-Expressions are immutable trees.  Differentiation is exact and symbolic;
+Expressions are immutable and hash-consed: every node constructor (and
+so the parser and the smart constructors) returns the one live node for
+its key from a weak unique table, so structurally equal expressions are
+the same object and equality and hashing go by identity.  A derivative
+tower or a series is therefore a DAG with each distinct subexpression
+stored once, and every walk over it (differentiate, substitute,
+simplify, printing, node_count) is an explicit-stack walk that visits
+each distinct node once.  Differentiation is exact and symbolic;
 simplification is limited to constant folding and identity elimination
-(x+0, x*1, x^1 and friends), so structural equality of equivalent trees
-is not guaranteed and callers compare by evaluation instead.
+(x+0, x*1, x^1 and friends), so equivalent expressions need not be the
+same node and callers compare by evaluation instead.
 
 Evaluation has one compiler, compile_expressions: a batch of expressions
 becomes one flat register program in which every distinct subexpression
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -70,78 +78,146 @@ class DomainError(ExpressionError):
 # Expression nodes
 
 
-@dataclass(frozen=True)
+# The unique table maps a node's key to a weak reference to the node:
+# (class, id(operand)...) for unary and binary nodes, (Var, name) and
+# (Const, value, sign of value).  An operand's id() is a sound key part
+# because the node keeps its operands alive; a node's entry leaves the
+# table when the node dies, before its operands can.
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+_TABLE: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+def _intern(cls: type, key: tuple, slots: tuple[str, ...], values: tuple) -> Expression:
+    """The live node for key, or a new cls node with slots set to values."""
+    entry = _TABLE.get(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(slots, values):
+        object.__setattr__(node, name, value)
+    entry = _Entry(node, _forget)
+    entry.key = key
+    _TABLE[key] = entry
+    return node
+
+
 class Expression:
+    """Base of the interned, immutable expression nodes.  _ops holds a
+    node's operands, _fields its constructor arguments."""
+
+    __slots__ = ("__weakref__",)
+    _ops: tuple[Expression, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        # unpickling calls the constructor, which re-interns the node
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
     def __str__(self) -> str:
         return to_string(self)
 
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {to_string(self)}>"
 
-@dataclass(frozen=True)
+
 class Const(Expression):
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value: float):
+        value = float(value)
+        key = (cls, value, math.copysign(1.0, value))
+        return _intern(cls, key, cls._fields, (value,))
 
 
-@dataclass(frozen=True)
 class Var(Expression):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), cls._fields, (name,))
 
 
-@dataclass(frozen=True)
 class _Unary(Expression):
-    arg: Expression
+    __slots__ = ("arg", "_ops")
+    _fields = ("arg",)
+
+    def __new__(cls, arg: Expression):
+        return _intern(cls, (cls, id(arg)), _Unary.__slots__, (arg, (arg,)))
 
 
 class Neg(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Exp(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Log(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Sqrt(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Sin(_Unary):
-    pass
+    __slots__ = ()
 
 
 class Cos(_Unary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class _Binary(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = ("left", "right", "_ops")
+    _fields = ("left", "right")
+
+    def __new__(cls, left: Expression, right: Expression):
+        key = (cls, id(left), id(right))
+        return _intern(cls, key, _Binary.__slots__, (left, right, (left, right)))
 
 
 class Add(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Sub(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Mul(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Div(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Pow(_Binary):
-    pass
+    __slots__ = ()
 
 
 FUNCTIONS: dict[str, type] = {
@@ -179,47 +255,52 @@ def _try_fold(make: Callable[[], float]) -> Const | None:
 
 
 def add(l: Expression, r: Expression) -> Expression:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value + r.value)
-    if is_const(l, 0.0):
-        return r
-    if is_const(r, 0.0):
+    if type(l) is Const:
+        if type(r) is Const:
+            return Const(l.value + r.value)
+        if l.value == 0.0:
+            return r
+    elif type(r) is Const and r.value == 0.0:
         return l
     return Add(l, r)
 
 
 def sub(l: Expression, r: Expression) -> Expression:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value - r.value)
-    if is_const(r, 0.0):
-        return l
-    if is_const(l, 0.0):
+    if type(r) is Const:
+        if type(l) is Const:
+            return Const(l.value - r.value)
+        if r.value == 0.0:
+            return l
+    elif type(l) is Const and l.value == 0.0:
         return neg(r)
     return Sub(l, r)
 
 
 def mul(l: Expression, r: Expression) -> Expression:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value * r.value)
-    if is_const(l, 1.0):
-        return r
-    if is_const(r, 1.0):
-        return l
-    if is_const(l, 0.0) or is_const(r, 0.0):
+    if type(l) is Const:
+        if type(r) is Const:
+            return Const(l.value * r.value)
+        c, other = l.value, r
+    elif type(r) is Const:
+        c, other = r.value, l
+    else:
+        return Mul(l, r)
+    if c == 1.0:
+        return other
+    if c == 0.0:
         return ZERO
-    if is_const(l, -1.0):
-        return neg(r)
-    if is_const(r, -1.0):
-        return neg(l)
+    if c == -1.0:
+        return neg(other)
     return Mul(l, r)
 
 
 def div(l: Expression, r: Expression) -> Expression:
-    if isinstance(l, Const) and isinstance(r, Const) and r.value != 0.0:
-        return Const(l.value / r.value)
-    if is_const(r, 1.0):
-        return l
-    if is_const(l, 0.0):
+    if type(r) is Const:
+        if type(l) is Const and r.value != 0.0:
+            return Const(l.value / r.value)
+        if r.value == 1.0:
+            return l
+    if type(l) is Const and l.value == 0.0:
         return ZERO
     return Div(l, r)
 
@@ -264,6 +345,10 @@ def _unary_ctor(cls: type) -> Callable[[Expression], Expression]:
 
 def _check_finite(v: float, what: str) -> float:
     if not math.isfinite(v):
+        if math.isnan(v):
+            raise DomainError(
+                f"{what} is NaN: an operand is infinite or NaN", kind="overflow"
+            )
         raise DomainError(f"{what} overflowed the double range", kind="overflow")
     return v
 
@@ -285,6 +370,20 @@ def _eval_sqrt(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"sqrt of negative value {x}")
     return math.sqrt(x)
+
+
+def _eval_sin(x: float) -> float:
+    try:
+        return math.sin(x)
+    except ValueError:
+        raise DomainError(f"sin of infinite value {x}") from None
+
+
+def _eval_cos(x: float) -> float:
+    try:
+        return math.cos(x)
+    except ValueError:
+        raise DomainError(f"cos of infinite value {x}") from None
 
 
 def _eval_pow(b: float, e: float) -> float:
@@ -311,8 +410,8 @@ _UNARY_EVAL: dict[type, Callable[[float], float]] = {
     Exp: _eval_exp,
     Log: _eval_log,
     Sqrt: _eval_sqrt,
-    Sin: math.sin,
-    Cos: math.cos,
+    Sin: _eval_sin,
+    Cos: _eval_cos,
 }
 
 exp_ = _unary_ctor(Exp)
@@ -350,26 +449,47 @@ _EVAL: dict[type, Callable] = {
 }
 
 
-def _operands(node: Expression) -> tuple[Expression, ...]:
-    if isinstance(node, _Binary):
-        return (node.left, node.right)
-    return (node.arg,) if isinstance(node, _Unary) else ()
+# --------------------------------------------------------------------------
+# Walks.  Every algorithm over expressions is one _fold: an explicit-stack
+# walk that visits each distinct node once, so none can hit the recursion
+# limit and none repeats work on shared subexpressions.
 
 
-def _postorder(e: Expression) -> list[Expression]:
-    out: list[Expression] = []
-    stack: list[tuple[Expression, bool]] = [(e, False)]
-    while stack:
-        node, seen = stack.pop()
-        if seen:
-            out.append(node)
+def _fold(roots: list[Expression], visit: Callable[[Expression, list], object]) -> dict:
+    """visit(node, results of its operands) for each distinct node reachable
+    from roots, in first-occurrence post-order, operands left to right.
+
+    Returns every result keyed by id(node), in visiting order.  The list
+    keeps the roots, and so every visited node, alive: no id() is reused
+    during the walk.
+    """
+    done: dict[int, object] = {}
+    for root in roots:
+        if id(root) in done:
             continue
-        stack.append((node, True))
-        if isinstance(node, _Binary):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, _Unary):
-            stack.append((node.arg, False))
+        # a DAG has no cycles, so a node is never on the stack twice
+        stack = [(root, iter(root._ops))]
+        while stack:
+            node, pending = stack[-1]
+            for o in pending:
+                if id(o) not in done:
+                    stack.append((o, iter(o._ops)))
+                    break
+            else:
+                stack.pop()
+                done[id(node)] = visit(node, [done[id(o)] for o in node._ops])
+    return done
+
+
+def _nodes(e: Expression) -> list[Expression]:
+    """The distinct nodes of e, in no particular order."""
+    seen = {id(e)}
+    out = [e]
+    for node in out:
+        for o in node._ops:
+            if id(o) not in seen:
+                seen.add(id(o))
+                out.append(o)
     return out
 
 
@@ -378,54 +498,36 @@ def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float
 
     The returned callable reads each variable once from env (a Point or a
     name->value mapping) and returns the values of exprs in order.  Each
-    distinct subexpression of the batch runs once: nodes are numbered by
-    identity, then by structure (class and operand registers; a Const by
-    value and sign, so 0.0 and -0.0 stay apart).  Operations run in
-    first-occurrence post-order through the _eval_* helpers, so the values
-    and the first DomainError are those of evaluating each expression
-    alone, in order.
+    distinct subexpression of the batch, that is each distinct node, runs
+    once.  Operations run in first-occurrence post-order through the
+    _eval_* helpers, so the values and the first DomainError are those of
+    evaluating each expression alone, in order.  A NaN variable is a
+    DomainError.
     """
+    exprs = list(exprs)
     regs: list[float | None] = []  # constants preset, the rest set by run
     loads: list[tuple[int, str]] = []
     prog: list[tuple[int, Callable, int, int | None]] = []
-    by_id: dict[int, int] = {}
-    by_key: dict[tuple, int] = {}
-    roots: list[int] = []
-    for root in list(exprs):  # the list keeps every root alive: no id() reuse
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in by_id:
-                stack.pop()
-                continue
-            operands = _operands(node)
-            pending = [o for o in reversed(operands) if id(o) not in by_id]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            if operands:
-                ids = [by_id[id(o)] for o in operands] + [None]
-                key = (type(node), ids[0], ids[1])
-            elif isinstance(node, Var):
-                key = (Var, node.name)
-            else:
-                key = (Const, node.value, math.copysign(1.0, node.value))
-            slot = by_key.get(key)
-            if slot is None:
-                slot = by_key[key] = len(regs)
-                regs.append(node.value if isinstance(node, Const) else None)
-                if operands:
-                    prog.append((slot, _EVAL[type(node)], key[1], key[2]))
-                elif isinstance(node, Var):
-                    loads.append((slot, node.name))
-            by_id[id(node)] = slot
-        roots.append(by_id[id(root)])
+
+    def number(node: Expression, operands: list[int]) -> int:
+        slot = len(regs)
+        regs.append(node.value if isinstance(node, Const) else None)
+        if operands:
+            j = operands[1] if len(operands) == 2 else None
+            prog.append((slot, _EVAL[type(node)], operands[0], j))
+        elif isinstance(node, Var):
+            loads.append((slot, node.name))
+        return slot
+
+    slots = _fold(exprs, number)
+    roots = [slots[id(e)] for e in exprs]
 
     def run(env) -> list[float]:
         reg = regs[:]
         for slot, name in loads:
-            reg[slot] = env[name]
+            v = reg[slot] = env[name]
+            if v != v:
+                raise DomainError(f"variable {name} is NaN")
         for slot, fn, i, j in prog:
             reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
         return [reg[k] for k in roots]
@@ -446,96 +548,95 @@ def evaluate(e: Expression, env: Mapping[str, float] | Point) -> float:
 
 
 # --------------------------------------------------------------------------
-# Differentiation
+# Differentiation and rewriting
 
 
 def differentiate(e: Expression, var: str) -> Expression:
     """Exact partial derivative with respect to ``var``.
 
+    One walk over the distinct nodes of e: each node's derivative is built
+    once from its operands' derivatives, which only this call keeps.
     Repeated application yields higher derivatives; the result is lightly
     simplified so derivative towers stay compact.
     """
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Neg):
-        return neg(differentiate(e.arg, var))
-    if isinstance(e, Exp):
-        return mul(differentiate(e.arg, var), exp_(e.arg))
-    if isinstance(e, Log):
-        return div(differentiate(e.arg, var), e.arg)
-    if isinstance(e, Sqrt):
-        return div(differentiate(e.arg, var), mul(Const(2.0), sqrt_(e.arg)))
-    if isinstance(e, Sin):
-        return mul(differentiate(e.arg, var), cos_(e.arg))
-    if isinstance(e, Cos):
-        return neg(mul(differentiate(e.arg, var), sin_(e.arg)))
-    if isinstance(e, Add):
-        return add(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Mul):
-        return add(
-            mul(differentiate(e.left, var), e.right),
-            mul(e.left, differentiate(e.right, var)),
-        )
-    if isinstance(e, Div):
-        num = sub(
-            mul(differentiate(e.left, var), e.right),
-            mul(e.left, differentiate(e.right, var)),
-        )
-        return div(num, pow_(e.right, Const(2.0)))
-    if isinstance(e, Pow):
-        base, expo = e.left, e.right
-        db = differentiate(base, var)
-        if isinstance(expo, Const):
-            # c * f^(c-1) * f', valid for any base when c is an integer
-            return mul(mul(expo, pow_(base, Const(expo.value - 1.0))), db)
-        de = differentiate(expo, var)
-        # f^g * (g' log f + g f'/f); evaluation will demand f > 0
-        return mul(e, add(mul(de, log_(base)), div(mul(expo, db), base)))
-    raise TypeError(f"cannot differentiate node {type(e).__name__}")
 
+    def derivative(node: Expression, d: list[Expression]) -> Expression:
+        # d holds the derivatives of node's operands
+        cls = type(node)
+        if cls is Mul:
+            return add(mul(d[0], node.right), mul(node.left, d[1]))
+        if cls is Add:
+            return add(d[0], d[1])
+        if cls is Const:
+            return ZERO
+        if cls is Var:
+            return ONE if node.name == var else ZERO
+        if cls is Pow:
+            base, expo = node.left, node.right
+            if type(expo) is Const:
+                # c * f^(c-1) * f', valid for any base when c is an integer
+                return mul(mul(expo, pow_(base, Const(expo.value - 1.0))), d[0])
+            # f^g * (g' log f + g f'/f); evaluation will demand f > 0
+            return mul(node, add(mul(d[1], log_(base)), div(mul(expo, d[0]), base)))
+        if cls is Neg:
+            return neg(d[0])
+        if cls is Sub:
+            return sub(d[0], d[1])
+        if cls is Div:
+            num = sub(mul(d[0], node.right), mul(node.left, d[1]))
+            return div(num, pow_(node.right, Const(2.0)))
+        if cls is Exp:
+            return mul(d[0], exp_(node.arg))
+        if cls is Log:
+            return div(d[0], node.arg)
+        if cls is Sqrt:
+            return div(d[0], mul(Const(2.0), sqrt_(node.arg)))
+        if cls is Sin:
+            return mul(d[0], cos_(node.arg))
+        if cls is Cos:
+            return neg(mul(d[0], sin_(node.arg)))
+        raise TypeError(f"cannot differentiate node {cls.__name__}")
 
-def substitute(e: Expression, var: str, replacement: Expression) -> Expression:
-    """Replace every occurrence of ``var`` by ``replacement``."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return replacement if e.name == var else e
-    if isinstance(e, _Unary):
-        return _UNARY_CTORS[type(e)](substitute(e.arg, var, replacement))
-    if isinstance(e, _Binary):
-        return _BINARY_CTORS[type(e)](
-            substitute(e.left, var, replacement),
-            substitute(e.right, var, replacement),
-        )
-    raise TypeError(f"cannot substitute in node {type(e).__name__}")
+    return _fold([e], derivative)[id(e)]
 
 
 _UNARY_CTORS = {Neg: neg, Exp: exp_, Log: log_, Sqrt: sqrt_, Sin: sin_, Cos: cos_}
 _BINARY_CTORS = {Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_}
 
 
+def _rebuild(node: Expression, operands: list[Expression]) -> Expression:
+    """node's class over new operands, through the smart constructors."""
+    if isinstance(node, _Unary):
+        return _UNARY_CTORS[type(node)](operands[0])
+    if isinstance(node, _Binary):
+        return _BINARY_CTORS[type(node)](*operands)
+    return node
+
+
+def substitute(e: Expression, var: str, replacement: Expression) -> Expression:
+    """Replace every occurrence of ``var`` by ``replacement``."""
+
+    def visit(node: Expression, operands: list[Expression]) -> Expression:
+        if isinstance(node, Var) and node.name == var:
+            return replacement
+        return _rebuild(node, operands)
+
+    return _fold([e], visit)[id(e)]
+
+
 def simplify(e: Expression) -> Expression:
     """Constant folding and identity elimination, bottom up.  Never raises:
     subtrees that would fail to fold are left untouched."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, _Unary):
-        return _UNARY_CTORS[type(e)](simplify(e.arg))
-    if isinstance(e, _Binary):
-        return _BINARY_CTORS[type(e)](simplify(e.left), simplify(e.right))
-    return e
+    return _fold([e], _rebuild)[id(e)]
 
 
 def node_count(e: Expression) -> int:
-    return len(_postorder(e))
+    """Number of distinct nodes of e."""
+    return len(_nodes(e))
 
 
 def variables_of(e: Expression) -> set[str]:
-    return {n.name for n in _postorder(e) if isinstance(n, Var)}
+    return {n.name for n in _nodes(e) if isinstance(n, Var)}
 
 
 # --------------------------------------------------------------------------
@@ -559,6 +660,11 @@ def _fmt_number(v: float) -> str:
 
 
 def to_string(e: Expression) -> str:
+    return _fold([e], _print)[id(e)]
+
+
+def _print(e: Expression, printed: list[str]) -> str:
+    # printed holds the strings of e's operands
     if isinstance(e, Const):
         if e.value < 0:
             return f"-{_fmt_number(-e.value)}"
@@ -566,17 +672,16 @@ def to_string(e: Expression) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        inner = to_string(e.arg)
+        inner = printed[0]
         if _prec(e.arg) < _PREC[Neg]:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, _Unary):
-        return f"{_FUNC_NAMES[type(e)]}({to_string(e.arg)})"
+        return f"{_FUNC_NAMES[type(e)]}({printed[0]})"
     if isinstance(e, _Binary):
         cls = type(e)
         p = _PREC[cls]
-        ls = to_string(e.left)
-        rs = to_string(e.right)
+        ls, rs = printed
         if cls is Pow:
             # right-associative; negative constants print as unary minus
             if _prec(e.left) <= p:

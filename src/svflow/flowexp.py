@@ -36,6 +36,7 @@ from .fieldcalc import (
 
 DEFAULT_BLOWUP_BOUND = 1e12
 DEFAULT_MAX_ORDER = 8
+# Budget on the distinct nodes (fieldcalc.node_count) of one expanded term.
 DEFAULT_MAX_NODES = 2_000_000
 
 
@@ -56,7 +57,7 @@ class SeriesOrderError(FlowError):
 
 
 class ExpressionSizeError(FlowError):
-    """Symbolic expansion exceeded the node budget."""
+    """Symbolic expansion exceeded the budget of distinct nodes."""
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def series_terms(
         u = apply_operator(B, C, u)
         if fc.node_count(u) > max_nodes:
             raise ExpressionSizeError(
-                f"series expansion exceeded {max_nodes} nodes"
+                f"series expansion exceeded {max_nodes} distinct nodes"
             )
         values.append(evaluate(u, x))
     return values
@@ -327,7 +328,7 @@ def displacement_series(
             u = apply_operator(B, None, u)
             if fc.node_count(u) > max_nodes:
                 raise ExpressionSizeError(
-                    f"displacement expansion exceeded {max_nodes} nodes"
+                    f"displacement expansion exceeded {max_nodes} distinct nodes"
                 )
             total += rho**n / math.factorial(n) * evaluate(u, x)
         offsets.append(total)

@@ -107,19 +107,31 @@ class EpsilonFn:
             raise DomainError("eps term with negative power evaluated at t = 0")
         return fc._eval_pow(float(t), k)
 
+    # A term or the sum that overflows is a DomainError of kind "overflow".
+
     def value(self, t: float) -> float:
-        return sum(c * self._power_value(t, n + 1) for n, c in self.terms)
+        return fc._check_finite(
+            sum(c * self._power_value(t, n + 1) for n, c in self.terms), "eps"
+        )
 
     def deriv(self, t: float) -> float:
-        return sum(
-            c * (n + 1) * self._power_value(t, n) for n, c in self.terms if n + 1 != 0
+        return fc._check_finite(
+            sum(
+                c * (n + 1) * self._power_value(t, n)
+                for n, c in self.terms
+                if n + 1 != 0
+            ),
+            "eps'",
         )
 
     def deriv2(self, t: float) -> float:
-        return sum(
-            c * (n + 1) * n * self._power_value(t, n - 1)
-            for n, c in self.terms
-            if n + 1 != 0 and n != 0
+        return fc._check_finite(
+            sum(
+                c * (n + 1) * n * self._power_value(t, n - 1)
+                for n, c in self.terms
+                if n + 1 != 0 and n != 0
+            ),
+            "eps''",
         )
 
     def _monomial_expr(self, var: str, coeff: float, k: int) -> Expression:
@@ -149,30 +161,34 @@ class EpsilonFn:
 def _laurent_coefficients(e: fc.Expression) -> dict[int, float]:
     """Map power -> coefficient for an expression that is a Laurent
     polynomial in t; raises ValueError otherwise."""
+    return fc._fold([e], _laurent_node)[id(e)]
+
+
+def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, float]:
+    # ops holds the coefficient maps of e's operands; they may be shared
+    # by other nodes, so every case builds a new map
     if isinstance(e, Const):
         return {0: e.value}
     if isinstance(e, Var):
         return {1: 1.0}
     if isinstance(e, fc.Neg):
-        return {k: -c for k, c in _laurent_coefficients(e.arg).items()}
+        return {k: -c for k, c in ops[0].items()}
     if isinstance(e, (fc.Add, fc.Sub)):
-        left = _laurent_coefficients(e.left)
-        right = _laurent_coefficients(e.right)
+        left, right = ops
         sign = 1.0 if isinstance(e, fc.Add) else -1.0
+        out = dict(left)
         for k, c in right.items():
-            left[k] = left.get(k, 0.0) + sign * c
-        return left
+            out[k] = out.get(k, 0.0) + sign * c
+        return out
     if isinstance(e, fc.Mul):
-        left = _laurent_coefficients(e.left)
-        right = _laurent_coefficients(e.right)
-        out: dict[int, float] = {}
+        left, right = ops
+        out = {}
         for k1, c1 in left.items():
             for k2, c2 in right.items():
                 out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
         return out
     if isinstance(e, fc.Div):
-        num = _laurent_coefficients(e.left)
-        den = _laurent_coefficients(e.right)
+        num, den = ops
         live = {k: c for k, c in den.items() if c != 0.0}
         if len(live) != 1:
             raise ValueError("division only by a constant or a monomial in t")
@@ -182,8 +198,7 @@ def _laurent_coefficients(e: fc.Expression) -> dict[int, float]:
         if not isinstance(e.right, Const) or e.right.value != int(e.right.value):
             raise ValueError("powers must have integer constant exponents")
         n = int(e.right.value)
-        base = _laurent_coefficients(e.left)
-        live = {k: c for k, c in base.items() if c != 0.0}
+        live = {k: c for k, c in ops[0].items() if c != 0.0}
         if n < 0:
             if len(live) != 1:
                 raise ValueError("negative powers only of a single monomial")
@@ -284,7 +299,8 @@ def bracket_residual(
     max_nodes: int = flowexp.DEFAULT_MAX_NODES,
 ) -> float:
     """max over points of |([X_eps, X_eta] - X_{eps' eta - eps eta'}) psi|,
-    all operator applications exact-symbolic."""
+    all operator applications exact-symbolic; max_nodes bounds the
+    distinct nodes of the residual expression."""
     if test.chart != CHART:
         raise ValueError(f"test function must live on chart {CHART}")
     u = test.expression

@@ -143,6 +143,16 @@ def test_deep_nesting_is_a_formula_error(tmp_path, capsys):
     assert err.startswith("svflow: formula error:") and len(err.splitlines()) == 1
 
 
+def test_long_sum_field_ends_without_a_traceback(tmp_path, capsys):
+    # the field is 3*t, so the flow ends at 0.5 * exp(0.3)
+    field = " + ".join(["0.001*t"] * 3000)
+    code = run(["flow", "--field", field, "--vars", "t", "--point", "0.5",
+                "--rho", "0.1", "--output", str(tmp_path / "r")])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    assert out.startswith("endpoint: (0.67492940358")
+
+
 def test_every_library_error_shares_one_base():
     import svflow
     from svflow import accframe, cli, fieldcalc, flowexp, geomcurv, nrlimit, quadrature, svgen

@@ -1,5 +1,7 @@
 import copy
+import gc
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svflow import fieldcalc as fc
+from svflow import flowexp
 from svflow.fieldcalc import (
     Add,
     Const,
@@ -121,6 +124,21 @@ def test_pow_domain_rules():
 def test_sqrt_domain():
     with pytest.raises(DomainError):
         ev("sqrt(t)", ["t"], t=-1e-9)
+
+
+def test_sin_and_cos_of_infinity_are_domain_errors():
+    for text in ("sin(t)", "cos(t)"):
+        for value in (math.inf, -math.inf):
+            with pytest.raises(DomainError) as exc:
+                ev(text, ["t"], t=value)
+            assert exc.value.kind == "domain"
+
+
+def test_nan_input_is_a_domain_error_that_names_nan():
+    for text in ("t", "t * 2", "t + 1", "log(t)", "sin(t)"):
+        with pytest.raises(DomainError) as exc:
+            ev(text, ["t"], t=math.nan)
+        assert "NaN" in str(exc.value) and "overflow" not in str(exc.value)
 
 
 def test_overflow_is_an_error_not_inf():
@@ -434,3 +452,82 @@ def test_substitute():
     shifted = substitute(e, "t", parse_expression("t + x0/2", ["t", "x0", "x"]))
     assert evaluate(shifted, {"t": 1.0, "x0": 2.0, "x": 3.0}) == 12.0
     assert variables_of(shifted) == {"t", "x0", "x"}
+
+
+# ---------------------------------------------------------------- interning
+
+
+def test_parsing_twice_gives_the_same_node():
+    a = parse_expression("t*r + 1", ["t", "r"])
+    b = parse_expression("t*r + 1", ["t", "r"])
+    assert a is b
+    assert a is Add(Mul(Var("t"), Var("r")), Const(1))
+    assert hash(a) == hash(b)
+
+
+def test_signed_zeros_are_distinct_constants():
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0) is Const(0.0) is fc.ZERO
+    assert math.copysign(1.0, Const(-0.0).value) == -1.0
+
+
+def test_nodes_are_immutable():
+    e = parse_expression("t + 1", ["t"])
+    with pytest.raises(AttributeError):
+        e.left = Var("r")
+    with pytest.raises(AttributeError):
+        fc.ONE.value = 2.0
+
+
+def test_copies_and_pickles_give_back_the_node():
+    e = parse_expression("exp(-r^2/t) * sin(t) - 0.5", ["t", "r"])
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps([Const(-0.0)]))[0] is Const(-0.0)
+
+
+def test_unique_table_shrinks_after_the_last_reference_goes():
+    gc.collect()
+    before = len(fc._TABLE)
+    e = Var("t")
+    for k in range(1000):
+        e = Add(Mul(Const(k + 0.123), e), Var(f"x{k}"))
+    assert len(fc._TABLE) > before + 3900
+    del e
+    gc.collect()
+    assert len(fc._TABLE) == before
+
+
+def _shear2d_series(order):
+    B = vector_field(["0.7*t + 0.3*r", "0.5*r"], ("t", "r"))
+    C = scalar_field("0.6*r", ("t", "r"))
+    psi = scalar_field("exp(0.3*t) * r", ("t", "r"))
+    u = psi.expression
+    for _ in range(order):
+        u = flowexp.apply_operator(B, C, u)
+    return (B, C, psi), u
+
+
+def test_node_count_counts_distinct_nodes():
+    _, u = _shear2d_series(6)
+    tree_size = fc._fold([u], lambda node, sizes: 1 + sum(sizes))[id(u)]
+    assert (node_count(u), tree_size) == (716, 189_724)
+
+
+def test_series_budget_counts_distinct_nodes():
+    (B, C, psi), _ = _shear2d_series(0)
+    x = Point(("t", "r"), (0.6, 0.9))
+    flowexp.series_oracle(B, C, psi, x, 0.1, 6, max_nodes=716)
+    with pytest.raises(flowexp.ExpressionSizeError):
+        flowexp.series_oracle(B, C, psi, x, 0.1, 6, max_nodes=715)
+
+
+def test_walks_handle_a_5000_term_sum():
+    e = parse_expression(" + ".join(["t"] * 5000), ["t"])
+    assert evaluate(differentiate(e, "t"), {"t": 0.3}) == 5000.0
+    assert hash(e) == hash(e) and e == parse_expression(to_string(e), ["t"])
+    assert node_count(e) == 5000 and variables_of(e) == {"t"}
+    assert evaluate(simplify(e), {"t": 0.5}) == evaluate(e, {"t": 0.5}) == 2500.0
+    r2 = parse_expression("2*r", ["r"])
+    assert evaluate(substitute(e, "t", r2), {"r": 0.25}) == 2500.0

@@ -412,3 +412,22 @@ def test_power_overflow_is_a_domain_error():
     with pytest.raises(DomainError):
         primary_transform(EpsilonFn.from_formula("1 + t"), SVParams(m=1.3, chi=2000.0),
                           0.5, 1.2)
+
+
+def test_epsilon_sum_overflow_is_a_domain_error():
+    # every term is finite for t = 1e10, but c * t^k overflows the sum
+    assert math.isinf(1e300 * 1e10**2 + 1.0)
+    with pytest.raises(DomainError) as exc:
+        EpsilonFn.from_formula("1e300*t^2 + 1").value(1e10)
+    assert exc.value.kind == "overflow"
+    eps = EpsilonFn.from_formula("1e300*t^3 + 1")
+    for method in (eps.value, eps.deriv, eps.deriv2):
+        with pytest.raises(DomainError) as exc:
+            method(1e10)
+        assert exc.value.kind == "overflow"
+
+
+def test_long_laurent_formula_parses():
+    eps = EpsilonFn.from_formula(" + ".join(["t"] * 3000))
+    assert eps.terms == ((0, 3000.0),)
+    assert eps.value(0.5) == 1500.0
