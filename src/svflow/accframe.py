@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,21 @@ class Trajectory:
         if self.c <= 0:
             raise ValueError("c must be positive")
 
+    # compiled once per trajectory; cached_property writes the instance
+    # __dict__ directly, so it works on the frozen dataclass
+    @cached_property
+    def _f(self):
+        return fc.compile_expression(self.f)
+
+    @cached_property
+    def _fdot(self):
+        return fc.compile_expression(fc.differentiate(self.f, "t"))
+
     def position(self, t: float) -> float:
-        return fc.evaluate(self.f, {"t": t})
+        return self._f({"t": t})
 
     def speed(self, t: float) -> float:
-        v = fc.evaluate(fc.differentiate(self.f, "t"), {"t": t})
+        v = self._fdot({"t": t})
         if abs(v) >= self.c:
             raise SuperluminalError(f"|f'({t})| = {abs(v)} >= c = {self.c}")
         return v
@@ -80,7 +91,7 @@ def proper_time(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """tau = int_{t0}^{t1} sqrt(1 - v(u)^2/c^2) du by adaptive quadrature."""
-    fdot = fc.compile_expression(fc.differentiate(traj.f, "t"))
+    fdot = traj._fdot
     c2 = traj.c**2
 
     def integrand(u: float) -> float:

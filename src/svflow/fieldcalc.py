@@ -246,9 +246,9 @@ def is_const(e: Expression, value: float | None = None) -> bool:
 # so trees like log(-1) survive and fail at evaluation time as required.
 
 
-def _try_fold(make: Callable[[], float]) -> Const | None:
+def _try_fold(op: Callable[..., float], *values: float) -> Const | None:
     try:
-        v = make()
+        v = op(*values)
     except DomainError:
         return None
     return Const(v)
@@ -257,8 +257,10 @@ def _try_fold(make: Callable[[], float]) -> Const | None:
 def add(l: Expression, r: Expression) -> Expression:
     if type(l) is Const:
         if type(r) is Const:
-            return Const(l.value + r.value)
-        if l.value == 0.0:
+            folded = _try_fold(_eval_add, l.value, r.value)
+            if folded is not None:
+                return folded
+        elif l.value == 0.0:
             return r
     elif type(r) is Const and r.value == 0.0:
         return l
@@ -268,8 +270,10 @@ def add(l: Expression, r: Expression) -> Expression:
 def sub(l: Expression, r: Expression) -> Expression:
     if type(r) is Const:
         if type(l) is Const:
-            return Const(l.value - r.value)
-        if r.value == 0.0:
+            folded = _try_fold(_eval_sub, l.value, r.value)
+            if folded is not None:
+                return folded
+        elif r.value == 0.0:
             return l
     elif type(l) is Const and l.value == 0.0:
         return neg(r)
@@ -279,7 +283,9 @@ def sub(l: Expression, r: Expression) -> Expression:
 def mul(l: Expression, r: Expression) -> Expression:
     if type(l) is Const:
         if type(r) is Const:
-            return Const(l.value * r.value)
+            folded = _try_fold(_eval_mul, l.value, r.value)
+            if folded is not None:
+                return folded
         c, other = l.value, r
     elif type(r) is Const:
         c, other = r.value, l
@@ -296,8 +302,10 @@ def mul(l: Expression, r: Expression) -> Expression:
 
 def div(l: Expression, r: Expression) -> Expression:
     if type(r) is Const:
-        if type(l) is Const and r.value != 0.0:
-            return Const(l.value / r.value)
+        if type(l) is Const:
+            folded = _try_fold(_eval_div, l.value, r.value)
+            if folded is not None:
+                return folded
         if r.value == 1.0:
             return l
     if type(l) is Const and l.value == 0.0:
@@ -307,7 +315,7 @@ def div(l: Expression, r: Expression) -> Expression:
 
 def pow_(l: Expression, r: Expression) -> Expression:
     if isinstance(l, Const) and isinstance(r, Const):
-        folded = _try_fold(lambda: _eval_pow(l.value, r.value))
+        folded = _try_fold(_eval_pow, l.value, r.value)
         if folded is not None:
             return folded
     if is_const(r, 1.0):
@@ -330,7 +338,7 @@ def _unary_ctor(cls: type) -> Callable[[Expression], Expression]:
 
     def make(e: Expression) -> Expression:
         if isinstance(e, Const):
-            folded = _try_fold(lambda: op(e.value))
+            folded = _try_fold(op, e.value)
             if folded is not None:
                 return folded
         return cls(e)
@@ -341,6 +349,9 @@ def _unary_ctor(cls: type) -> Callable[[Expression], Expression]:
 # --------------------------------------------------------------------------
 # Evaluation: the _eval_* helpers raise DomainError instead of returning
 # NaN or infinity; compile_expressions runs them over batches of trees.
+# The arithmetic and power helpers test their result inline: v - v == 0.0
+# holds exactly when v is finite (inf - inf and NaN - NaN are NaN), so the
+# common case costs no second call and _check_finite runs only to raise.
 
 
 def _check_finite(v: float, what: str) -> float:
@@ -387,22 +398,27 @@ def _eval_cos(x: float) -> float:
 
 
 def _eval_pow(b: float, e: float) -> float:
-    if e == math.floor(e) and abs(e) < 2**31:
-        n = int(e)
-        if b == 0.0 and n < 0:
+    try:
+        integral = e == math.floor(e)
+    except (OverflowError, ValueError):
+        raise DomainError(f"pow with non-finite exponent {e}") from None
+    if integral and abs(e) < 2**31:
+        e = int(e)
+        if b == 0.0 and e < 0:
             raise DomainError("zero base raised to a negative power")
-        try:
-            return _check_finite(float(b**n), "pow")
-        except OverflowError:
-            raise DomainError(f"pow({b}, {n}) overflows", kind="overflow") from None
-    if b <= 0.0:
+    elif b <= 0.0:
         raise DomainError(
             f"non-integer power {e} of non-positive base {b}"
         )
+    # Python floats raise on overflow where numpy scalars return inf; both
+    # read "pow overflowed the double range"
     try:
-        return _check_finite(b**e, "pow")
+        v = float(b**e)
     except OverflowError:
-        raise DomainError(f"pow({b}, {e}) overflows", kind="overflow") from None
+        v = math.inf
+    if v - v == 0.0:
+        return v
+    return _check_finite(v, "pow")
 
 
 _UNARY_EVAL: dict[type, Callable[[float], float]] = {
@@ -422,21 +438,33 @@ cos_ = _unary_ctor(Cos)
 
 
 def _eval_add(a, b):
-    return _check_finite(a + b, "sum")
+    v = a + b
+    if v - v == 0.0:
+        return v
+    return _check_finite(v, "sum")
 
 
 def _eval_sub(a, b):
-    return _check_finite(a - b, "difference")
+    v = a - b
+    if v - v == 0.0:
+        return v
+    return _check_finite(v, "difference")
 
 
 def _eval_mul(a, b):
-    return _check_finite(a * b, "product")
+    v = a * b
+    if v - v == 0.0:
+        return v
+    return _check_finite(v, "product")
 
 
 def _eval_div(a, b):
     if b == 0.0:
         raise DomainError("division by zero")
-    return _check_finite(a / b, "quotient")
+    v = a / b
+    if v - v == 0.0:
+        return v
+    return _check_finite(v, "quotient")
 
 
 _EVAL: dict[type, Callable] = {

@@ -13,6 +13,10 @@ error estimate: deterministic and reproducible.  The phase and Jacobian
 ride along as extra state variables of the same integrator, so flow and
 quadrature share identical nodes.  The x-update never reads the extra
 state, which keeps the flow endpoint bitwise independent of C.
+
+The state has 1 to 12 components, so each RK4 step runs on lists of Python
+floats; numpy serves only the d x d Jacobian product A @ J and the
+once-per-round error estimate.
 """
 
 from __future__ import annotations
@@ -97,49 +101,54 @@ def _require_same_chart(*objs):
 
 
 def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
-    """n fixed RK4 steps from 0 to rho."""
-    h = rho / n
-    y = np.array(y0, dtype=float)
+    """n fixed RK4 steps from 0 to rho on a list of floats: each component
+    sees the operations, in order, of y + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    h = float(rho) / n
+    half = 0.5 * h
+    sixth = h / 6.0
+    y = list(y0)
     for k in range(n):
         try:
-            k1 = np.asarray(deriv(y))
-            k2 = np.asarray(deriv(y + (0.5 * h) * k1))
-            k3 = np.asarray(deriv(y + (0.5 * h) * k2))
-            k4 = np.asarray(deriv(y + h * k3))
+            k1 = deriv(y)
+            k2 = deriv([a + half * b for a, b in zip(y, k1)])
+            k3 = deriv([a + half * b for a, b in zip(y, k2)])
+            k4 = deriv([a + h * b for a, b in zip(y, k3)])
         except DomainError as err:
             if err.kind == "overflow":
                 raise BlowupError(f"field evaluation overflowed: {err}") from err
             raise
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y[:n_coords])) or np.max(
-            np.abs(y[:n_coords])
-        ) > blowup_bound:
-            raise BlowupError(
-                f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
-            )
+        y = [
+            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        for v in y[:n_coords]:
+            if not math.isfinite(v) or abs(v) > blowup_bound:
+                raise BlowupError(
+                    f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
+                )
     return y
 
 
 def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
-    """Step-doubling driver.  Returns (state, steps, est_error)."""
-    y0 = np.array(y0, dtype=float)
+    """Step doubling over _rk4_run.  Returns (state, steps, est_error);
+    the error estimate compares whole runs, once per round, on arrays."""
     if rho == 0.0:
-        return y0, 0, 0.0
+        return np.array(y0, dtype=float), 0, 0.0
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
             raise ValueError("n_steps must be a positive even integer")
         coarse = _rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
-        fine = _rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords)
+        fine = np.array(_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords))
         est = float(np.max(np.abs(fine - coarse))) / 15.0
         return fine, n_steps, est
     n = 8
-    y_coarse = _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords)
+    y_coarse = np.array(_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords))
     while True:
         if 2 * n > tol.max_steps:
             raise StepLimitError(
                 f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
             )
-        y_fine = _rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords)
+        y_fine = np.array(_rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords))
         err = np.abs(y_fine - y_coarse) / 15.0
         scale = tol.absolute + tol.relative * np.abs(y_fine)
         if np.all(err <= scale):
@@ -166,13 +175,15 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
     run = fc.compile_expressions(exprs)
     names = B.chart
 
-    def deriv(y: np.ndarray) -> np.ndarray:
-        out = run(dict(zip(names, y[:d])))
+    def deriv(y: list[float]) -> list[float]:
+        out = run(dict(zip(names, y)))
         if with_jacobian:
+            # numpy's (BLAS) product: a Python sum of products rounds
+            # differently, and the d x d block is the only array work left
             A = np.array(out[head:]).reshape(d, d)
-            J = y[head:].reshape(d, d)
-            out[head:] = (A @ J).ravel()
-        return np.array(out)
+            J = np.array(y[head:]).reshape(d, d)
+            out[head:] = (A @ J).ravel().tolist()
+        return out
 
     return deriv
 
@@ -211,7 +222,7 @@ def integrate_flow(
     if charge is not None:
         y0.append(0.0)
     if jacobian:
-        y0.extend(np.eye(d).ravel())
+        y0.extend(float(i == j) for i in range(d) for j in range(d))
     deriv = _field_deriv(B, charge, with_jacobian=jacobian)
     y, steps, est = _integrate(
         deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps

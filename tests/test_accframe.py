@@ -67,6 +67,33 @@ def test_trajectory_validation():
         Trajectory(parse_expression("u", ("u",)), c=1.0)
 
 
+def test_trajectory_compiles_f_and_its_derivative_once(monkeypatch):
+    import svflow.fieldcalc as fc
+
+    calls = {"compile": 0, "differentiate": 0}
+    compile_expression, differentiate = fc.compile_expression, fc.differentiate
+
+    def counted_compile(e):
+        calls["compile"] += 1
+        return compile_expression(e)
+
+    def counted_differentiate(e, var):
+        calls["differentiate"] += 1
+        return differentiate(e, var)
+
+    monkeypatch.setattr(fc, "compile_expression", counted_compile)
+    monkeypatch.setattr(fc, "differentiate", counted_differentiate)
+    traj = Trajectory.from_formula("0.1*t^2", c=1.0)
+    grid = GridSpec(0.0, 1.0, -1.0, 1.0, nt=20, nx=10)
+    fm = solve_frame_map(traj, grid)
+    assert traj.position(0.5) == pytest.approx(0.025, abs=1e-15)
+    assert traj.speed(0.5) == pytest.approx(0.1, abs=1e-15)
+    assert proper_time(traj, 0.0, 1.0) == pytest.approx(fm.tau[-1], abs=1e-12)
+    assert calls == {"compile": 2, "differentiate": 1}
+    with pytest.raises(SuperluminalError):
+        Trajectory.from_formula("t^2", c=1.0).speed(0.8)
+
+
 # ------------------------------------------------------------ differentials
 
 

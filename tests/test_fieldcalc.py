@@ -154,6 +154,72 @@ def test_sum_and_difference_overflow_is_an_error_not_inf():
         assert exc.value.kind == "overflow"
 
 
+def test_constant_folding_keeps_the_finiteness_check():
+    for text in ("1e308*10", "1e308 + 1e308", "-1e308 - 1e308", "1e308 / 1e-10"):
+        folded = simplify(parse_expression(text, ["t"]))
+        assert not isinstance(folded, Const)
+        assert "1e+308" in str(folded)  # printable: no bare OverflowError
+        with pytest.raises(DomainError) as exc:
+            evaluate(folded, {"t": 0.0})
+        assert exc.value.kind == "overflow"
+    assert fc.mul(Const(1e308), Const(10.0)) is Mul(Const(1e308), Const(10.0))
+    assert fc.div(Const(1.0), Const(0.0)) is fc.Div(Const(1.0), Const(0.0))
+    assert simplify(parse_expression("2*3 - 1/4 + 0.5", ["t"])) is Const(6.25)
+
+
+def test_non_finite_exponent_is_a_domain_error():
+    for value in (math.inf, -math.inf):
+        with pytest.raises(DomainError) as exc:
+            ev("t^r", ["t", "r"], t=2.0, r=value)
+        assert "exponent" in str(exc.value)
+
+
+def test_pow_overflow_reads_the_same_for_floats_and_numpy_scalars():
+    # Python's ** raises on overflow, numpy's returns inf: one message
+    messages = set()
+    for t in (2.0, np.float64(2.0)):
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as exc:
+            ev("t^5000 + t^0.5", ["t"], t=t)
+        assert exc.value.kind == "overflow"
+        messages.add(str(exc.value))
+    assert messages == {"pow overflowed the double range"}
+
+
+def _checked(op, what):
+    """An arithmetic helper as a result passed through _check_finite."""
+    return lambda a, b: fc._check_finite(op(a, b), what)
+
+
+def _checked_div(a, b):
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return fc._check_finite(a / b, "quotient")
+
+
+_EXTREMES = st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 1.5e-320, math.inf, -math.inf, math.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXTREMES, _EXTREMES)
+def test_inline_finiteness_test_matches_check_finite(a, b):
+    for helper, checked in (
+        (fc._eval_add, _checked(lambda x, y: x + y, "sum")),
+        (fc._eval_sub, _checked(lambda x, y: x - y, "difference")),
+        (fc._eval_mul, _checked(lambda x, y: x * y, "product")),
+        (fc._eval_div, _checked_div),
+    ):
+        try:
+            expected = checked(a, b)
+        except DomainError as err:
+            with pytest.raises(DomainError) as exc:
+                helper(a, b)
+            assert (exc.value.kind, str(exc.value)) == (err.kind, str(err))
+        else:
+            assert bits([helper(a, b)]) == bits([expected])
+
+
 def test_non_finite_literal_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_expression("t + 1e999", ["t"])

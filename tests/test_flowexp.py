@@ -1,11 +1,18 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from svflow import fieldcalc as fc
 from svflow.fieldcalc import DomainError, Point, scalar_field, vector_field
 from svflow.flowexp import (
+    DEFAULT_BLOWUP_BOUND,
+    DEFAULT_TOLERANCE,
     BlowupError,
+    FlowError,
     SeriesOrderError,
     StepLimitError,
     Tolerance,
@@ -344,3 +351,208 @@ def test_series_expression_size_limit():
     psi = scalar_field("exp(-r^2/(1 + t^2))", TR)
     with pytest.raises(ExpressionSizeError):
         series_oracle(B, C, psi, Point(TR, (0.5, 0.5)), 0.1, 8, max_nodes=2000)
+
+
+# ------------------------------------------- array-based reference integrator
+# The integrator as it ran on numpy arrays, before its inner loop moved to
+# plain floats.  It stays here only as a reference: integrate_flow must give
+# bitwise the same results, and the same first error, in every mode.
+
+
+def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
+    h = rho / n
+    y = np.array(y0, dtype=float)
+    for k in range(n):
+        try:
+            k1 = np.asarray(deriv(y))
+            k2 = np.asarray(deriv(y + (0.5 * h) * k1))
+            k3 = np.asarray(deriv(y + (0.5 * h) * k2))
+            k4 = np.asarray(deriv(y + h * k3))
+        except DomainError as err:
+            if err.kind == "overflow":
+                raise BlowupError(f"field evaluation overflowed: {err}") from err
+            raise
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y[:n_coords])) or np.max(
+            np.abs(y[:n_coords])
+        ) > blowup_bound:
+            raise BlowupError(
+                f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
+            )
+    return y
+
+
+def _array_integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
+    y0 = np.array(y0, dtype=float)
+    if rho == 0.0:
+        return y0, 0, 0.0
+    if n_steps is not None:
+        coarse = _array_rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
+        fine = _array_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords)
+        est = float(np.max(np.abs(fine - coarse))) / 15.0
+        return fine, n_steps, est
+    n = 8
+    y_coarse = _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords)
+    while True:
+        if 2 * n > tol.max_steps:
+            raise StepLimitError(
+                f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
+            )
+        y_fine = _array_rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords)
+        err = np.abs(y_fine - y_coarse) / 15.0
+        scale = tol.absolute + tol.relative * np.abs(y_fine)
+        if np.all(err <= scale):
+            return y_fine, 2 * n, float(np.max(err))
+        n *= 2
+        y_coarse = y_fine
+
+
+def _array_deriv(B, C, with_jacobian):
+    d = B.dimension
+    exprs = list(B.components)
+    if C is not None:
+        exprs.append(C.expression)
+    head = len(exprs)
+    if with_jacobian:
+        exprs += [fc.differentiate(comp, name) for comp in B.components for name in B.chart]
+    run = fc.compile_expressions(exprs)
+
+    def deriv(y):
+        out = run(dict(zip(B.chart, y[:d])))
+        if with_jacobian:
+            A = np.array(out[head:]).reshape(d, d)
+            J = y[head:].reshape(d, d)
+            out[head:] = (A @ J).ravel()
+        return np.array(out)
+
+    return deriv
+
+
+def array_flow(B, x, rho, tol, charge=None, jacobian=False,
+               blowup_bound=DEFAULT_BLOWUP_BOUND, n_steps=None):
+    """(endpoint coords, phase, steps, estimated error, jacobian)."""
+    d = B.dimension
+    y0 = list(x.coords)
+    if charge is not None:
+        y0.append(0.0)
+    if jacobian:
+        y0.extend(np.eye(d).ravel())
+    deriv = _array_deriv(B, charge, jacobian)
+    with np.errstate(all="ignore"):  # numpy scalars warn where floats raise
+        y, steps, est = _array_integrate(
+            deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps
+        )
+    return (
+        tuple(float(v) for v in y[:d]),
+        float(y[d]) if charge is not None else 0.0,
+        steps,
+        est,
+        y[-d * d:].reshape(d, d) if jacobian else None,
+    )
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_COEFFS = st.sampled_from([-2.0, -0.7, -0.25, 0.3, 0.5, 1.0, 1.5])
+
+
+@st.composite
+def flow_setups(draw):
+    """A random polynomial/exp field (with an occasional log, for a domain
+    error) in 1-3 dimensions, a charge of the same kind, a point and rho."""
+    d = draw(st.integers(1, 3))
+    chart = ("t", "r", "s")[:d]
+
+    def factor():
+        name = draw(st.sampled_from(chart))
+        kind = draw(st.sampled_from(["pow"] * 5 + ["exp", "exp", "log", "one"]))
+        if kind == "pow":
+            return f"{name}^{draw(st.integers(1, 4))}"
+        if kind == "exp":
+            return f"exp({draw(_COEFFS)}*{name})"
+        if kind == "log":
+            return f"log({name})"
+        return "1"
+
+    def formula():
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            factors = [factor() for _ in range(draw(st.integers(1, 2)))]
+            terms.append("*".join([repr(draw(_COEFFS))] + factors))
+        return " + ".join(terms)
+
+    B = vector_field([formula() for _ in chart], chart)
+    charge = scalar_field(formula(), chart) if draw(st.booleans()) else None
+    coords = tuple(draw(st.floats(-1.5, 1.5, width=32)) for _ in chart)
+    rho = draw(st.sampled_from([0.0, -0.6, 0.05, 0.3, 1.0, 2.5, 8.0]))
+    return B, charge, Point(chart, coords), rho
+
+
+def assert_matches_array_reference(B, x, rho, tol, **args):
+    """integrate_flow equals array_flow bitwise, or raises the same error.
+    Returns the reference's error, or None."""
+    try:
+        expected = array_flow(B, x, rho, tol, **args)
+    except (FlowError, DomainError) as err:
+        with pytest.raises(type(err)) as exc:
+            integrate_flow(B, x, rho, tol, **args)
+        assert type(exc.value) is type(err) and str(exc.value) == str(err)
+        return err
+    end, phase, steps, est, jac = expected
+    res = integrate_flow(B, x, rho, tol, **args)
+    assert _bits(res.endpoint.coords) == _bits(end)
+    assert _bits([res.phase, res.estimated_error]) == _bits([phase, est])
+    assert res.steps == steps
+    if args.get("jacobian"):
+        assert isinstance(res.jacobian, np.ndarray)
+        assert res.jacobian.tobytes() == jac.tobytes()
+    else:
+        assert res.jacobian is None
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    flow_setups(),
+    st.booleans(),
+    st.sampled_from([None, 2, 8, 32]),
+    st.sampled_from([16, 128, 1024]),
+    st.sampled_from([1e12, 10.0]),
+)
+def test_float_loop_matches_array_reference_bitwise(setup, jacobian, n_steps,
+                                                    max_steps, blowup_bound):
+    B, charge, x, rho = setup
+    tol = Tolerance(absolute=1e-9, relative=1e-9, max_steps=max_steps)
+    err = assert_matches_array_reference(
+        B, x, rho, tol, charge=charge, jacobian=jacobian,
+        blowup_bound=blowup_bound, n_steps=n_steps,
+    )
+    event("endpoint" if err is None
+          else f"{type(err).__name__}: {' '.join(str(err).split()[:3])}")
+
+
+@pytest.mark.parametrize("field, rho, tol, error, message", [
+    # t^40 overflows inside a step, before the coordinate check sees it
+    (["t^40"], 1.0, DEFAULT_TOLERANCE, BlowupError,
+     "field evaluation overflowed: pow overflowed the double range"),
+    (["exp(t^2)"], 3.0, DEFAULT_TOLERANCE, BlowupError,
+     "field evaluation overflowed: exp("),
+    (["t^2"], 2.0, DEFAULT_TOLERANCE, BlowupError, "coordinate magnitude exceeded"),
+    (["log(t) - 2"], 1.0, DEFAULT_TOLERANCE, DomainError, "log of non-positive value"),
+    (["t"], 1.0, Tolerance(absolute=1e-16, relative=1e-16, max_steps=32),
+     StepLimitError, "error estimate above tolerance at 32 steps (max 32)"),
+])
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("charge", [None, "t^3"])
+def test_float_loop_raises_as_array_reference(field, rho, tol, error, message,
+                                              jacobian, charge):
+    B = vector_field(field, T1)
+    C = scalar_field(charge, T1) if charge else None
+    x = Point(T1, (1.0,))
+    args = dict(charge=C, jacobian=jacobian, blowup_bound=DEFAULT_BLOWUP_BOUND)
+    err = assert_matches_array_reference(B, x, rho, tol, **args)
+    assert type(err) is error and str(err).startswith(message)
+    # at a fixed step count the first error may be another one, but the same
+    assert_matches_array_reference(B, x, rho, tol, n_steps=64, **args)
