@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ from .fieldcalc import (
     Point,
     ScalarField,
     SvflowError,
+    derivative_memo,
     parse_expression,
     scalar_field,
     vector_field,
@@ -101,23 +103,42 @@ def _validate_values(values: dict[str, str]):
                 raise ConfigError(f"field {key!r}: not an integer: {raw!r}") from None
 
 
+# the least value of each integer flag; the seed feeds numpy's generator
+_INT_MINIMUM = {
+    "seed": 0, "max_index": 0, "order": 0, "points": 1, "max_steps": 1, "max_iter": 1,
+}
+
+
+def _check_number(key: str, value):
+    """Raise ValueError for a non-finite float (alone or in a list) or an
+    integer flag below its minimum."""
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"must be finite, got {v}")
+    minimum = _INT_MINIMUM.get(key)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be at least {minimum}, got {value}")
+
+
 def _merge(args: argparse.Namespace, cfg: RunConfig, key: str, default, convert):
-    flag = getattr(args, key, None)
-    if flag is not None:
+    """The flag's value, else the config field's, else default.  A value
+    from either source is checked here, so a bad one is a ConfigError
+    before it reaches the library."""
+    value = getattr(args, key, None)
+    source = "flag"
+    if value is None:
+        value = cfg.values.get(key)
+        source = "field"
+        if value is None:
+            return default
+    try:
         # argparse may have converted already; strings still need parsing
-        if isinstance(flag, str):
-            try:
-                return convert(flag)
-            except (ValueError, ExpressionError) as err:
-                raise ConfigError(f"flag {key!r}: {err}") from err
-        return flag
-    raw = cfg.values.get(key)
-    if raw is not None:
-        try:
-            return convert(raw)
-        except (ValueError, ExpressionError) as err:
-            raise ConfigError(f"field {key!r}: {err}") from err
-    return default
+        if isinstance(value, str):
+            value = convert(value)
+        _check_number(key, value)
+    except (ValueError, ExpressionError) as err:
+        raise ConfigError(f"{source} {key!r}: {err}") from err
+    return value
 
 
 def _floats_csv(raw: str) -> list[float]:
@@ -526,7 +547,8 @@ def run(argv: list[str] | None = None) -> int:
             return 2
         out_dir = Path(_merge(args, cfg, "output", "reports", str))
         seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED, int)
-        summary = _RUNNERS[command](args, cfg, out_dir, seed)
+        with derivative_memo():
+            summary = _RUNNERS[command](args, cfg, out_dir, seed)
     except ConfigError as err:
         print(f"svflow: config error: {err}", file=sys.stderr)
         return 2

@@ -20,8 +20,12 @@ the same object and equality and hashing go by identity.  A derivative
 tower or a series is therefore a DAG with each distinct subexpression
 stored once, and every walk over it (differentiate, substitute,
 simplify, printing, node_count) is an explicit-stack walk that visits
-each distinct node once.  Differentiation is exact and symbolic;
-simplification is limited to constant folding and identity elimination
+each distinct node once.  Differentiation is exact and symbolic.  Inside
+a derivative_memo() block, differentiate keeps every (node, variable)
+result until the block exits, so a run that differentiates the same
+subexpressions again (a bracket, a curvature bundle, a series) walks
+each of them once; outside a block each call keeps its results to
+itself.  Simplification is limited to constant folding and identity elimination
 (x+0, x*1, x^1 and friends), so equivalent expressions need not be the
 same node and callers compare by evaluation instead.
 
@@ -38,6 +42,8 @@ DomainError, never return NaN or infinity.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import re
 import weakref
@@ -402,7 +408,7 @@ def _eval_pow(b: float, e: float) -> float:
         integral = e == math.floor(e)
     except (OverflowError, ValueError):
         raise DomainError(f"pow with non-finite exponent {e}") from None
-    if integral and abs(e) < 2**31:
+    if integral:
         e = int(e)
         if b == 0.0 and e < 0:
             raise DomainError("zero base raised to a negative power")
@@ -483,15 +489,22 @@ _EVAL: dict[type, Callable] = {
 # limit and none repeats work on shared subexpressions.
 
 
-def _fold(roots: list[Expression], visit: Callable[[Expression, list], object]) -> dict:
+def _fold(
+    roots: list[Expression],
+    visit: Callable[[Expression, list], object],
+    done: dict[int, object] | None = None,
+) -> dict:
     """visit(node, results of its operands) for each distinct node reachable
     from roots, in first-occurrence post-order, operands left to right.
 
     Returns every result keyed by id(node), in visiting order.  The list
     keeps the roots, and so every visited node, alive: no id() is reused
-    during the walk.
+    during the walk.  A done dict from earlier walks with the same visit
+    is extended in place and its nodes are not visited again; its owner
+    keeps those nodes alive.
     """
-    done: dict[int, object] = {}
+    if done is None:
+        done = {}
     for root in roots:
         if id(root) in done:
             continue
@@ -529,8 +542,8 @@ def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float
     distinct subexpression of the batch, that is each distinct node, runs
     once.  Operations run in first-occurrence post-order through the
     _eval_* helpers, so the values and the first DomainError are those of
-    evaluating each expression alone, in order.  A NaN variable is a
-    DomainError.
+    evaluating each expression alone, in order.  A NaN or infinite
+    variable is a DomainError.
     """
     exprs = list(exprs)
     regs: list[float | None] = []  # constants preset, the rest set by run
@@ -554,8 +567,10 @@ def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float
         reg = regs[:]
         for slot, name in loads:
             v = reg[slot] = env[name]
-            if v != v:
-                raise DomainError(f"variable {name} is NaN")
+            if v - v != 0.0:  # exactly when v is infinite or NaN
+                raise DomainError(
+                    f"variable {name} is {'NaN' if v != v else 'infinite'}"
+                )
         for slot, fn, i, j in prog:
             reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
         return [reg[k] for k in roots]
@@ -579,11 +594,36 @@ def evaluate(e: Expression, env: Mapping[str, float] | Point) -> float:
 # Differentiation and rewriting
 
 
+# The derivative memo of the innermost derivative_memo() block: per
+# variable, id(node) -> derivative, plus the roots differentiated so far,
+# which keep every keyed node alive so no id() is reused while it lives.
+_DERIVATIVES: contextvars.ContextVar[
+    tuple[dict[str, dict[int, Expression]], list[Expression]] | None
+] = contextvars.ContextVar("svflow_derivatives", default=None)
+
+
+@contextlib.contextmanager
+def derivative_memo():
+    """Keep every derivative that differentiate builds inside the block.
+
+    Each block starts empty and drops its results on exit, so nothing is
+    shared between two blocks and the unique table shrinks afterwards.
+    Results are the very nodes differentiate returns outside a block.
+    """
+    token = _DERIVATIVES.set(({}, []))
+    try:
+        yield
+    finally:
+        _DERIVATIVES.reset(token)
+
+
 def differentiate(e: Expression, var: str) -> Expression:
     """Exact partial derivative with respect to ``var``.
 
     One walk over the distinct nodes of e: each node's derivative is built
-    once from its operands' derivatives, which only this call keeps.
+    once from its operands' derivatives.  Outside a derivative_memo()
+    block only this call keeps them; inside one the block keeps them, and
+    nodes that an earlier call differentiated are not walked again.
     Repeated application yields higher derivatives; the result is lightly
     simplified so derivative towers stay compact.
     """
@@ -625,7 +665,16 @@ def differentiate(e: Expression, var: str) -> Expression:
             return neg(mul(d[0], sin_(node.arg)))
         raise TypeError(f"cannot differentiate node {cls.__name__}")
 
-    return _fold([e], derivative)[id(e)]
+    memo = _DERIVATIVES.get()
+    if memo is None:
+        return _fold([e], derivative)[id(e)]
+    by_var, roots = memo
+    done = by_var.setdefault(var, {})
+    if id(e) not in done:
+        # kept before the walk: a walk that raises leaves results behind
+        roots.append(e)
+        _fold([e], derivative, done)
+    return done[id(e)]
 
 
 _UNARY_CTORS = {Neg: neg, Exp: exp_, Log: log_, Sqrt: sqrt_, Sin: sin_, Cos: cos_}

@@ -83,10 +83,6 @@ class MetricField:
     def dimension(self) -> int:
         return len(self.coords)
 
-    @property
-    def full_chart(self) -> tuple[str, ...]:
-        return self.coords + self.param_vars
-
     @classmethod
     def from_entries(
         cls,

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import accframe, flowexp, geomcurv, nrlimit, svgen
-from .fieldcalc import Point, ScalarField, VectorField, scalar_field, vector_field
+from .fieldcalc import (
+    Point,
+    ScalarField,
+    VectorField,
+    derivative_memo,
+    scalar_field,
+    vector_field,
+)
 from .flowexp import Tolerance
 
 FIT_FLOOR = 1e-12
@@ -561,14 +568,21 @@ def _csv_bundle(results: list[CriterionResult], seed: int) -> dict[str, bytes]:
     return bundle
 
 
+def _run_criterion(fn, seed: int) -> CriterionResult:
+    # a fresh derivative memo per call: criteria and passes share no work
+    with derivative_memo():
+        return fn(seed)
+
+
 def run_all(seed: int = DEFAULT_SEED) -> tuple[list[CriterionResult], dict[str, bytes]]:
     """All eleven criteria.  The determinism criterion runs the other ten
     twice with the same seed and byte-compares their CSV payloads, so a
-    full invocation costs two passes of the suite.  Returns the results
-    plus the report files to write."""
+    full invocation costs two passes of the suite, each criterion call
+    with its own derivative memo.  Returns the results plus the report
+    files to write."""
     t0 = time.perf_counter()
-    first = [fn(seed) for fn in CRITERIA]
-    second = [fn(seed) for fn in CRITERIA]
+    first = [_run_criterion(fn, seed) for fn in CRITERIA]
+    second = [_run_criterion(fn, seed) for fn in CRITERIA]
     bundle1 = _csv_bundle(first, seed)
     bundle2 = _csv_bundle(second, seed)
     same = bundle1.keys() == bundle2.keys() and all(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from svflow import cli, fieldcalc, verification
 from svflow.cli import run
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
 
@@ -87,6 +88,45 @@ def test_reports_match_golden_bundle(suite):
     assert sorted(bundle) == sorted(p.name for p in golden.glob("*.csv"))
     for name, payload in bundle.items():
         assert payload == (golden / name).read_bytes(), name
+
+
+def _memo_recorder(seen, key="c99_memo"):
+    """A stand-in criterion that records the derivative memo it runs in,
+    then fills it."""
+
+    def criterion(seed):
+        memo = fieldcalc._DERIVATIVES.get()
+        seen.append((memo, memo is not None and memo == ({}, [])))
+        t = fieldcalc.Var("t")
+        fieldcalc.differentiate(fieldcalc.Mul(t, fieldcalc.Sin(t)), "t")
+        return verification.CriterionResult(key, "memo probe", True, "", ("x",), [(1,)])
+
+    return criterion
+
+
+def test_each_criterion_call_starts_with_an_empty_derivative_memo(monkeypatch):
+    seen = []
+    fakes = tuple(_memo_recorder(seen, f"c9{k}_memo") for k in range(3))
+    monkeypatch.setattr(verification, "CRITERIA", fakes)
+    results, _ = run_all(seed=1)
+    assert [r.key for r in results][-1] == "c11_determinism" and results[-1].passed
+    assert len(seen) == 6  # three criteria, two passes
+    assert all(fresh for _, fresh in seen)
+    assert len({id(memo) for memo, _ in seen}) == 6
+    assert fieldcalc._DERIVATIVES.get() is None
+
+
+def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
+    seen = []
+    criterion = _memo_recorder(seen)
+    monkeypatch.setitem(
+        cli._RUNNERS, "correlator", lambda args, cfg, out, seed: [criterion(seed).key]
+    )
+    assert run(["correlator", "--output", str(tmp_path)]) == 0
+    assert run(["correlator", "--output", str(tmp_path)]) == 0
+    assert [fresh for _, fresh in seen] == [True, True]
+    assert seen[0][0] is not seen[1][0]
+    assert fieldcalc._DERIVATIVES.get() is None
 
 
 @pytest.mark.parametrize(

@@ -254,3 +254,40 @@ def test_bad_formula_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "formula error" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- numeric flag checks
+
+_FLOW = ["flow", "--field", "t;-r", "--vars", "t,r"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["correlator", "--seed", "-1"], "seed"),
+        (_FLOW + ["--point", "inf,0.5"], "point"),
+        (_FLOW + ["--point", "1,0.5", "--rho", "nan"], "rho"),
+        (_FLOW + ["--point", "1,0.5", "--abs-tol", "inf"], "abs_tol"),
+        (["frame", "--grid", "0,1,-1,1,inf,5"], "grid"),
+        (["primary", "--m", "nan"], "m"),
+        (["nrlimit", "--c-values", "10,inf,1000"], "c_values"),
+        (["virasoro", "--points", "0"], "points"),
+        (["virasoro", "--max-index", "-2"], "max_index"),
+        (_FLOW + ["--point", "1,0.5", "--max-steps", "-3"], "max_steps"),
+    ],
+)
+def test_bad_numeric_flag_is_a_config_error(argv, key, tmp_path, capsys):
+    code = run(argv + ["--output", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"svflow: config error: flag {key!r}:")
+    assert len(err.splitlines()) == 1
+
+
+def test_bad_numeric_config_field_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    for body in ("seed = -1", "rho = inf"):
+        cfg.write_text(f"[run]\ncommand = flow\nfield = t\nvars = t\npoint = 1\n{body}\n")
+        assert run(["flow", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svflow: config error: field ")

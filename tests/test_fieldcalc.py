@@ -167,11 +167,72 @@ def test_constant_folding_keeps_the_finiteness_check():
     assert simplify(parse_expression("2*3 - 1/4 + 0.5", ["t"])) is Const(6.25)
 
 
+def test_infinite_variable_is_a_domain_error():
+    for text in ("t", "t * 2", "t - t", "sin(t)"):
+        for value in (math.inf, -math.inf):
+            with pytest.raises(DomainError) as exc:
+                ev(text, ["t"], t=value)
+            assert str(exc.value) == "variable t is infinite"
+    with pytest.raises(DomainError, match="variable t is NaN"):
+        ev("t", ["t"], t=math.nan)
+
+
 def test_non_finite_exponent_is_a_domain_error():
+    # a variable cannot carry an infinite exponent (see above), a constant can
     for value in (math.inf, -math.inf):
         with pytest.raises(DomainError) as exc:
-            ev("t^r", ["t", "r"], t=2.0, r=value)
+            evaluate(Pow(Var("t"), Const(value)), {"t": 2.0})
         assert "exponent" in str(exc.value)
+
+
+def test_integral_exponents_beyond_int32_are_integers():
+    for e in (2.0**31, 2.0**31 + 2, 2.0**40, 1e300):
+        assert ev("t^r", ["t", "r"], t=-1.0, r=e) == 1.0
+        assert ev("t^r", ["t", "r"], t=-0.5, r=e) == 0.0
+        assert ev("t^r", ["t", "r"], t=1.0, r=-e) == 1.0
+    assert ev("t^r", ["t", "r"], t=-1.0, r=2.0**31 + 1) == -1.0
+    with pytest.raises(DomainError) as exc:
+        ev("t^r", ["t", "r"], t=-2.0, r=2.0**31)
+    assert exc.value.kind == "overflow"
+    with pytest.raises(DomainError, match="zero base"):
+        ev("t^r", ["t", "r"], t=0.0, r=-(2.0**31))
+
+
+def _old_eval_pow(b, e):
+    """_eval_pow as it read when integral exponents stopped at 2^31."""
+    try:
+        integral = e == math.floor(e)
+    except (OverflowError, ValueError):
+        raise DomainError(f"pow with non-finite exponent {e}") from None
+    if integral and abs(e) < 2**31:
+        e = int(e)
+        if b == 0.0 and e < 0:
+            raise DomainError("zero base raised to a negative power")
+    elif b <= 0.0:
+        raise DomainError(f"non-integer power {e} of non-positive base {b}")
+    try:
+        v = float(b**e)
+    except OverflowError:
+        v = math.inf
+    return fc._check_finite(v, "pow")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, -2.0, 0.5, 1e308])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**31) + 1, 2**31 - 1).map(float)
+    | st.floats(-(2.0**31) + 1, 2.0**31 - 1, allow_nan=False),
+)
+def test_pow_below_int32_exponents_is_unchanged(b, e):
+    try:
+        expected = _old_eval_pow(b, e)
+    except DomainError as err:
+        with pytest.raises(DomainError) as exc:
+            fc._eval_pow(b, e)
+        assert (exc.value.kind, str(exc.value)) == (err.kind, str(err))
+    else:
+        assert bits([fc._eval_pow(b, e)]) == bits([expected])
 
 
 def test_pow_overflow_reads_the_same_for_floats_and_numpy_scalars():
@@ -563,6 +624,60 @@ def test_unique_table_shrinks_after_the_last_reference_goes():
     del e
     gc.collect()
     assert len(fc._TABLE) == before
+
+
+def test_unique_table_shrinks_after_a_derivative_memo_exits():
+    gc.collect()
+    before = len(fc._TABLE)
+    with fc.derivative_memo():
+        e = Var("t")
+        for k in range(300):
+            e = Add(Mul(Const(k + 0.123), fc.Sin(e)), Var(f"x{k}"))
+        d = differentiate(e, "t")
+        assert differentiate(e, "t") is d
+        del e, d
+        gc.collect()
+        held = len(fc._TABLE)  # the memo keeps e and its derivative alive
+    gc.collect()
+    assert held > before + 1500
+    assert len(fc._TABLE) == before
+
+
+def _derivative_towers(exprs, calls):
+    """For each call (i, vars), the derivatives of exprs[i] taken one
+    variable after the other."""
+    towers = []
+    for i, variables in calls:
+        e = exprs[i % len(exprs)]
+        tower = []
+        for var in variables:
+            e = differentiate(e, var)
+            tower.append(e)
+        towers.append(tower)
+    return towers
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(small_exprs(), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.lists(st.sampled_from("tr"), min_size=1, max_size=3)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_derivative_memo_returns_the_nodes_differentiate_builds_alone(exprs, calls):
+    plain = _derivative_towers(exprs, calls)
+    with fc.derivative_memo():
+        first = _derivative_towers(exprs, calls)
+        with fc.derivative_memo():
+            nested = _derivative_towers(exprs, calls[::-1])[::-1]
+        again = _derivative_towers(exprs, calls)
+    for towers in (first, nested, again):
+        assert all(
+            a is b for ta, tb in zip(plain, towers, strict=True) for a, b in zip(ta, tb, strict=True)
+        )
+    assert fc._DERIVATIVES.get() is None
 
 
 def _shear2d_series(order):
