@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fieldcalc as fc
 from . import flowexp
 from .fieldcalc import (
@@ -174,8 +172,24 @@ def diffusion_defect_scaling(
         defects.append(kg_diffusion_residual(psi, p, point).relativistic_term)
     if any(d == 0.0 for d in defects):
         raise DegenerateFitError("relativistic defect vanished; cannot fit a slope")
-    slope = np.polyfit(np.log(cs), np.log(defects), 1)[0]
-    return float(slope)
+    return log_log_slope(cs, defects)
+
+
+def log_log_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of log y against log x, for positive ys and
+    positive xs that are not all equal.
+
+    Centred sums over Python floats, each exactly rounded by math.fsum,
+    so the value does not depend on the BLAS or LAPACK build that numpy
+    happens to load.
+    """
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    dx = [x - mx for x in lx]
+    sxy = math.fsum(d * (y - my) for d, y in zip(dx, ly))
+    return sxy / math.fsum(d * d for d in dx)
 
 
 def heat_kernel(p: RelParams) -> ScalarField:

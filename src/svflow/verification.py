@@ -136,12 +136,10 @@ def flow_cases() -> list[FlowCase]:
 
 
 def _fit_slope(rhos, diffs, floor=FIT_FLOOR):
-    rhos = np.asarray(rhos)
-    diffs = np.asarray(diffs)
-    mask = diffs > floor
-    if mask.sum() < 3:
+    kept = [(rho, d) for rho, d in zip(rhos, diffs) if d > floor]
+    if len(kept) < 3:
         return None
-    return float(np.polyfit(np.log10(rhos[mask]), np.log10(diffs[mask]), 1)[0])
+    return nrlimit.log_log_slope([rho for rho, _ in kept], [d for _, d in kept])
 
 
 # --------------------------------------------------------------------------

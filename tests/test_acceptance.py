@@ -1,6 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance, one
 pass/fail line printed per criterion (run pytest -s to see them live)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,21 @@ def test_cli_reports_match_golden(name, argv, tmp_path, capsys):
     assert run([name, *argv, "--output", str(tmp_path)]) == 0
     assert capsys.readouterr().out.encode() == (golden / f"{name}.stdout").read_bytes()
     assert (tmp_path / f"{name}.csv").read_bytes() == (golden / f"{name}.csv").read_bytes()
+
+
+def test_goldens_hold_under_other_blas_kernels():
+    # OpenBLAS picks its kernel when it loads, so each kernel needs its own
+    # process; the variable is set in the children's environment only
+    here = Path(__file__)
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            str(here), "-k", "golden and not kernels"]
+    children = {
+        kernel: subprocess.Popen(
+            argv, cwd=here.parent.parent, env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for kernel in ("Haswell", "Sandybridge")
+    }
+    for kernel, child in children.items():
+        out, _ = child.communicate(timeout=600)
+        assert child.returncode == 0, f"OPENBLAS_CORETYPE={kernel}:\n{out[-3000:]}"
