@@ -25,9 +25,9 @@ a derivative_memo() block, differentiate keeps every (node, variable)
 result until the block exits, so a run that differentiates the same
 subexpressions again (a bracket, a curvature bundle, a series) walks
 each of them once; outside a block each call keeps its results to
-itself.  Simplification is limited to constant folding and identity elimination
-(x+0, x*1, x^1 and friends), so equivalent expressions need not be the
-same node and callers compare by evaluation instead.
+itself.  Simplification is limited to constant folding and identity
+elimination (x+0, x*1, x^1 and friends), so equivalent expressions need
+not be the same node and callers compare by evaluation instead.
 
 Evaluation has one compiler, compile_expressions: a batch of expressions
 becomes one flat register program in which every distinct subexpression

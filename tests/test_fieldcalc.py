@@ -674,9 +674,8 @@ def test_derivative_memo_returns_the_nodes_differentiate_builds_alone(exprs, cal
             nested = _derivative_towers(exprs, calls[::-1])[::-1]
         again = _derivative_towers(exprs, calls)
     for towers in (first, nested, again):
-        assert all(
-            a is b for ta, tb in zip(plain, towers, strict=True) for a, b in zip(ta, tb, strict=True)
-        )
+        pairs = [pair for ta, tb in zip(plain, towers) for pair in zip(ta, tb, strict=True)]
+        assert len(towers) == len(plain) and all(a is b for a, b in pairs)
     assert fc._DERIVATIVES.get() is None
 
 
