@@ -348,7 +348,10 @@ def _run_curvature(args, cfg, out_dir: Path, seed: int):
     summary = []
     failures = []
     if metric_path is not None:
-        G, split = geomcurv.load_metric_file(metric_path)
+        try:
+            G, split = geomcurv.load_metric_file(metric_path)
+        except OSError as err:
+            raise ConfigError(f"metric file {metric_path}: {err.strerror}") from err
         if split is None:
             raise ConfigError("metric file needs a split line for block checks")
         ranges = {c: (0.3, 0.9) for c in G.coords}

@@ -291,3 +291,10 @@ def test_bad_numeric_config_field_is_a_config_error(tmp_path, capsys):
         assert run(["flow", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("svflow: config error: field ")
+
+
+def test_missing_metric_file_is_a_config_error(tmp_path, capsys):
+    for path in (tmp_path / "absent.metric", tmp_path):
+        assert run(["curvature", "--metric", str(path), "--output", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("svflow: config error: metric file") and len(err.splitlines()) == 1
