@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -147,21 +145,24 @@ def _floats_csv(raw: str) -> list[float]:
 
 def _write_csv(path: Path, columns, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([verification.fmt_csv_value(v) for v in row])
-    path.write_bytes(buf.getvalue().encode("utf-8"))
+    path.write_bytes(verification.render_csv(columns, rows))
 
 
-def _tolerance(args, cfg) -> Tolerance:
-    absolute = _merge(args, cfg, "abs_tol", 1e-10, float)
-    relative = _merge(args, cfg, "rel_tol", 1e-9, float)
+def _tolerance(args, cfg, absolute=1e-10, relative=1e-9) -> Tolerance:
+    absolute = _merge(args, cfg, "abs_tol", absolute, float)
+    relative = _merge(args, cfg, "rel_tol", relative, float)
     max_steps = _merge(args, cfg, "max_steps", 10**6, int)
     if absolute <= 0 or relative <= 0:
         raise ConfigError("tolerances must be positive")
     return Tolerance(absolute=absolute, relative=relative, max_steps=max_steps)
+
+
+def _sv_params(args, cfg) -> svgen.SVParams:
+    return svgen.SVParams(
+        m=_merge(args, cfg, "m", 1.3, float),
+        chi=_merge(args, cfg, "chi", 0.7, float),
+        N=_merge(args, cfg, "n_aniso", 1.0, float),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -177,11 +178,14 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
     if names is None:
         raise ConfigError("flow needs --vars (comma-separated names)")
     chart = tuple(v.strip() for v in names.split(","))
-    B = vector_field([s.strip() for s in comps.split(";")], chart)
     coords = _merge(args, cfg, "point", None, _floats_csv)
     if coords is None:
         raise ConfigError("flow needs --point")
-    x = Point(chart, tuple(coords))
+    try:
+        B = vector_field([s.strip() for s in comps.split(";")], chart)
+        x = Point(chart, tuple(coords))
+    except ValueError as err:
+        raise ConfigError(f"flow: {err}") from err
     rho = _merge(args, cfg, "rho", 0.5, float)
     tol = _tolerance(args, cfg)
     order = _merge(args, cfg, "order", 6, int)
@@ -228,11 +232,7 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
 def _run_virasoro(args, cfg, out_dir: Path, seed: int):
     max_index = _merge(args, cfg, "max_index", 3, int)
     n_points = _merge(args, cfg, "points", 10, int)
-    p = svgen.SVParams(
-        m=_merge(args, cfg, "m", 1.3, float),
-        chi=_merge(args, cfg, "chi", 0.7, float),
-        N=_merge(args, cfg, "n_aniso", 1.0, float),
-    )
+    p = _sv_params(args, cfg)
     table = verification.virasoro_residuals(p, seed, max_index, n_points)
     rows = [
         (m_idx, n_idx, res, *svgen.monomial_bracket(m_idx, n_idx), seed)
@@ -259,20 +259,17 @@ def _run_primary(args, cfg, out_dir: Path, seed: int):
         eps = svgen.EpsilonFn.from_formula(eps_text)
     except ValueError as err:
         raise ConfigError(f"field 'eps': {err}") from err
-    p = svgen.SVParams(
-        m=_merge(args, cfg, "m", 1.3, float),
-        chi=_merge(args, cfg, "chi", 0.7, float),
-        N=_merge(args, cfg, "n_aniso", 1.0, float),
-    )
+    p = _sv_params(args, cfg)
     coords = _merge(args, cfg, "point", [0.5, 1.2], _floats_csv)
     if len(coords) != 2:
         raise ConfigError("primary --point needs exactly t,r")
     t, r = coords
     rho = _merge(args, cfg, "rho", 1.0, float)
+    tol = _tolerance(args, cfg)
     psi = scalar_field("exp(-r^2 / (1 + t^2))", svgen.CHART)
-    tr = svgen.primary_transform(eps, p, t, r, rho)
-    flow_res = svgen.primary_vs_flow_residual(eps, p, psi, t, r, rho)
-    form_res = svgen.weight_form_residual(eps, p, t, r, rho)
+    tr = svgen.primary_transform(eps, p, t, r, rho, tol)
+    flow_res = svgen.primary_vs_flow_residual(eps, p, psi, t, r, rho, tol)
+    form_res = svgen.weight_form_residual(eps, p, t, r, rho, tol)
     rows = [
         ("t_prime", tr.t_prime),
         ("r_prime", tr.r_prime),
@@ -309,7 +306,10 @@ def _run_nrlimit(args, cfg, out_dir: Path, seed: int):
         if is_heat_default
         else scalar_field(psi_text, nrlimit.PSI_CHART)
     )
-    c_values = _merge(args, cfg, "c_values", [10.0, 100.0, 1000.0], _floats_csv)
+    c_values = _merge(
+        args, cfg, "c_values", [10.0, 100.0, 1000.0],
+        lambda raw: nrlimit.check_c_values(_floats_csv(raw)),
+    )
 
     contraction = nrlimit.contraction_residual(psi, p, *point)
     kg = nrlimit.kg_diffusion_residual(psi, p, point)
@@ -387,14 +387,14 @@ def _run_frame(args, cfg, out_dir: Path, seed: int):
     grid_vals = _merge(args, cfg, "grid", [0.0, 0.5, -0.3, 0.35, 41, 41], _floats_csv)
     if len(grid_vals) != 6:
         raise ConfigError("frame --grid needs tmin,tmax,xmin,xmax,nt,nx")
-    grid = accframe.GridSpec(
-        grid_vals[0], grid_vals[1], grid_vals[2], grid_vals[3],
-        int(grid_vals[4]), int(grid_vals[5]),
-    )
-    absolute = _merge(args, cfg, "abs_tol", 1e-8, float)
-    relative = _merge(args, cfg, "rel_tol", 1e-8, float)
-    max_steps = _merge(args, cfg, "max_steps", 10**6, int)
-    tol = Tolerance(absolute=absolute, relative=relative, max_steps=max_steps)
+    try:
+        grid = accframe.GridSpec(
+            grid_vals[0], grid_vals[1], grid_vals[2], grid_vals[3],
+            int(grid_vals[4]), int(grid_vals[5]),
+        )
+    except ValueError as err:
+        raise ConfigError(f"frame --grid: {err}") from err
+    tol = _tolerance(args, cfg, 1e-8, 1e-8)
     max_iter = _merge(args, cfg, "max_iter", 100, int)
     traj = accframe.Trajectory.from_formula(f_text, c=c)
     fm = accframe.solve_frame_map(traj, grid, tol, max_iter)

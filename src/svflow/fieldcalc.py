@@ -534,20 +534,23 @@ def _nodes(e: Expression) -> list[Expression]:
     return out
 
 
-def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float]]:
+def compile_expressions(exprs: Iterable[Expression],
+                        order: Iterable[str] | None = None) -> Callable[..., list[float]]:
     """Compile a batch of expressions into one register program.
 
     The returned callable reads each variable once from env (a Point or a
-    name->value mapping) and returns the values of exprs in order.  Each
-    distinct subexpression of the batch, that is each distinct node, runs
-    once.  Operations run in first-occurrence post-order through the
-    _eval_* helpers, so the values and the first DomainError are those of
-    evaluating each expression alone, in order.  A NaN or infinite
-    variable is a DomainError.
+    name->value mapping) and returns the values of exprs in order.  Given
+    an order of variable names, env is instead a sequence of values and
+    variable order[i] is read from env[i].  Each distinct subexpression of
+    the batch, that is each distinct node, runs once.  Operations run in
+    first-occurrence post-order through the _eval_* helpers, so the values
+    and the first DomainError are those of evaluating each expression
+    alone, in order.  A NaN or infinite variable is a DomainError.
     """
     exprs = list(exprs)
+    position = None if order is None else {name: i for i, name in enumerate(order)}
     regs: list[float | None] = []  # constants preset, the rest set by run
-    loads: list[tuple[int, str]] = []
+    loads: list[tuple[int, str, str | int]] = []  # slot, name, key into env
     prog: list[tuple[int, Callable, int, int | None]] = []
 
     def number(node: Expression, operands: list[int]) -> int:
@@ -557,7 +560,8 @@ def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float
             j = operands[1] if len(operands) == 2 else None
             prog.append((slot, _EVAL[type(node)], operands[0], j))
         elif isinstance(node, Var):
-            loads.append((slot, node.name))
+            name = node.name
+            loads.append((slot, name, name if position is None else position[name]))
         return slot
 
     slots = _fold(exprs, number)
@@ -565,8 +569,8 @@ def compile_expressions(exprs: Iterable[Expression]) -> Callable[..., list[float
 
     def run(env) -> list[float]:
         reg = regs[:]
-        for slot, name in loads:
-            v = reg[slot] = env[name]
+        for slot, name, key in loads:
+            v = reg[slot] = env[key]
             if v - v != 0.0:  # exactly when v is infinite or NaN
                 raise DomainError(
                     f"variable {name} is {'NaN' if v != v else 'infinite'}"
@@ -768,7 +772,10 @@ def _print(e: Expression, printed: list[str]) -> str:
         else:
             if _prec(e.left) < p:
                 ls = f"({ls})"
-            if _prec(e.right) < p or (_prec(e.right) == p and cls in (Sub, Div)):
+            # an operation of equal precedence on the right keeps its
+            # parentheses: a + (b - c) rounds otherwise than a + b - c
+            grouped = cls in (Sub, Div) or isinstance(e.right, _Binary)
+            if _prec(e.right) < p or (_prec(e.right) == p and grouped):
                 rs = f"({rs})"
         return f"{ls} {_OP_SYMBOL[cls]} {rs}"
     raise TypeError(f"cannot print node {type(e).__name__}")

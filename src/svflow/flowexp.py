@@ -14,9 +14,9 @@ ride along as extra state variables of the same integrator, so flow and
 quadrature share identical nodes.  The x-update never reads the extra
 state, which keeps the flow endpoint bitwise independent of C.
 
-The state has 1 to 12 components, so each RK4 step runs on lists of Python
-floats; numpy serves only the d x d Jacobian product A @ J and the
-once-per-round error estimate.
+The derivative of the state, the variational product (dB/dx) J included,
+is one compiled program over the state list: RK4 runs on Python floats, the
+Jacobian rounds alike on every host, and numpy only estimates the error.
 """
 
 from __future__ import annotations
@@ -159,33 +159,31 @@ def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
 
 def _field_deriv(B: VectorField, C: ScalarField | None = None,
                  with_jacobian=False):
-    """Derivative of the stacked state [x, T?, J?] for the augmented system,
-    from one program over [B..., C?, dB^mu/dx^nu...]."""
+    """Derivative of the stacked state [x, T?, J?] of the augmented system:
+    one program over [B..., C?, (dB/dx) J...] that reads the state list by
+    position.  Entry (i, j) of the variational product sums
+    dB^i/dx^k * J_kj over ascending k; the smart constructors drop the
+    terms whose derivative is the constant zero."""
     d = B.dimension
+    # names of the state beyond x: each is longer than every coordinate
+    # name, so none can clash with the chart
+    pad = "_" * max(map(len, B.chart))
+    order = list(B.chart)
     exprs = list(B.components)
     if C is not None:
+        order.append(pad + "T")
         exprs.append(C.expression)
-    head = len(exprs)
     if with_jacobian:
-        exprs += [
-            fc.differentiate(comp, name)
-            for comp in B.components
-            for name in B.chart
-        ]
-    run = fc.compile_expressions(exprs)
-    names = B.chart
-
-    def deriv(y: list[float]) -> list[float]:
-        out = run(dict(zip(names, y)))
-        if with_jacobian:
-            # numpy's (BLAS) product: a Python sum of products rounds
-            # differently, and the d x d block is the only array work left
-            A = np.array(out[head:]).reshape(d, d)
-            J = np.array(y[head:]).reshape(d, d)
-            out[head:] = (A @ J).ravel().tolist()
-        return out
-
-    return deriv
+        names = [f"{pad}J[{k},{j}]" for k in range(d) for j in range(d)]
+        order += names
+        for comp in B.components:
+            grad = [fc.differentiate(comp, name) for name in B.chart]
+            for j in range(d):
+                entry = fc.ZERO
+                for k in range(d):
+                    entry = fc.add(entry, fc.mul(grad[k], fc.Var(names[k * d + j])))
+                exprs.append(entry)
+    return fc.compile_expressions(exprs, order)
 
 
 # --------------------------------------------------------------------------
@@ -333,15 +331,11 @@ def displacement_series(
         raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
     offsets = []
     for comp in B.components:
-        u = comp
-        total = rho * evaluate(u, x)
+        values = series_terms(B, None, ScalarField(B.chart, comp), x, order - 1,
+                              max_order=max_order, max_nodes=max_nodes)
+        total = rho * values[0]
         for n in range(2, order + 1):
-            u = apply_operator(B, None, u)
-            if fc.node_count(u) > max_nodes:
-                raise ExpressionSizeError(
-                    f"displacement expansion exceeded {max_nodes} distinct nodes"
-                )
-            total += rho**n / math.factorial(n) * evaluate(u, x)
+            total += rho**n / math.factorial(n) * values[n - 1]
         offsets.append(total)
     return tuple(offsets)
 
@@ -349,8 +343,9 @@ def displacement_series(
 def pushforward_defect(B: VectorField, x: Point, flow: FlowResult) -> float:
     """max over nu of |B^nu(x') - sum_mu B^mu(x) dx'^nu/dx^mu| for a flow
     from x integrated with jacobian=True."""
-    b_origin = np.array(B.eval_at(x))
-    b_end = np.array(B.eval_at(flow.endpoint))
+    run = fc.compile_expressions(B.components)
+    b_origin = np.array(run(x))
+    b_end = np.array(run(flow.endpoint))
     return float(np.max(np.abs(b_end - flow.jacobian @ b_origin)))
 
 

@@ -307,22 +307,11 @@ def curvature_direct(G: MetricField) -> CurvatureBundle:
 
 
 def _derivative_grid(entries, wrt_names):
-    """d[k][i][j] = d_{wrt[k]} entries[i][j]."""
+    """d[k][...] = d_{wrt[k]} entries[...], for a nested grid of entries."""
+    cells = np.array(entries, dtype=object)
     return [
-        [[fc.differentiate(e, name) for e in row] for row in entries]
+        np.vectorize(lambda e: fc.differentiate(e, name), otypes=[object])(cells)
         for name in wrt_names
-    ]
-
-
-def _second_derivative_grid(entries, first_names, second_names):
-    """dd[a][b][i][j] = d_a d_b entries[i][j]."""
-    return [
-        [
-            [[fc.differentiate(fc.differentiate(e, nb), na) for e in row]
-             for row in entries]
-            for nb in second_names
-        ]
-        for na in first_names
     ]
 
 
@@ -343,16 +332,13 @@ class _BlockPieces:
         h_rows = [list(r) for r in self.h_sub.components]
         self._g_at = _compile_grid(g_rows)
         self._h_at = _compile_grid(h_rows)
-        # first derivatives across the split
-        self._dg_dy = _compile_grid(_derivative_grid(g_rows, y_names))
-        self._dh_dx = _compile_grid(_derivative_grid(h_rows, x_names))
-        # second derivatives across the split
-        self._ddg_dyy = _compile_grid(
-            _second_derivative_grid(g_rows, y_names, y_names)
-        )
-        self._ddh_dxx = _compile_grid(
-            _second_derivative_grid(h_rows, x_names, x_names)
-        )
+        # first and second derivatives across the split, dd[a][b] = d_a d_b
+        dg_dy = _derivative_grid(g_rows, y_names)
+        dh_dx = _derivative_grid(h_rows, x_names)
+        self._dg_dy = _compile_grid(dg_dy)
+        self._dh_dx = _compile_grid(dh_dx)
+        self._ddg_dyy = _compile_grid(_derivative_grid(dg_dy, y_names))
+        self._ddh_dxx = _compile_grid(_derivative_grid(dh_dx, x_names))
 
     def values(self, env):
         g = self._g_at(env)

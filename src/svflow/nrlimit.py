@@ -147,6 +147,19 @@ def kg_diffusion_residual(
     return KGResidual(*(abs(v) for v in run({"t": t, "x0": x0, "x": x})))
 
 
+def check_c_values(c_values: list[float]) -> list[float]:
+    """The c values as floats, if they are at least three positive values
+    spanning at least two decades; else ValueError."""
+    cs = [float(c) for c in c_values]
+    if len(cs) < 3:
+        raise ValueError("need at least 3 values of c")
+    if any(c <= 0 for c in cs):
+        raise ValueError("c values must be positive")
+    if max(cs) / min(cs) < 100.0:
+        raise ValueError("c values must span at least two decades")
+    return cs
+
+
 def diffusion_defect_scaling(
     psi: ScalarField,
     p_template: RelParams,
@@ -156,16 +169,9 @@ def diffusion_defect_scaling(
     """Least-squares slope of log(relativistic defect) against log(c).
 
     For psi solving the pure diffusion equation the defect is exactly the
-    1/c^2 term, so the slope is -2.  Needs at least three c values
-    spanning at least two decades.
+    1/c^2 term, so the slope is -2.  The c values must pass check_c_values.
     """
-    cs = [float(c) for c in c_values]
-    if len(cs) < 3:
-        raise ValueError("need at least 3 values of c")
-    if any(c <= 0 for c in cs):
-        raise ValueError("c values must be positive")
-    if max(cs) / min(cs) < 100.0:
-        raise ValueError("c values must span at least two decades")
+    cs = check_c_values(c_values)
     defects = []
     for c in cs:
         p = RelParams(m=p_template.m, c=c, h=p_template.h)

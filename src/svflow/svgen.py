@@ -158,6 +158,21 @@ class EpsilonFn:
         return total
 
 
+# Largest |power of t| of a product in an eps formula: expanding costs
+# about the square of the degree, and t^1e308 would never finish.
+MAX_EPS_DEGREE = 64
+
+
+def _product(left: dict[int, float], right: dict[int, float]) -> dict[int, float]:
+    out: dict[int, float] = {}
+    for k1, c1 in left.items():
+        for k2, c2 in right.items():
+            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+    if any(abs(k) > MAX_EPS_DEGREE for k in out):
+        raise ValueError(f"powers of t beyond +-{MAX_EPS_DEGREE}")
+    return out
+
+
 def _laurent_coefficients(e: fc.Expression) -> dict[int, float]:
     """Map power -> coefficient for an expression that is a Laurent
     polynomial in t; raises ValueError otherwise."""
@@ -181,12 +196,7 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
             out[k] = out.get(k, 0.0) + sign * c
         return out
     if isinstance(e, fc.Mul):
-        left, right = ops
-        out = {}
-        for k1, c1 in left.items():
-            for k2, c2 in right.items():
-                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-        return out
+        return _product(*ops)
     if isinstance(e, fc.Div):
         num, den = ops
         live = {k: c for k, c in den.items() if c != 0.0}
@@ -198,6 +208,8 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
         if not isinstance(e.right, Const) or e.right.value != int(e.right.value):
             raise ValueError("powers must have integer constant exponents")
         n = int(e.right.value)
+        if abs(n) > MAX_EPS_DEGREE:
+            raise ValueError(f"exponent {e.right.value:g} beyond +-{MAX_EPS_DEGREE}")
         live = {k: c for k, c in ops[0].items() if c != 0.0}
         if n < 0:
             if len(live) != 1:
@@ -206,11 +218,7 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
             return {k0 * n: fc._eval_pow(c0, n)}
         out = {0: 1.0}
         for _ in range(n):
-            nxt: dict[int, float] = {}
-            for k1, c1 in out.items():
-                for k2, c2 in live.items():
-                    nxt[k1 + k2] = nxt.get(k1 + k2, 0.0) + c1 * c2
-            out = nxt
+            out = _product(out, live)
         return out
     raise ValueError(f"not a Laurent polynomial in t: {fc.to_string(e)}")
 

@@ -71,11 +71,11 @@ def fmt_csv_value(v) -> str:
     return str(v)
 
 
-def render_csv(result: CriterionResult) -> bytes:
+def render_csv(columns, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(result.columns)
-    for row in result.rows:
+    writer.writerow(columns)
+    for row in rows:
         writer.writerow([fmt_csv_value(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
@@ -556,13 +556,11 @@ CRITERIA = (
 
 
 def _csv_bundle(results: list[CriterionResult], seed: int) -> dict[str, bytes]:
-    bundle = {f"{r.key}.csv": render_csv(r) for r in results}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["criterion", "status", "detail", "seed"])
-    for r in results:
-        writer.writerow([r.key, r.status, r.detail, seed])
-    bundle["summary.csv"] = buf.getvalue().encode("utf-8")
+    bundle = {f"{r.key}.csv": render_csv(r.columns, r.rows) for r in results}
+    bundle["summary.csv"] = render_csv(
+        ("criterion", "status", "detail", "seed"),
+        [(r.key, r.status, r.detail, seed) for r in results],
+    )
     return bundle
 
 

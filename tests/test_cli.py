@@ -133,6 +133,24 @@ def test_power_overflow_is_a_library_error(argv, tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_primary_honours_the_tolerance_flags(tmp_path, capsys):
+    # eps = -1/t drives t to the singularity at 0 before rho = 1
+    code = run(["primary", "--eps=-1/t", "--max-steps", "64",
+                "--output", str(tmp_path / "r")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: error:") and "(max 64)" in err
+
+
+@pytest.mark.parametrize("eps", ["1e308^1e308", "(1 + t)^100000", "((1 + t)^60)^60"])
+def test_eps_degree_beyond_the_cap_is_a_config_error(eps, tmp_path, capsys):
+    # before the cap the last took seconds to expand and the others never ended
+    code = run(["primary", "--eps", eps, "--output", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("svflow: config error: field 'eps':") and len(err.splitlines()) == 1
+
+
 def test_deep_nesting_is_a_formula_error(tmp_path, capsys):
     field = "(" * 2000 + "t" + ")" * 2000
     code = run(["flow", "--field", field, "--vars", "t", "--point", "1",
@@ -282,6 +300,23 @@ def test_bad_numeric_flag_is_a_config_error(argv, key, tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"svflow: config error: flag {key!r}:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--field", "t", "--vars", "t", "--point", "1,2"],
+        ["flow", "--field", "t;t", "--vars", "t,t", "--point", "1,2"],
+        ["frame", "--grid", "0,1,-1,1,0,5"],
+        ["nrlimit", "--c-values", "10,20,30"],
+        ["frame", "--abs-tol", "-1"],
+    ],
+)
+def test_input_the_library_rejects_is_a_config_error(argv, tmp_path, capsys):
+    code = run(argv + ["--output", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
 
 
 def test_bad_numeric_config_field_is_a_config_error(tmp_path, capsys):

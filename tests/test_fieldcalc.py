@@ -177,6 +177,17 @@ def test_infinite_variable_is_a_domain_error():
         ev("t", ["t"], t=math.nan)
 
 
+def test_compiled_order_reads_a_sequence_by_position():
+    e = parse_expression("t - 2*r", ["t", "r"])
+    run = compile_expressions([e, Var("r")], order=["r", "s", "t"])
+    assert run([1.0, 99.0, 5.0]) == [3.0, 1.0]
+    assert run((0.25, math.inf, 1.0)) == [0.5, 0.25]  # s is never loaded
+    with pytest.raises(DomainError, match="^variable t is infinite$"):
+        run([1.0, 0.0, -math.inf])
+    with pytest.raises(DomainError, match="^variable r is NaN$"):
+        run([math.nan, 0.0, 1.0])
+
+
 def test_non_finite_exponent_is_a_domain_error():
     # a variable cannot carry an infinite exponent (see above), a constant can
     for value in (math.inf, -math.inf):
@@ -439,6 +450,15 @@ def small_exprs(draw, depth=0):
     if kind == "neg":
         return fc.Neg(left)
     return fc.Exp(fc.Mul(Const(0.1), left))
+
+
+def test_printing_keeps_the_grouping_of_right_operands():
+    t, r = Var("t"), Var("r")
+    for e in (Add(Const(0.001), fc.Sub(t, t)), Mul(t, fc.Div(r, Const(3.0))),
+              Add(t, Add(r, t)), Mul(t, Mul(r, t))):
+        assert parse_expression(to_string(e), ["t", "r"]) is e
+    assert evaluate(parse_expression(to_string(Add(Const(0.001), fc.Sub(t, t))), ["t"]),
+                    {"t": 1.0}) == 0.001
 
 
 @settings(max_examples=60, deadline=None)

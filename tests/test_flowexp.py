@@ -320,6 +320,61 @@ def test_endpoint_bitwise_independent_of_charge():
     assert bare.jacobian is None and charged.jacobian is None
 
 
+_DENSE_3D = [
+    "0.3*t*r + 0.2*s^2 + 0.1*t",
+    "0.2*t*s - 0.1*r^2 + 0.05*s",
+    "0.1*exp(0.5*t)*r - 0.3*s*r",
+]
+
+
+def test_jacobian_of_a_dense_3d_field():
+    chart = ("t", "r", "s")
+    B = vector_field(_DENSE_3D, chart)
+    # every entry of dB/dx depends on the point, so no product term drops
+    for comp in B.components:
+        for name in chart:
+            assert not isinstance(fc.differentiate(comp, name), fc.Const)
+    x = Point(chart, (0.4, -0.7, 0.9))
+    C = scalar_field("t*r - s", chart)
+    for args in (dict(), dict(n_steps=32), dict(charge=C)):
+        assert assert_matches_array_reference(B, x, 0.6, TIGHT, jacobian=True, **args) is None
+    # J^nu_mu = dx'^nu/dx^mu, against central differences of the endpoint
+    J = integrate_flow(B, x, 0.6, TIGHT, jacobian=True).jacobian
+    h = 1e-5
+    for mu in range(3):
+        shifted = []
+        for sign in (1.0, -1.0):
+            coords = list(x.coords)
+            coords[mu] += sign * h
+            end = integrate_flow(B, Point(chart, coords), 0.6, TIGHT).endpoint
+            shifted.append(np.array(end.coords))
+        column = (shifted[0] - shifted[1]) / (2 * h)
+        assert np.allclose(J[:, mu], column, rtol=0, atol=1e-8)
+    assert pushforward_residual(B, x, 0.6, TIGHT) < 1e-9
+
+
+@pytest.mark.parametrize("names", [("_J[1,0]", "_T"), ("_J[0,1]", "_J[1,0]"), ("J", "T")])
+def test_coordinate_names_like_the_state_variables(names):
+    # the same flow over a chart named like the extra state of a (t, r)
+    # run must give bitwise the same endpoint, phase and Jacobian
+    B = vector_field(["r*t - 0.5*r", "0.3*t^2 + r"], TR)
+    C = scalar_field("t - r^2", TR)
+    x = Point(TR, (0.5, 0.4))
+
+    def rename(e):
+        return fc.substitute(fc.substitute(e, "t", fc.Var(names[0])), "r", fc.Var(names[1]))
+
+    B2 = fc.VectorField(names, tuple(map(rename, B.components)))
+    C2 = fc.ScalarField(names, rename(C.expression))
+    x2 = Point(names, x.coords)
+    for n_steps in (None, 16):
+        want = integrate_flow(B, x, 0.7, charge=C, jacobian=True, n_steps=n_steps)
+        got = integrate_flow(B2, x2, 0.7, charge=C2, jacobian=True, n_steps=n_steps)
+        assert _bits(got.endpoint.coords) == _bits(want.endpoint.coords)
+        assert _bits([got.phase]) == _bits([want.phase])
+        assert got.jacobian.tobytes() == want.jacobian.tobytes()
+
+
 def test_proposition_convergence_order():
     # |apply_exponential - series(order k)| ~ rho^{k+1}
     B = vector_field(["0.7*t + 0.3*r", "0.4*r"], TR)
@@ -408,21 +463,47 @@ def _array_integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
 
 
 def _array_deriv(B, C, with_jacobian):
+    """The augmented derivative on arrays.  The variational product takes
+    the terms of flowexp's program in its order: entry (i, j) sums
+    dB^i/dx^k * J_kj over ascending k through the checked helpers,
+    skipping a derivative that is the constant zero and evaluating each of
+    row i's derivatives at its first use.  Like the program, it loads
+    (checks) the coordinates, then the J entries it reads, before any
+    arithmetic."""
     d = B.dimension
     exprs = list(B.components)
     if C is not None:
         exprs.append(C.expression)
     head = len(exprs)
-    if with_jacobian:
-        exprs += [fc.differentiate(comp, name) for comp in B.components for name in B.chart]
     run = fc.compile_expressions(exprs)
+    used = set().union(*map(fc.variables_of, exprs))
+    grads = [[fc.differentiate(comp, name) for name in B.chart] for comp in B.components]
+    grad_runs = [[fc.compile_expression(g) for g in row] for row in grads]
+    terms = [[k for k in range(d) if not fc.is_const(grads[i][k], 0.0)] for i in range(d)]
+    loads = dict.fromkeys(k * d + j for i in range(d) for j in range(d) for k in terms[i])
+    pad = "_" * max(map(len, B.chart))
 
     def deriv(y):
-        out = run(dict(zip(B.chart, y[:d])))
+        env = dict(zip(B.chart, y[:d]))
+        if with_jacobian and all(math.isfinite(env[n]) for n in used):
+            for m in loads:
+                v = y[head + m]
+                if not math.isfinite(v):
+                    kind = "NaN" if v != v else "infinite"
+                    raise DomainError(f"variable {pad}J[{m // d},{m % d}] is {kind}")
+        out = run(env)
         if with_jacobian:
-            A = np.array(out[head:]).reshape(d, d)
-            J = y[head:].reshape(d, d)
-            out[head:] = (A @ J).ravel()
+            J = y[head:]
+            for i in range(d):
+                row = {}
+                for j in range(d):
+                    total = None
+                    for k in terms[i]:
+                        if k not in row:
+                            row[k] = grad_runs[i][k](env)
+                        term = fc._eval_mul(row[k], J[k * d + j])
+                        total = term if total is None else fc._eval_add(total, term)
+                    out.append(0.0 if total is None else total)
         return np.array(out)
 
     return deriv
