@@ -394,7 +394,7 @@ def _run_frame(args, cfg, out_dir: Path, seed: int):
         )
     except ValueError as err:
         raise ConfigError(f"frame --grid: {err}") from err
-    tol = _tolerance(args, cfg, 1e-8, 1e-8)
+    tol = _tolerance(args, cfg, absolute=1e-8, relative=1e-8)
     max_iter = _merge(args, cfg, "max_iter", 100, int)
     traj = accframe.Trajectory.from_formula(f_text, c=c)
     fm = accframe.solve_frame_map(traj, grid, tol, max_iter)
