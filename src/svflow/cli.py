@@ -76,71 +76,59 @@ def load_config(path: str | Path) -> RunConfig:
     cfg.command = cfg.values.pop("command", None)
     if cfg.command is not None and cfg.command not in SUBCOMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r} in config")
-    _validate_values(cfg.values)
+    for key, raw in cfg.values.items():
+        _checked("field", key, raw)
     return cfg
 
 
-_POSITIVE_FLOAT_KEYS = {"abs_tol", "rel_tol", "m", "c", "h", "t_big", "tp_big"}
-_FLOAT_KEYS = {"chi", "n_aniso", "rho", "t", "r"} | _POSITIVE_FLOAT_KEYS
-_INT_KEYS = {"seed", "d", "max_index", "points", "max_iter", "order", "max_steps"}
+def _floats_csv(raw: str) -> list[float]:
+    return [float(p) for p in str(raw).split(",") if p.strip()]
 
 
-def _validate_values(values: dict[str, str]):
-    for key, raw in values.items():
-        if key in _FLOAT_KEYS:
-            try:
-                v = float(raw)
-            except ValueError:
-                raise ConfigError(f"field {key!r}: not a number: {raw!r}") from None
-            if key in _POSITIVE_FLOAT_KEYS and v <= 0:
-                raise ConfigError(f"field {key!r}: must be positive, got {raw}")
-        elif key in _INT_KEYS:
-            try:
-                int(raw)
-            except ValueError:
-                raise ConfigError(f"field {key!r}: not an integer: {raw!r}") from None
-
-
-# the least value of each integer flag; the seed feeds numpy's generator
+# how a key's value is read from text; every other key is text
+_CONVERTERS = {
+    **dict.fromkeys(("seed", "max_index", "points", "order", "max_steps", "max_iter"), int),
+    **dict.fromkeys(("abs_tol", "rel_tol", "rho", "m", "chi", "n_aniso", "c", "h"), float),
+    **dict.fromkeys(("point", "grid"), _floats_csv),
+    "c_values": lambda raw: nrlimit.check_c_values(_floats_csv(raw)),
+}
+# the least value of each integer key; the seed feeds numpy's generator
 _INT_MINIMUM = {
     "seed": 0, "max_index": 0, "order": 0, "points": 1, "max_steps": 1, "max_iter": 1,
 }
+# tolerances, and the speed of light and Planck constant of nrlimit/frame
+_POSITIVE = {"abs_tol", "rel_tol", "c", "h"}
 
 
-def _check_number(key: str, value):
-    """Raise ValueError for a non-finite float (alone or in a list) or an
-    integer flag below its minimum."""
-    for v in value if isinstance(value, list) else [value]:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"must be finite, got {v}")
-    minimum = _INT_MINIMUM.get(key)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"must be at least {minimum}, got {value}")
-
-
-def _merge(args: argparse.Namespace, cfg: RunConfig, key: str, default, convert):
-    """The flag's value, else the config field's, else default.  A value
-    from either source is checked here, so a bad one is a ConfigError
-    before it reaches the library."""
-    value = getattr(args, key, None)
-    source = "flag"
-    if value is None:
-        value = cfg.values.get(key)
-        source = "field"
-        if value is None:
-            return default
+def _checked(source: str, key: str, value):
+    """The value of one flag or config field, read from text if need be
+    (argparse may have converted it already) and checked: floats finite,
+    alone or in a list, integers at least their minimum, the _POSITIVE
+    keys above zero.  Anything else is a ConfigError naming the key."""
     try:
-        # argparse may have converted already; strings still need parsing
         if isinstance(value, str):
-            value = convert(value)
-        _check_number(key, value)
+            value = _CONVERTERS.get(key, str)(value)
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"must be finite, got {v}")
+        minimum = _INT_MINIMUM.get(key)
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be at least {minimum}, got {value}")
+        if key in _POSITIVE and value <= 0:
+            raise ValueError(f"must be positive, got {value}")
     except (ValueError, ExpressionError) as err:
         raise ConfigError(f"{source} {key!r}: {err}") from err
     return value
 
 
-def _floats_csv(raw: str) -> list[float]:
-    return [float(p) for p in str(raw).split(",") if p.strip()]
+def _merge(args: argparse.Namespace, cfg: RunConfig, key: str, default=None):
+    """The flag's value, else the config field's, else default; a value
+    from either source goes through _checked."""
+    value = getattr(args, key, None)
+    if value is not None:
+        return _checked("flag", key, value)
+    value = cfg.values.get(key)
+    return default if value is None else _checked("field", key, value)
 
 
 def _write_csv(path: Path, columns, rows):
@@ -149,20 +137,20 @@ def _write_csv(path: Path, columns, rows):
 
 
 def _tolerance(args, cfg, absolute=1e-10, relative=1e-9) -> Tolerance:
-    absolute = _merge(args, cfg, "abs_tol", absolute, float)
-    relative = _merge(args, cfg, "rel_tol", relative, float)
-    max_steps = _merge(args, cfg, "max_steps", 10**6, int)
-    if absolute <= 0 or relative <= 0:
-        raise ConfigError("tolerances must be positive")
+    absolute = _merge(args, cfg, "abs_tol", absolute)
+    relative = _merge(args, cfg, "rel_tol", relative)
+    max_steps = _merge(args, cfg, "max_steps", 10**6)
     return Tolerance(absolute=absolute, relative=relative, max_steps=max_steps)
 
 
 def _sv_params(args, cfg) -> svgen.SVParams:
-    return svgen.SVParams(
-        m=_merge(args, cfg, "m", 1.3, float),
-        chi=_merge(args, cfg, "chi", 0.7, float),
-        N=_merge(args, cfg, "n_aniso", 1.0, float),
-    )
+    m = _merge(args, cfg, "m", 1.3)
+    chi = _merge(args, cfg, "chi", 0.7)
+    N = _merge(args, cfg, "n_aniso", 1.0)
+    try:
+        return svgen.SVParams(m=m, chi=chi, N=N)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 # --------------------------------------------------------------------------
@@ -171,14 +159,14 @@ def _sv_params(args, cfg) -> svgen.SVParams:
 
 
 def _run_flow(args, cfg, out_dir: Path, seed: int):
-    comps = _merge(args, cfg, "field", None, str)
+    comps = _merge(args, cfg, "field")
     if comps is None:
         raise ConfigError("flow needs --field (semicolon-separated components)")
-    names = _merge(args, cfg, "vars", None, str)
+    names = _merge(args, cfg, "vars")
     if names is None:
         raise ConfigError("flow needs --vars (comma-separated names)")
     chart = tuple(v.strip() for v in names.split(","))
-    coords = _merge(args, cfg, "point", None, _floats_csv)
+    coords = _merge(args, cfg, "point")
     if coords is None:
         raise ConfigError("flow needs --point")
     try:
@@ -186,11 +174,11 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
         x = Point(chart, tuple(coords))
     except ValueError as err:
         raise ConfigError(f"flow: {err}") from err
-    rho = _merge(args, cfg, "rho", 0.5, float)
+    rho = _merge(args, cfg, "rho", 0.5)
     tol = _tolerance(args, cfg)
-    order = _merge(args, cfg, "order", 6, int)
-    charge = _merge(args, cfg, "charge", None, str)
-    psi_text = _merge(args, cfg, "psi", None, str)
+    order = _merge(args, cfg, "order", 6)
+    charge = _merge(args, cfg, "charge")
+    psi_text = _merge(args, cfg, "psi")
 
     res = flowexp.integrate_flow(B, x, rho, tol)
     variational = flowexp.integrate_flow(B, x, rho, tol, jacobian=True)
@@ -230,8 +218,8 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
 
 
 def _run_virasoro(args, cfg, out_dir: Path, seed: int):
-    max_index = _merge(args, cfg, "max_index", 3, int)
-    n_points = _merge(args, cfg, "points", 10, int)
+    max_index = _merge(args, cfg, "max_index", 3)
+    n_points = _merge(args, cfg, "points", 10)
     p = _sv_params(args, cfg)
     table = verification.virasoro_residuals(p, seed, max_index, n_points)
     rows = [
@@ -254,17 +242,17 @@ def _run_virasoro(args, cfg, out_dir: Path, seed: int):
 
 
 def _run_primary(args, cfg, out_dir: Path, seed: int):
-    eps_text = _merge(args, cfg, "eps", "t", str)
+    eps_text = _merge(args, cfg, "eps", "t")
     try:
         eps = svgen.EpsilonFn.from_formula(eps_text)
     except ValueError as err:
         raise ConfigError(f"field 'eps': {err}") from err
     p = _sv_params(args, cfg)
-    coords = _merge(args, cfg, "point", [0.5, 1.2], _floats_csv)
+    coords = _merge(args, cfg, "point", [0.5, 1.2])
     if len(coords) != 2:
         raise ConfigError("primary --point needs exactly t,r")
     t, r = coords
-    rho = _merge(args, cfg, "rho", 1.0, float)
+    rho = _merge(args, cfg, "rho", 1.0)
     tol = _tolerance(args, cfg)
     psi = scalar_field("exp(-r^2 / (1 + t^2))", svgen.CHART)
     tr = svgen.primary_transform(eps, p, t, r, rho, tol)
@@ -291,25 +279,24 @@ def _run_primary(args, cfg, out_dir: Path, seed: int):
 
 
 def _run_nrlimit(args, cfg, out_dir: Path, seed: int):
-    p = nrlimit.RelParams(
-        m=_merge(args, cfg, "m", 1.0, float),
-        c=_merge(args, cfg, "c", 2.0, float),
-        h=_merge(args, cfg, "h", 1.0, float),
-    )
-    point = tuple(_merge(args, cfg, "point", [0.5, 0.25, 0.8], _floats_csv))
+    m = _merge(args, cfg, "m", 1.0)
+    c = _merge(args, cfg, "c", 2.0)
+    h = _merge(args, cfg, "h", 1.0)
+    try:
+        p = nrlimit.RelParams(m=m, c=c, h=h)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    point = tuple(_merge(args, cfg, "point", [0.5, 0.25, 0.8]))
     if len(point) != 3:
         raise ConfigError("nrlimit --point needs t,x0,x")
-    psi_text = _merge(args, cfg, "psi", None, str)
+    psi_text = _merge(args, cfg, "psi")
     is_heat_default = psi_text is None
     psi = (
         nrlimit.heat_kernel(p)
         if is_heat_default
         else scalar_field(psi_text, nrlimit.PSI_CHART)
     )
-    c_values = _merge(
-        args, cfg, "c_values", [10.0, 100.0, 1000.0],
-        lambda raw: nrlimit.check_c_values(_floats_csv(raw)),
-    )
+    c_values = _merge(args, cfg, "c_values", [10.0, 100.0, 1000.0])
 
     contraction = nrlimit.contraction_residual(psi, p, *point)
     kg = nrlimit.kg_diffusion_residual(psi, p, point)
@@ -342,8 +329,8 @@ def _run_nrlimit(args, cfg, out_dir: Path, seed: int):
 
 
 def _run_curvature(args, cfg, out_dir: Path, seed: int):
-    metric_path = _merge(args, cfg, "metric", None, str)
-    n_points = _merge(args, cfg, "points", 20, int)
+    metric_path = _merge(args, cfg, "metric")
+    n_points = _merge(args, cfg, "points", 20)
     rows = []
     summary = []
     failures = []
@@ -382,9 +369,9 @@ def _run_curvature(args, cfg, out_dir: Path, seed: int):
 
 
 def _run_frame(args, cfg, out_dir: Path, seed: int):
-    f_text = _merge(args, cfg, "f", "0.25*t^2", str)
-    c = _merge(args, cfg, "c", 1.0, float)
-    grid_vals = _merge(args, cfg, "grid", [0.0, 0.5, -0.3, 0.35, 41, 41], _floats_csv)
+    f_text = _merge(args, cfg, "f", "0.25*t^2")
+    c = _merge(args, cfg, "c", 1.0)
+    grid_vals = _merge(args, cfg, "grid", [0.0, 0.5, -0.3, 0.35, 41, 41])
     if len(grid_vals) != 6:
         raise ConfigError("frame --grid needs tmin,tmax,xmin,xmax,nt,nx")
     try:
@@ -395,8 +382,11 @@ def _run_frame(args, cfg, out_dir: Path, seed: int):
     except ValueError as err:
         raise ConfigError(f"frame --grid: {err}") from err
     tol = _tolerance(args, cfg, absolute=1e-8, relative=1e-8)
-    max_iter = _merge(args, cfg, "max_iter", 100, int)
-    traj = accframe.Trajectory.from_formula(f_text, c=c)
+    max_iter = _merge(args, cfg, "max_iter", 100)
+    try:
+        traj = accframe.Trajectory.from_formula(f_text, c=c)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     fm = accframe.solve_frame_map(traj, grid, tol, max_iter)
     out_path = out_dir / "frame.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -463,8 +453,16 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, so they
+    end in one `svflow: config error:` line and exit 2 like any other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svflow",
         description="flows, generator algebra, limits, curvature, frames: "
         "compute and verify",
@@ -538,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = RunConfig()
         if getattr(args, "config", None):
             cfg = load_config(args.config)
@@ -548,8 +546,8 @@ def run(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("svflow: error: no subcommand given", file=sys.stderr)
             return 2
-        out_dir = Path(_merge(args, cfg, "output", "reports", str))
-        seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED, int)
+        out_dir = Path(_merge(args, cfg, "output", "reports"))
+        seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
         with derivative_memo():
             summary = _RUNNERS[command](args, cfg, out_dir, seed)
     except ConfigError as err:

@@ -221,6 +221,7 @@ class CurvatureValues:
     """Point evaluation of the whole curvature stack."""
 
     metric: np.ndarray
+    inverse: np.ndarray
     christoffel: np.ndarray       # Gamma[m, n, p] = Gamma^m_np
     riemann: np.ndarray           # all-lower R[m, n, p, q]
     ricci: np.ndarray
@@ -293,7 +294,8 @@ class CurvatureBundle:
         ricci = np.einsum("mnmq->nq", up)
         scalar = float(np.einsum("nq,nq->", ginv, ricci))
         return CurvatureValues(
-            metric=g, christoffel=gam, riemann=low, ricci=ricci, scalar=scalar
+            metric=g, inverse=ginv, christoffel=gam, riemann=low, ricci=ricci,
+            scalar=scalar,
         )
 
 
@@ -315,92 +317,78 @@ def _derivative_grid(entries, wrt_names):
     ]
 
 
+@dataclass(frozen=True)
+class BlockValues:
+    """The ingredients of every decomposition formula at one point: the
+    curvature stacks of both blocks and the derivatives across the split."""
+
+    g: CurvatureValues   # x-block, y frozen
+    h: CurvatureValues   # y-block, x frozen
+    dg: np.ndarray       # (q, p, p): d_a g_mn
+    dh: np.ndarray       # (p, q, q): d_mu h_ab
+    ddg: np.ndarray      # (q, q, p, p)
+    ddh: np.ndarray      # (p, p, q, q)
+
+
 class _BlockPieces:
-    """Shared compiled ingredients for the decomposition formulas."""
+    """Compiled ingredients of the decomposition formulas for one metric
+    and split: the two block bundles and the cross-split derivatives."""
 
     def __init__(self, G: MetricField, split: BlockSplit):
         split.validate_against(G)
-        self.G = G
-        self.split = split
-        self.g_sub = restrict(G, split.first)
-        self.h_sub = restrict(G, split.second)
-        self.g_bundle = CurvatureBundle(self.g_sub)
-        self.h_bundle = CurvatureBundle(self.h_sub)
-        x_names = self.g_sub.coords
-        y_names = self.h_sub.coords
-        g_rows = [list(r) for r in self.g_sub.components]
-        h_rows = [list(r) for r in self.h_sub.components]
-        self._g_at = _compile_grid(g_rows)
-        self._h_at = _compile_grid(h_rows)
+        g_sub = restrict(G, split.first)
+        h_sub = restrict(G, split.second)
+        self.g_bundle = CurvatureBundle(g_sub)
+        self.h_bundle = CurvatureBundle(h_sub)
         # first and second derivatives across the split, dd[a][b] = d_a d_b
-        dg_dy = _derivative_grid(g_rows, y_names)
-        dh_dx = _derivative_grid(h_rows, x_names)
+        dg_dy = _derivative_grid([list(r) for r in g_sub.components], h_sub.coords)
+        dh_dx = _derivative_grid([list(r) for r in h_sub.components], g_sub.coords)
         self._dg_dy = _compile_grid(dg_dy)
         self._dh_dx = _compile_grid(dh_dx)
-        self._ddg_dyy = _compile_grid(_derivative_grid(dg_dy, y_names))
-        self._ddh_dxx = _compile_grid(_derivative_grid(dh_dx, x_names))
+        self._ddg_dyy = _compile_grid(_derivative_grid(dg_dy, h_sub.coords))
+        self._ddh_dxx = _compile_grid(_derivative_grid(dh_dx, g_sub.coords))
 
-    def values(self, env):
-        g = self._g_at(env)
-        h = self._h_at(env)
-        for name, mat in (("g", g), ("h", h)):
-            if abs(np.linalg.det(mat)) <= DEGENERACY_EPS:
-                raise DegenerateMetricError(f"{name}-block degenerate at {env}")
-        return {
-            "g": g,
-            "h": h,
-            "ginv": np.linalg.inv(g),
-            "hinv": np.linalg.inv(h),
-            "dg_dy": self._dg_dy(env),      # (q, p, p): d_a g_mn
-            "dh_dx": self._dh_dx(env),      # (p, q, q): d_mu h_ab
-            "ddg_dyy": self._ddg_dyy(env),  # (q, q, p, p)
-            "ddh_dxx": self._ddh_dxx(env),  # (p, p, q, q)
-        }
+    def at(self, env) -> BlockValues:
+        return BlockValues(
+            g=self.g_bundle.at(env),
+            h=self.h_bundle.at(env),
+            dg=self._dg_dy(env),
+            dh=self._dh_dx(env),
+            ddg=self._ddg_dyy(env),
+            ddh=self._ddh_dxx(env),
+        )
 
 
-def riemann_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np.ndarray]:
+def _riemann_block(v: BlockValues) -> np.ndarray:
     """All-first-block Riemann components R_{l m s n} =
     r_{l m s n}(x, (y)) + (1/4) h^{ab} (d_a g_{ms} d_b g_{nl}
     - d_a g_{mn} d_b g_{ls}).  Returns an evaluator over points."""
-    pieces = _BlockPieces(G, s)
-
-    def at(env) -> np.ndarray:
-        v = pieces.values(env)
-        r = pieces.g_bundle.at(env).riemann
-        dg = v["dg_dy"]
-        hinv = v["hinv"]
-        t1 = np.einsum("ab,ams,bnl->lmsn", hinv, dg, dg)
-        t2 = np.einsum("ab,amn,bls->lmsn", hinv, dg, dg)
-        return r + 0.25 * (t1 - t2)
-
-    return at
+    dg = v.dg
+    hinv = v.h.inverse
+    t1 = np.einsum("ab,ams,bnl->lmsn", hinv, dg, dg)
+    t2 = np.einsum("ab,amn,bls->lmsn", hinv, dg, dg)
+    return v.g.riemann + 0.25 * (t1 - t2)
 
 
-def mixed_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np.ndarray]:
+def _mixed_block(v: BlockValues) -> np.ndarray:
     """Mixed components R_{l m, s n} (first pair in the x-block, second in
     the y-block):
 
         (1/4) g^{ab} (d_s g_{a m} d_n g_{b l} - d_n g_{a m} d_s g_{b l})
       + (1/4) h^{ab} (d_m h_{a s} d_l h_{b n} - d_m h_{a n} d_l h_{b s})
     """
-    pieces = _BlockPieces(G, s)
-
-    def at(env) -> np.ndarray:
-        v = pieces.values(env)
-        dg, dh = v["dg_dy"], v["dh_dx"]
-        ginv, hinv = v["ginv"], v["hinv"]
-        t1 = np.einsum("xy,sxm,nyl->lmsn", ginv, dg, dg) - np.einsum(
-            "xy,nxm,syl->lmsn", ginv, dg, dg
-        )
-        t2 = np.einsum("ab,mas,lbn->lmsn", hinv, dh, dh) - np.einsum(
-            "ab,man,lbs->lmsn", hinv, dh, dh
-        )
-        return 0.25 * (t1 + t2)
-
-    return at
+    dg, dh = v.dg, v.dh
+    ginv, hinv = v.g.inverse, v.h.inverse
+    t1 = np.einsum("xy,sxm,nyl->lmsn", ginv, dg, dg) - np.einsum(
+        "xy,nxm,syl->lmsn", ginv, dg, dg
+    )
+    t2 = np.einsum("ab,mas,lbn->lmsn", hinv, dh, dh) - np.einsum(
+        "ab,man,lbs->lmsn", hinv, dh, dh
+    )
+    return 0.25 * (t1 + t2)
 
 
-def ricci_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np.ndarray]:
+def _ricci_block(v: BlockValues) -> np.ndarray:
     """First-block Ricci components assembled from the blocks:
 
         r_mn(g(x, (y)))
@@ -412,35 +400,27 @@ def ricci_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np
 
     with df.dj = h^{ab} d_a f d_b j and d_a log g = g^{mn} d_a g_{mn}.
     """
-    pieces = _BlockPieces(G, s)
+    ginv, hinv = v.g.inverse, v.h.inverse
+    dg, dh = v.dg, v.dh
+    ddg, ddh = v.ddg, v.ddh
 
-    def at(env) -> np.ndarray:
-        v = pieces.values(env)
-        gv = pieces.g_bundle.at(env)
-        hv = pieces.h_bundle.at(env)
-        ginv, hinv = v["ginv"], v["hinv"]
-        dg, dh = v["dg_dy"], v["dh_dx"]
-        ddg, ddh = v["ddg_dyy"], v["ddh_dxx"]
-
-        term1 = gv.ricci
-        term2 = -0.5 * (
-            np.einsum("ls,lsmn->mn", hinv, ddg)
-            - np.einsum("ls,als,amn->mn", hinv, hv.christoffel, dg)
-        )
-        term3 = 0.5 * np.einsum("xy,ab,amx,bny->mn", ginv, hinv, dg, dg)
-        dlogg = np.einsum("xy,axy->a", ginv, dg)
-        term4 = -0.25 * np.einsum("ab,amn,b->mn", hinv, dg, dlogg)
-        term5 = 0.25 * np.einsum("ls,ab,mas,nbl->mn", hinv, hinv, dh, dh)
-        term6 = -0.5 * (
-            np.einsum("ls,mnls->mn", hinv, ddh)
-            - np.einsum("ls,xmn,xls->mn", hinv, gv.christoffel, dh)
-        )
-        return term1 + term2 + term3 + term4 + term5 + term6
-
-    return at
+    term1 = v.g.ricci
+    term2 = -0.5 * (
+        np.einsum("ls,lsmn->mn", hinv, ddg)
+        - np.einsum("ls,als,amn->mn", hinv, v.h.christoffel, dg)
+    )
+    term3 = 0.5 * np.einsum("xy,ab,amx,bny->mn", ginv, hinv, dg, dg)
+    dlogg = np.einsum("xy,axy->a", ginv, dg)
+    term4 = -0.25 * np.einsum("ab,amn,b->mn", hinv, dg, dlogg)
+    term5 = 0.25 * np.einsum("ls,ab,mas,nbl->mn", hinv, hinv, dh, dh)
+    term6 = -0.5 * (
+        np.einsum("ls,mnls->mn", hinv, ddh)
+        - np.einsum("ls,xmn,xls->mn", hinv, v.g.christoffel, dh)
+    )
+    return term1 + term2 + term3 + term4 + term5 + term6
 
 
-def scalar_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], float]:
+def _scalar_block(v: BlockValues) -> float:
     """Scalar curvature assembled from the blocks:
 
         r(g) + r(h)
@@ -453,37 +433,48 @@ def scalar_block(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], f
     The final term contracts its x-block derivative indices with the
     outer g^{mn} (the only binding that leaves no free index).
     """
-    pieces = _BlockPieces(G, s)
+    ginv, hinv = v.g.inverse, v.h.inverse
+    dg, dh = v.dg, v.dh
+    ddg, ddh = v.ddg, v.ddh
 
-    def at(env) -> float:
-        v = pieces.values(env)
-        gv = pieces.g_bundle.at(env)
-        hv = pieces.h_bundle.at(env)
-        ginv, hinv = v["ginv"], v["hinv"]
-        dg, dh = v["dg_dy"], v["dh_dx"]
-        ddg, ddh = v["ddg_dyy"], v["ddh_dxx"]
+    dlogg = np.einsum("xy,axy->a", ginv, dg)      # indexed by y-block
+    dlogh = np.einsum("ab,mab->m", hinv, dh)      # indexed by x-block
 
-        dlogg = np.einsum("xy,axy->a", ginv, dg)      # indexed by y-block
-        dlogh = np.einsum("ab,mab->m", hinv, dh)      # indexed by x-block
+    total = v.g.scalar + v.h.scalar
+    total += -0.25 * (
+        float(np.einsum("ab,a,b->", hinv, dlogg, dlogg))
+        + float(np.einsum("mn,m,n->", ginv, dlogh, dlogh))
+    )
+    total += float(np.einsum("a,mn,amn->", dlogg, hinv, v.h.christoffel))
+    total += float(np.einsum("m,xy,mxy->", dlogh, ginv, v.g.christoffel))
+    total += -float(
+        np.einsum("mn,ab,abmn->", ginv, hinv, ddg)
+        + np.einsum("mn,ab,mnab->", ginv, hinv, ddh)
+    )
+    total += 0.75 * (
+        float(np.einsum("mn,ab,xy,amx,bny->", ginv, hinv, ginv, dg, dg))
+        + float(np.einsum("mn,ab,pq,map,nbq->", ginv, hinv, hinv, dh, dh))
+    )
+    return float(total)
 
-        total = gv.scalar + hv.scalar
-        total += -0.25 * (
-            float(np.einsum("ab,a,b->", hinv, dlogg, dlogg))
-            + float(np.einsum("mn,m,n->", ginv, dlogh, dlogh))
-        )
-        total += float(np.einsum("a,mn,amn->", dlogg, hinv, hv.christoffel))
-        total += float(np.einsum("m,xy,mxy->", dlogh, ginv, gv.christoffel))
-        total += -float(
-            np.einsum("mn,ab,abmn->", ginv, hinv, ddg)
-            + np.einsum("mn,ab,mnab->", ginv, hinv, ddh)
-        )
-        total += 0.75 * (
-            float(np.einsum("mn,ab,xy,amx,bny->", ginv, hinv, ginv, dg, dg))
-            + float(np.einsum("mn,ab,pq,map,nbq->", ginv, hinv, hinv, dh, dh))
-        )
-        return float(total)
 
-    return at
+def _block_factory(formula):
+    """The public factory of one formula: (G, split) -> an evaluator of
+    that formula over points."""
+
+    def factory(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np.ndarray]:
+        pieces = _BlockPieces(G, s)
+        return lambda env: formula(pieces.at(env))
+
+    factory.__name__ = factory.__qualname__ = formula.__name__[1:]
+    factory.__doc__ = formula.__doc__
+    return factory
+
+
+riemann_block = _block_factory(_riemann_block)
+mixed_block = _block_factory(_mixed_block)
+ricci_block = _block_factory(_ricci_block)
+scalar_block = _block_factory(_scalar_block)
 
 
 # --------------------------------------------------------------------------
@@ -504,28 +495,24 @@ def block_vs_direct_residual(
     """For each decomposition formula, the max absolute difference with
     the direct pipeline over the points, plus per-point rows for CSV."""
     direct = curvature_direct(G)
-    fns = {
-        "riemann_block": riemann_block(G, s),
-        "mixed_block": mixed_block(G, s),
-        "ricci_block": ricci_block(G, s),
-        "scalar_block": scalar_block(G, s),
-    }
+    pieces = _BlockPieces(G, s)
     fi = np.array(s.first)
     si = np.array(s.second)
     report = BlockComparisonReport(max_residuals={k: 0.0 for k in FORMULA_NAMES})
     for idx, env in enumerate(points):
         dv = direct.at(env)
+        bv = pieces.at(env)
         res = {
             "riemann_block": float(
-                np.max(np.abs(fns["riemann_block"](env) - dv.riemann[np.ix_(fi, fi, fi, fi)]))
+                np.max(np.abs(_riemann_block(bv) - dv.riemann[np.ix_(fi, fi, fi, fi)]))
             ),
             "mixed_block": float(
-                np.max(np.abs(fns["mixed_block"](env) - dv.riemann[np.ix_(fi, fi, si, si)]))
+                np.max(np.abs(_mixed_block(bv) - dv.riemann[np.ix_(fi, fi, si, si)]))
             ),
             "ricci_block": float(
-                np.max(np.abs(fns["ricci_block"](env) - dv.ricci[np.ix_(fi, fi)]))
+                np.max(np.abs(_ricci_block(bv) - dv.ricci[np.ix_(fi, fi)]))
             ),
-            "scalar_block": abs(fns["scalar_block"](env) - dv.scalar),
+            "scalar_block": abs(_scalar_block(bv) - dv.scalar),
         }
         for name, value in res.items():
             report.rows.append((name, idx, value))

@@ -147,7 +147,6 @@ def _fit_slope(rhos, diffs, floor=FIT_FLOOR):
 
 
 def criterion_flow_factorization(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rows = []
     passed = True
     details = []
@@ -180,12 +179,10 @@ def criterion_flow_factorization(seed: int = DEFAULT_SEED) -> CriterionResult:
         detail="; ".join(details),
         columns=("case", "rho", "difference"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_key_lemma(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rows = []
     worst = 0.0
     for case in flow_cases():
@@ -199,7 +196,6 @@ def criterion_key_lemma(seed: int = DEFAULT_SEED) -> CriterionResult:
         detail=f"worst residual {worst:.2e} (bound 1e-8)",
         columns=("case", "residual"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -233,7 +229,6 @@ def virasoro_residuals(
 
 
 def criterion_virasoro(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     p = svgen.SVParams(m=1.3, chi=0.7, N=1.0)
     table = virasoro_residuals(p, seed)
     rows = [(m, n, res, seed) for m, n, res in table]
@@ -252,7 +247,6 @@ def criterion_virasoro(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"monomial table {'exact' if algebra_ok else 'WRONG'}; seed {seed}",
         columns=("m", "n", "max_residual", "seed"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -263,7 +257,6 @@ PRIMARY_GRID_R = tuple(float(r) for r in np.linspace(0.5, 2.0, 5))
 
 
 def criterion_primary(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     psi = scalar_field("exp(-r^2 / (1 + t^2))", svgen.CHART)
     rows = []
     worst = 0.0
@@ -294,12 +287,10 @@ def criterion_primary(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"closed-form errors {max(closed):.2e} (bound 1e-10)",
         columns=("t", "r", "residual"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rows = []
     worst_form = 0.0
     worst_jac = 0.0
@@ -319,7 +310,6 @@ def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"worst dt'/dt residual {worst_jac:.2e} (bounds 1e-8)",
         columns=("t", "r", "form_residual", "jacobian_residual"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -333,7 +323,6 @@ NR_TEST_FUNCTIONS = (
 
 
 def criterion_nr_limit(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     p = nrlimit.RelParams(m=1.1, c=2.0, h=1.0)
     point = (0.5, 0.25, 0.8)
     rows = []
@@ -361,7 +350,6 @@ def criterion_nr_limit(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"defect slope {slope:.4f} (target -2 +- 0.05)",
         columns=("psi", "contraction_residual", "kg_identity_residual"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -369,7 +357,6 @@ BARUT_CASES = (("1", 0.5), ("t", 1.0), ("1 + t^2", 0.3))
 
 
 def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     p = nrlimit.RelParams(m=1.0, c=1.0, h=1.0)
     from .fieldcalc import parse_expression
 
@@ -388,12 +375,10 @@ def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
         detail=f"worst residual {worst:.2e} (bound 1e-8)",
         columns=("f", "rho", "residual"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rows = []
     checks = []
 
@@ -456,12 +441,10 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
         + f"; informational residuals: {report_txt}",
         columns=("metric", "quantity", "point", "value"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rows = []
 
     traj = accframe.Trajectory.from_formula("0.6*t", c=1.0)
@@ -501,12 +484,10 @@ def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"converged={fm.converged} in {fm.iterations} iteration(s)",
         columns=("quantity", "value"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
 def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pure = svgen.SVParams(m=0.0, chi=0.0)
     rows = []
@@ -537,7 +518,6 @@ def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
         f"special-case error {special_err:.2e}; seed {seed}",
         columns=("case", "T", "T_prime", "t", "r", "d", "relative_error", "seed"),
         rows=rows,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -565,9 +545,13 @@ def _csv_bundle(results: list[CriterionResult], seed: int) -> dict[str, bytes]:
 
 
 def _run_criterion(fn, seed: int) -> CriterionResult:
-    # a fresh derivative memo per call: criteria and passes share no work
+    # a fresh derivative memo per call: criteria and passes share no work;
+    # runtime_s is the criterion call alone
     with derivative_memo():
-        return fn(seed)
+        t0 = time.perf_counter()
+        result = fn(seed)
+        result.runtime_s = time.perf_counter() - t0
+    return result
 
 
 def run_all(seed: int = DEFAULT_SEED) -> tuple[list[CriterionResult], dict[str, bytes]]:

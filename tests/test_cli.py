@@ -3,10 +3,26 @@ import pytest
 from svflow.cli import ConfigError, load_config, run
 
 
-def test_unknown_subcommand_is_usage_error():
+def test_unknown_subcommand_is_usage_error(capsys):
+    assert run(["definitely-not-a-subcommand"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error: argument command: invalid choice")
+    assert len(err.splitlines()) == 1
+
+
+def test_formula_taken_for_an_option_is_one_config_error(capsys):
+    # argparse reads "-t" as an option; the parser's error is a ConfigError
+    # on one line, and run returns instead of raising SystemExit
+    assert run(["flow", "--field", "-t", "--vars", "t", "--point", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "svflow: config error: argument --field: expected one argument\n"
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["definitely-not-a-subcommand"])
-    assert exc.value.code == 2
+        run(["flow", "--help"])
+    assert exc.value.code == 0
+    assert "--field" in capsys.readouterr().out
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -203,6 +219,12 @@ def test_minimal_config_applies_defaults(tmp_path):
     assert code == 0
 
 
+def test_config_without_a_command_key(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nseed = 3\n")
+    assert run(["correlator", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 0
+
+
 def test_config_supplies_command_and_output(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\ncommand = correlator\noutput = {tmp_path / 'r'}\n")
@@ -316,6 +338,32 @@ def test_input_the_library_rejects_is_a_config_error(argv, tmp_path, capsys):
     code = run(argv + ["--output", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
+    assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        ("nrlimit", "--m", "m", "-1"),
+        ("nrlimit", "--c", "c", "0"),
+        ("virasoro", "--N", "n_aniso", "0"),
+        ("primary", "--N", "n_aniso", "0"),
+        ("frame", "--c", "c", "-1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "field"])
+def test_refused_parameter_is_a_config_error_as_flag_and_field(
+    command, flag, key, value, source, tmp_path, capsys
+):
+    argv = [command, "--output", str(tmp_path / "r")]
+    if source == "flag":
+        argv += [f"{flag}={value}"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\ncommand = {command}\n{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
     assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
 
 

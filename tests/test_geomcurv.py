@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from svflow.geomcurv import (
+    FORMULA_NAMES,
     METRIC_SUITE,
     BlockSplit,
+    CurvatureBundle,
     DegenerateMetricError,
     MetricField,
     MetricFileError,
@@ -218,6 +220,66 @@ def test_report_rows_shape():
     names = {r[0] for r in rep.rows}
     assert names == {"riemann_block", "mixed_block", "ricci_block", "scalar_block"}
     assert all(isinstance(r[1], int) and r[2] >= 0.0 for r in rep.rows)
+
+
+_FACTORIES = {
+    "riemann_block": riemann_block,
+    "mixed_block": mixed_block,
+    "ricci_block": ricci_block,
+    "scalar_block": scalar_block,
+}
+
+
+def test_report_builds_one_bundle_per_block_and_one_direct(monkeypatch):
+    built = []
+    init = CurvatureBundle.__init__
+
+    def counting_init(self, G):
+        built.append(G.coords)
+        init(self, G)
+
+    monkeypatch.setattr(CurvatureBundle, "__init__", counting_init)
+    s = METRIC_SUITE["cross_4d"]
+    block_vs_direct_residual(s.metric, s.split, s.sample_envs(3))
+    assert built == [("x1", "x2", "y1", "y2"), ("x1", "x2"), ("y1", "y2")]
+
+
+@pytest.mark.parametrize("name", list(METRIC_SUITE))
+def test_public_evaluators_give_the_report_rows_bitwise(name):
+    # each public evaluator, against the direct stack, reproduces the
+    # report's rows exactly: the report and the evaluators share formulas
+    s = METRIC_SUITE[name]
+    envs = s.sample_envs(20)
+    rep = block_vs_direct_residual(s.metric, s.split, envs)
+    direct = curvature_direct(s.metric)
+    evaluators = {k: f(s.metric, s.split) for k, f in _FACTORIES.items()}
+    fi, si = np.array(s.split.first), np.array(s.split.second)
+    rows = []
+    for idx, env in enumerate(envs):
+        dv = direct.at(env)
+        targets = {
+            "riemann_block": dv.riemann[np.ix_(fi, fi, fi, fi)],
+            "mixed_block": dv.riemann[np.ix_(fi, fi, si, si)],
+            "ricci_block": dv.ricci[np.ix_(fi, fi)],
+            "scalar_block": dv.scalar,
+        }
+        for k in FORMULA_NAMES:
+            rows.append((k, idx, float(np.max(np.abs(evaluators[k](env) - targets[k])))))
+    assert rows == rep.rows
+
+
+def test_degenerate_y_block_is_an_error_through_every_route():
+    # |det h| = 5e-13 at y = 5e-13, while |det G| = 5: the whole metric is
+    # fine, and only the block ingredients see the degenerate y-block
+    G = MetricField.from_entries(("x", "y"), {(0, 0): 1e13, (1, 1): "y"})
+    split = BlockSplit((0,), (1,))
+    env = {"x": 0.5, "y": 5e-13}
+    curvature_direct(G).at(env)
+    for factory in _FACTORIES.values():
+        with pytest.raises(DegenerateMetricError):
+            factory(G, split)(env)
+    with pytest.raises(DegenerateMetricError):
+        block_vs_direct_residual(G, split, [{"x": 0.5, "y": 0.5}, env])
 
 
 # ------------------------------------------------------------ metric files
