@@ -6,9 +6,9 @@ its tolerance, 1 names the failing invariant, 2 is a usage or config
 error.  Reports carry no timestamps and all randomness flows through the
 --seed flag, so identical invocations produce byte-identical CSVs.
 
-Config files use one [run] section of key = value pairs mirroring the
-long flags (command selects the subcommand); explicit command-line flags
-override file values.
+Each subcommand declares in _COMMANDS the keys it reads: one flag each,
+and one key = value field of a config file's [run] section (command
+selects the subcommand); explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import accframe, flowexp, geomcurv, nrlimit, svgen, verification
 from .fieldcalc import (
@@ -33,18 +34,6 @@ from .fieldcalc import (
     vector_field,
 )
 from .flowexp import Tolerance
-
-SUBCOMMANDS = (
-    "flow",
-    "virasoro",
-    "primary",
-    "nrlimit",
-    "curvature",
-    "frame",
-    "correlator",
-    "verify-all",
-)
-
 
 class ConfigError(SvflowError):
     pass
@@ -74,15 +63,19 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError("config file needs a [run] section")
     cfg = RunConfig(values=dict(parser["run"]))
     cfg.command = cfg.values.pop("command", None)
-    if cfg.command is not None and cfg.command not in SUBCOMMANDS:
+    if cfg.command is not None and cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r} in config")
+    # one file may serve several commands, so a field any of them reads is kept
+    known = {"output"}.union(*(c.keys for c in _COMMANDS.values()))
     for key, raw in cfg.values.items():
+        if key not in known:
+            raise ConfigError(f"field {key!r}: no command reads it")
         _checked("field", key, raw)
     return cfg
 
 
 def _floats_csv(raw: str) -> list[float]:
-    return [float(p) for p in str(raw).split(",") if p.strip()]
+    return [float(p) for p in raw.split(",") if p.strip()]
 
 
 # how a key's value is read from text; every other key is text
@@ -100,14 +93,13 @@ _INT_MINIMUM = {
 _POSITIVE = {"abs_tol", "rel_tol", "c", "h"}
 
 
-def _checked(source: str, key: str, value):
-    """The value of one flag or config field, read from text if need be
-    (argparse may have converted it already) and checked: floats finite,
-    alone or in a list, integers at least their minimum, the _POSITIVE
-    keys above zero.  Anything else is a ConfigError naming the key."""
+def _checked(source: str, key: str, value: str):
+    """The value of one flag or config field, read from its text and
+    checked: floats finite, alone or in a list, integers at least their
+    minimum, the _POSITIVE keys above zero.  Anything else is a
+    ConfigError naming the key."""
     try:
-        if isinstance(value, str):
-            value = _CONVERTERS.get(key, str)(value)
+        value = _CONVERTERS.get(key, str)(value)
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"must be finite, got {v}")
@@ -129,6 +121,18 @@ def _merge(args: argparse.Namespace, cfg: RunConfig, key: str, default=None):
         return _checked("flag", key, value)
     value = cfg.values.get(key)
     return default if value is None else _checked("field", key, value)
+
+
+def _flag(key: str) -> str:
+    return "--N" if key == "n_aniso" else "--" + key.replace("_", "-")
+
+
+def _refuse_flags(args, keys, needed: str) -> None:
+    """A ConfigError for a flag among `keys`, which the command reads only
+    with `needed`; a config field stays tolerated, as in load_config."""
+    for key in keys:
+        if getattr(args, key, None) is not None:
+            raise ConfigError(f"{_flag(key)} is read only with {needed}")
 
 
 def _write_csv(path: Path, columns, rows):
@@ -154,11 +158,11 @@ def _sv_params(args, cfg) -> svgen.SVParams:
 
 
 # --------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (columns, rows, summary_lines) and
-# raises VerificationFailure when an asserted invariant misses.
+# Subcommand bodies.  Each writes its CSV report, returns its summary
+# lines and raises VerificationFailure when an asserted invariant misses.
 
 
-def _run_flow(args, cfg, out_dir: Path, seed: int):
+def _run_flow(args, cfg, out_dir: Path):
     comps = _merge(args, cfg, "field")
     if comps is None:
         raise ConfigError("flow needs --field (semicolon-separated components)")
@@ -179,6 +183,8 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
     order = _merge(args, cfg, "order", 6)
     charge = _merge(args, cfg, "charge")
     psi_text = _merge(args, cfg, "psi")
+    if charge is None or psi_text is None:
+        _refuse_flags(args, ("charge", "psi", "order"), "--charge and --psi")
 
     res = flowexp.integrate_flow(B, x, rho, tol)
     variational = flowexp.integrate_flow(B, x, rho, tol, jacobian=True)
@@ -217,9 +223,10 @@ def _run_flow(args, cfg, out_dir: Path, seed: int):
     return summary
 
 
-def _run_virasoro(args, cfg, out_dir: Path, seed: int):
+def _run_virasoro(args, cfg, out_dir: Path):
     max_index = _merge(args, cfg, "max_index", 3)
     n_points = _merge(args, cfg, "points", 10)
+    seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
     p = _sv_params(args, cfg)
     table = verification.virasoro_residuals(p, seed, max_index, n_points)
     rows = [
@@ -241,7 +248,7 @@ def _run_virasoro(args, cfg, out_dir: Path, seed: int):
     return summary
 
 
-def _run_primary(args, cfg, out_dir: Path, seed: int):
+def _run_primary(args, cfg, out_dir: Path):
     eps_text = _merge(args, cfg, "eps", "t")
     try:
         eps = svgen.EpsilonFn.from_formula(eps_text)
@@ -278,7 +285,7 @@ def _run_primary(args, cfg, out_dir: Path, seed: int):
     return summary
 
 
-def _run_nrlimit(args, cfg, out_dir: Path, seed: int):
+def _run_nrlimit(args, cfg, out_dir: Path):
     m = _merge(args, cfg, "m", 1.0)
     c = _merge(args, cfg, "c", 2.0)
     h = _merge(args, cfg, "h", 1.0)
@@ -328,13 +335,14 @@ def _run_nrlimit(args, cfg, out_dir: Path, seed: int):
     return summary
 
 
-def _run_curvature(args, cfg, out_dir: Path, seed: int):
+def _run_curvature(args, cfg, out_dir: Path):
     metric_path = _merge(args, cfg, "metric")
-    n_points = _merge(args, cfg, "points", 20)
-    rows = []
-    summary = []
-    failures = []
-    if metric_path is not None:
+    if metric_path is None:
+        _refuse_flags(args, ("points",), "--metric")
+        result = verification.criterion_curvature()
+        rows, summary = result.rows, result.detail
+        failure = None if result.passed else "curvature criterion failed"
+    else:
         try:
             G, split = geomcurv.load_metric_file(metric_path)
         except OSError as err:
@@ -342,33 +350,23 @@ def _run_curvature(args, cfg, out_dir: Path, seed: int):
         if split is None:
             raise ConfigError("metric file needs a split line for block checks")
         ranges = {c: (0.3, 0.9) for c in G.coords}
-        envs = geomcurv.halton_envs(G.coords, ranges, n_points)
+        envs = geomcurv.halton_envs(G.coords, ranges, _merge(args, cfg, "points", 20))
         rep = geomcurv.block_vs_direct_residual(G, split, envs)
-        for formula, idx, val in rep.rows:
-            rows.append(("file_metric", formula, idx, val))
-        summary.append(
-            "file metric residuals: "
-            + ", ".join(f"{k}={v:.2e}" for k, v in rep.max_residuals.items())
+        rows = [("file_metric", *row) for row in rep.rows]
+        summary = "file metric residuals: " + ", ".join(
+            f"{k}={v:.2e}" for k, v in rep.max_residuals.items()
         )
-        if rep.max_residuals["riemann_block"] > 1e-7:
-            failures.append(
-                f"block Riemann residual {rep.max_residuals['riemann_block']:.2e} above 1e-7"
-            )
-    else:
-        result = verification.criterion_curvature(seed)
-        rows = result.rows
-        summary.append(result.detail)
-        if not result.passed:
-            failures.append("curvature criterion failed")
+        worst = rep.max_residuals["riemann_block"]
+        failure = f"block Riemann residual {worst:.2e} above 1e-7" if worst > 1e-7 else None
     _write_csv(
         out_dir / "curvature.csv", ("metric", "quantity", "point", "value"), rows
     )
-    if failures:
-        raise VerificationFailure("; ".join(failures))
-    return summary
+    if failure:
+        raise VerificationFailure(failure)
+    return [summary]
 
 
-def _run_frame(args, cfg, out_dir: Path, seed: int):
+def _run_frame(args, cfg, out_dir: Path):
     f_text = _merge(args, cfg, "f", "0.25*t^2")
     c = _merge(args, cfg, "c", 1.0)
     grid_vals = _merge(args, cfg, "grid", [0.0, 0.5, -0.3, 0.35, 41, 41])
@@ -407,7 +405,8 @@ def _run_frame(args, cfg, out_dir: Path, seed: int):
     return summary
 
 
-def _run_correlator(args, cfg, out_dir: Path, seed: int):
+def _run_correlator(args, cfg, out_dir: Path):
+    seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
     result = verification.criterion_correlator(seed)
     _write_csv(out_dir / "correlator.csv", result.columns, result.rows)
     if not result.passed:
@@ -415,7 +414,8 @@ def _run_correlator(args, cfg, out_dir: Path, seed: int):
     return [result.detail]
 
 
-def _run_verify_all(args, cfg, out_dir: Path, seed: int):
+def _run_verify_all(args, cfg, out_dir: Path):
+    seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
     results, bundle = verification.run_all(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, payload in bundle.items():
@@ -441,15 +441,59 @@ def _run_verify_all(args, cfg, out_dir: Path, seed: int):
     return lines
 
 
-_RUNNERS = {
-    "flow": _run_flow,
-    "virasoro": _run_virasoro,
-    "primary": _run_primary,
-    "nrlimit": _run_nrlimit,
-    "curvature": _run_curvature,
-    "frame": _run_frame,
-    "correlator": _run_correlator,
-    "verify-all": _run_verify_all,
+# the keys that _tolerance and _sv_params read
+_TOLERANCE_KEYS = ("abs_tol", "rel_tol", "max_steps")
+_SV_KEYS = ("m", "chi", "n_aniso")
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace, RunConfig, Path], list[str]]
+    help: str
+    keys: tuple[str, ...]  # what run reads through _merge, besides output
+
+
+_COMMANDS = {
+    "flow": _Command(
+        _run_flow, "integrate a flow and check the pushforward",
+        ("field", "vars", "point", "rho", "charge", "psi", "order", *_TOLERANCE_KEYS),
+    ),
+    "virasoro": _Command(
+        _run_virasoro, "bracket residual table",
+        ("max_index", "points", *_SV_KEYS, "seed"),
+    ),
+    "primary": _Command(
+        _run_primary, "finite transformation law",
+        ("eps", *_SV_KEYS, "point", "rho", *_TOLERANCE_KEYS),
+    ),
+    "nrlimit": _Command(
+        _run_nrlimit, "contraction and KG/diffusion identities",
+        ("psi", "m", "c", "h", "point", "c_values"),
+    ),
+    "curvature": _Command(
+        _run_curvature, "curvature gates and block-formula report", ("metric", "points")
+    ),
+    "frame": _Command(
+        _run_frame, "solve accelerated-frame coordinates",
+        ("f", "c", "grid", "max_iter", *_TOLERANCE_KEYS),
+    ),
+    "correlator": _Command(_run_correlator, "half-space correlator checks", ("seed",)),
+    "verify-all": _Command(_run_verify_all, "run every acceptance criterion", ("seed",)),
+}
+
+# flag help, where the flag's name says too little
+_HELP = {
+    "field": "semicolon-separated component formulas",
+    "vars": "comma-separated coordinate names",
+    "point": "comma-separated coordinates: the start (flow), t,r (primary), t,x0,x (nrlimit)",
+    "charge": "scalar charge formula (phase checks, with --psi)",
+    "psi": "test function formula (nrlimit: psi(t, x), default heat kernel)",
+    "order": "series oracle order (with --charge and --psi)",
+    "seed": "seed for random test points",
+    "eps": "eps(t) formula (Laurent polynomial)",
+    "c_values": "comma-separated c grid",
+    "metric": "metric definition file",
+    "f": "worldline formula f(t)",
+    "grid": "tmin,tmax,xmin,xmax,nt,nx",
 }
 
 
@@ -462,75 +506,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand gets --config, --output and one flag per key it
+    reads; every flag is text, which _checked converts.  Prefix matching
+    is off, so a mistyped flag is an error, not another flag."""
     parser = _Parser(
         prog="svflow",
         description="flows, generator algebra, limits, curvature, frames: "
         "compute and verify",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="INI file with a [run] section")
         p.add_argument("--output", help="directory for CSV reports")
-        p.add_argument("--seed", type=int, help="seed for random test points")
-        p.add_argument("--abs-tol", dest="abs_tol", type=float)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--max-steps", dest="max_steps", type=int)
-
-    p = sub.add_parser("flow", help="integrate a flow and check the pushforward")
-    p.add_argument("--field", help="semicolon-separated component formulas")
-    p.add_argument("--vars", help="comma-separated coordinate names")
-    p.add_argument("--point", help="comma-separated start coordinates")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--charge", help="scalar charge formula (enables phase checks)")
-    p.add_argument("--psi", help="test function formula")
-    p.add_argument("--order", type=int, help="series oracle order")
-    common(p)
-
-    p = sub.add_parser("virasoro", help="bracket residual table")
-    p.add_argument("--max-index", dest="max_index", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--m", type=float)
-    p.add_argument("--chi", type=float)
-    p.add_argument("--N", dest="n_aniso", type=float)
-    common(p)
-
-    p = sub.add_parser("primary", help="finite transformation law")
-    p.add_argument("--eps", help="eps(t) formula (Laurent polynomial)")
-    p.add_argument("--chi", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--N", dest="n_aniso", type=float)
-    p.add_argument("--point", help="t,r")
-    p.add_argument("--rho", type=float)
-    common(p)
-
-    p = sub.add_parser("nrlimit", help="contraction and KG/diffusion identities")
-    p.add_argument("--psi", help="psi(t, x) formula; default heat kernel")
-    p.add_argument("--m", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--point", help="t,x0,x")
-    p.add_argument("--c-values", dest="c_values", help="comma-separated c grid")
-    common(p)
-
-    p = sub.add_parser("curvature", help="curvature gates and block-formula report")
-    p.add_argument("--metric", help="metric definition file")
-    p.add_argument("--points", type=int)
-    common(p)
-
-    p = sub.add_parser("frame", help="solve accelerated-frame coordinates")
-    p.add_argument("--f", help="worldline formula f(t)")
-    p.add_argument("--c", type=float)
-    p.add_argument("--grid", help="tmin,tmax,xmin,xmax,nt,nx")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    common(p)
-
-    p = sub.add_parser("correlator", help="half-space correlator checks")
-    common(p)
-
-    p = sub.add_parser("verify-all", help="run every acceptance criterion")
-    common(p)
-
+        for key in command.keys:
+            p.add_argument(_flag(key), dest=key, help=_HELP.get(key))
     return parser
 
 
@@ -547,9 +538,8 @@ def run(argv: list[str] | None = None) -> int:
             print("svflow: error: no subcommand given", file=sys.stderr)
             return 2
         out_dir = Path(_merge(args, cfg, "output", "reports"))
-        seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
         with derivative_memo():
-            summary = _RUNNERS[command](args, cfg, out_dir, seed)
+            summary = _COMMANDS[command].run(args, cfg, out_dir)
     except ConfigError as err:
         print(f"svflow: config error: {err}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from .fieldcalc import (
     ScalarField,
     SvflowError,
     VectorField,
-    compile_expression,  # unused here; perfbench/layertrace.py traces this binding
+    compile_expression,  # unused here; perfbench/tests asserts the tracer rebinds it
     evaluate,
 )
 

@@ -122,9 +122,10 @@ def test_each_criterion_call_starts_with_an_empty_derivative_memo(monkeypatch):
 def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     seen = []
     criterion = _memo_recorder(seen)
-    monkeypatch.setitem(
-        cli._RUNNERS, "correlator", lambda args, cfg, out, seed: [criterion(seed).key]
+    probe = cli._COMMANDS["correlator"]._replace(
+        run=lambda args, cfg, out: [criterion(verification.DEFAULT_SEED).key]
     )
+    monkeypatch.setitem(cli._COMMANDS, "correlator", probe)
     assert run(["correlator", "--output", str(tmp_path)]) == 0
     assert run(["correlator", "--output", str(tmp_path)]) == 0
     assert [fresh for _, fresh in seen] == [True, True]

@@ -78,14 +78,18 @@ def test_flow_subcommand_with_charge(tmp_path):
     assert "apply_exponential" in body and "pushforward_residual" in body
 
 
-def test_curvature_with_metric_file(tmp_path):
+def _sphere_metric(tmp_path):
     metric = tmp_path / "sphere.metric"
     metric.write_text(
         "dim = 2\ncoords = theta, phi\nsplit = theta | phi\n"
         "g[0,0] = 1\ng[1,1] = sin(theta)^2\n"
     )
+    return metric
+
+
+def test_curvature_with_metric_file(tmp_path):
     out = tmp_path / "r"
-    code = run(["curvature", "--metric", str(metric), "--output", str(out)])
+    code = run(["curvature", "--metric", str(_sphere_metric(tmp_path)), "--output", str(out)])
     assert code == 0
     assert (out / "curvature.csv").exists()
 
@@ -381,3 +385,128 @@ def test_missing_metric_file_is_a_config_error(tmp_path, capsys):
         assert run(["curvature", "--metric", str(path), "--output", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("svflow: config error: metric file") and len(err.splitlines()) == 1
+
+
+# ------------------------------------------------- the keys each command reads
+
+
+def test_each_command_reads_exactly_the_keys_it_declares(monkeypatch, tmp_path):
+    from svflow import cli
+
+    argvs = {
+        "flow": ["--field", "t;-r", "--vars", "t,r", "--point", "1,0.5",
+                 "--rho", "0.3", "--charge", "0.2*t", "--psi", "t*r"],
+        "virasoro": ["--max-index", "1", "--points", "2"],
+        "primary": [],
+        "nrlimit": [],
+        "curvature": ["--metric", str(_sphere_metric(tmp_path)), "--points", "3"],
+        "frame": ["--grid", "0,0.5,-0.3,0.35,11,11"],
+        "correlator": [],
+        "verify-all": [],
+    }
+    assert set(argvs) == set(cli._COMMANDS)
+    # the bundle itself is the acceptance tests' business
+    monkeypatch.setattr(cli.verification, "run_all", lambda seed: ([], {}))
+    merge, read = cli._merge, set()
+
+    def recording_merge(args, cfg, key, default=None):
+        read.add(key)
+        return merge(args, cfg, key, default)
+
+    monkeypatch.setattr(cli, "_merge", recording_merge)
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    for name, argv in argvs.items():
+        read.clear()
+        assert run([name, *argv, "--output", str(tmp_path / "r")]) == 0, name
+        declared = set(cli._COMMANDS[name].keys)
+        assert read == declared | {"output"}, name
+        dests = {a.dest for a in subparsers[name]._actions} - {"help"}
+        assert dests == declared | {"config", "output"}, name
+
+
+_REMOVED_FLAGS = [
+    ("flow", "--seed"),
+    ("primary", "--seed"),
+    ("frame", "--seed"),
+    *[
+        (command, flag)
+        for command in ("virasoro", "nrlimit", "curvature", "correlator", "verify-all")
+        for flag in ("--abs-tol", "--rel-tol", "--max-steps")
+    ],
+    ("nrlimit", "--seed"),
+    ("curvature", "--seed"),
+]
+
+
+@pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    assert len(_REMOVED_FLAGS) == 20
+    assert run([command, flag, "1", "--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        f"svflow: config error: unrecognized arguments: {flag} 1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["flow", "--field", "t", "--vars", "t", "--point", "1", "--m", "3"], "--m"),
+        (["nrlimit", "--c-v", "10,20"], "--c-v"),
+    ],
+)
+def test_an_abbreviated_flag_is_a_usage_error(argv, flag, tmp_path, capsys):
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"svflow: config error: unrecognized arguments: {flag} ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, needed",
+    [
+        (["curvature", "--points", "5"], "--points", "--metric"),
+        (_FLOW + ["--point", "1,0.5", "--order", "4"], "--order", "--charge and --psi"),
+        (_FLOW + ["--point", "1,0.5", "--charge", "t"], "--charge", "--charge and --psi"),
+        (_FLOW + ["--point", "1,0.5", "--psi", "t*r"], "--psi", "--charge and --psi"),
+    ],
+)
+def test_a_flag_read_only_with_another_is_a_config_error(
+    argv, flag, needed, tmp_path, capsys
+):
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        f"svflow: config error: {flag} is read only with {needed}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        # read by flow only with a psi, and by curvature only with a metric
+        ("flow", "field = t;-r\nvars = t,r\npoint = 1,0.5\norder = 4\ncharge = t\n"),
+        ("curvature", "points = 5\n"),
+        # the README's example: primary does not read the seed, the others do
+        ("primary", "eps = 1 + 0.1*t + 0.05*t^2\nchi = 0.7\nm = 1.3\n"
+                    "point = 0.5,1.2\nseed = 42\n"),
+    ],
+)
+def test_a_field_the_command_does_not_read_is_tolerated(command, body, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\ncommand = {command}\n{body}")
+    assert run([command, "--config", str(cfg), "--output", str(tmp_path / "r")]) == 0
+
+
+def test_a_field_no_command_reads_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ncommand = correlator\nsede = 3\n")
+    assert run(["correlator", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        "svflow: config error: field 'sede': no command reads it\n"
+    )
+
+
+def test_a_non_numeric_flag_names_the_flag(tmp_path, capsys):
+    assert run(["correlator", "--seed", "x", "--output", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error: flag 'seed': invalid literal for int()")
+    assert len(err.splitlines()) == 1
