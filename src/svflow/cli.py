@@ -7,8 +7,9 @@ error.  Reports carry no timestamps and all randomness flows through the
 --seed flag, so identical invocations produce byte-identical CSVs.
 
 Each subcommand declares in _COMMANDS the keys it reads: one flag each,
-and one key = value field of a config file's [run] section (command
-selects the subcommand); explicit flags override file values.
+and one key = value field of a config file's [run] section; explicit
+flags override file values.  The subcommand comes from the command line;
+a file's optional command field must name the same one.
 """
 
 from __future__ import annotations
@@ -356,8 +357,7 @@ def _run_curvature(args, cfg, out_dir: Path):
         summary = "file metric residuals: " + ", ".join(
             f"{k}={v:.2e}" for k, v in rep.max_residuals.items()
         )
-        worst = rep.max_residuals["riemann_block"]
-        failure = f"block Riemann residual {worst:.2e} above 1e-7" if worst > 1e-7 else None
+        failure = verification.block_riemann_failure(rep)
     _write_csv(
         out_dir / "curvature.csv", ("metric", "quantity", "point", "value"), rows
     )
@@ -420,23 +420,14 @@ def _run_verify_all(args, cfg, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, payload in bundle.items():
         (out_dir / name).write_bytes(payload)
-    lines = []
-    for r in results:
-        lines.append(f"{r.status} {r.key} ({r.runtime_s:.2f}s): {r.detail}")
+    lines = [f"{r.status} {r.key} ({r.runtime_s:.2f}s): {r.detail}" for r in results]
     failing = [r.key for r in results if not r.passed]
-    over_budget = [
-        r.key
-        for r in results
-        if r.key in verification.RUNTIME_BUDGETS
-        and r.runtime_s >= verification.RUNTIME_BUDGETS[r.key]
-    ]
+    budgets = verification.RUNTIME_BUDGETS
+    over_budget = [r.key for r in results if r.key in budgets and r.runtime_s >= budgets[r.key]]
     lines.append(f"reports written to {out_dir}")
-    if failing or over_budget:
-        parts = []
-        if failing:
-            parts.append("failing criteria: " + ", ".join(failing))
-        if over_budget:
-            parts.append("over runtime budget: " + ", ".join(over_budget))
+    parts = [f"{label}: {', '.join(keys)}" for label, keys in
+             (("failing criteria", failing), ("over runtime budget", over_budget)) if keys]
+    if parts:
         raise VerificationFailure("; ".join(parts) + "\n" + "\n".join(lines))
     return lines
 
@@ -529,14 +520,14 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig()
-        if getattr(args, "config", None):
-            cfg = load_config(args.config)
-        command = args.command or cfg.command
+        command = args.command
         if command is None:
             parser.print_usage(sys.stderr)
             print("svflow: error: no subcommand given", file=sys.stderr)
             return 2
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if cfg.command not in (None, command):
+            raise ConfigError(f"the config file is for {cfg.command!r}, not {command!r}")
         out_dir = Path(_merge(args, cfg, "output", "reports"))
         with derivative_memo():
             summary = _COMMANDS[command].run(args, cfg, out_dir)

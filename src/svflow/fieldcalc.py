@@ -32,7 +32,10 @@ not be the same node and callers compare by evaluation instead.
 Evaluation has one compiler, compile_expressions: a batch of expressions
 becomes one flat register program in which every distinct subexpression
 runs once.  compile_expression and evaluate are single-expression
-shorthands for it.
+shorthands for it.  Programs are memoized by their roots (a bounded LRU
+per derivative_memo() block, else per context), and a memoized program
+that keeps running is generated as straight-line Python; both tiers give
+bitwise the same values and errors.
 
 Power semantics: an exponent that evaluates to an integer is valid for
 any base (0 excluded for negative exponents); a non-integer exponent
@@ -47,6 +50,7 @@ import contextvars
 import math
 import re
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -427,8 +431,12 @@ def _eval_pow(b: float, e: float) -> float:
     return _check_finite(v, "pow")
 
 
+def _eval_neg(x: float) -> float:
+    return -x
+
+
 _UNARY_EVAL: dict[type, Callable[[float], float]] = {
-    Neg: lambda x: -x,
+    Neg: _eval_neg,
     Exp: _eval_exp,
     Log: _eval_log,
     Sqrt: _eval_sqrt,
@@ -534,6 +542,136 @@ def _nodes(e: Expression) -> list[Expression]:
     return out
 
 
+# Programs.  compile_expressions memoizes programs of at most
+# MAX_MEMO_OPS operations, keyed by the ids of their roots and the variable
+# order; hash-consing makes equal batches the same key, and the memo keeps
+# its roots alive, so no id() is reused while an entry lives.  The memo is
+# an LRU of MEMO_PROGRAMS entries; derivative_memo() opens a fresh one.
+# A memoized program is first interpreted (one helper call per operation);
+# requested again after GENERATE_AFTER_RUNS runs, it is generated as one
+# straight-line Python function doing the same operations in the same
+# order.  The constants, measured on 2 cores with Python 3.11.7:
+# - GENERATE_AFTER_RUNS: for the flow programs of the benchmark's five
+#   cases (1 to 12 operations, with and without the Jacobian), generation
+#   takes 66 to 380 us against 5 to 25 us for the interpreter's compile,
+#   and evaluation gets 2.9 to 4.9 times faster (shear2d with its Jacobian
+#   2.16 -> 0.56 us), so generation pays back after 130 to 260 runs.
+#   The pointwise benchmark re-requests a program after a median of 96
+#   runs (a flow runs its program four times a step), series_deep after
+#   1 to 4, so codegen goes to the programs that keep running.
+# - MAX_MEMO_OPS: Python's compile() of generated code peaks at about
+#   9.3 KB per operation (256 ops 2.4 MB, 1,000 ops 9.3 MB), against a
+#   bound of 4 MB on the benchmark's 42 MB peak.
+# - MEMO_PROGRAMS: a pointwise benchmark sweep requests 24 distinct
+#   programs, 176 times in all; 32 hold them all.
+GENERATE_AFTER_RUNS = 64
+MAX_MEMO_OPS = 256
+MEMO_PROGRAMS = 32
+
+# The program memo of the innermost derivative_memo() block, else of the
+# context (each thread has its own), made on first use.
+_PROGRAMS: contextvars.ContextVar[OrderedDict] = contextvars.ContextVar("svflow_programs")
+
+
+def _bad_variable(name: str, v: float):
+    raise DomainError(f"variable {name} is {'NaN' if v != v else 'infinite'}")
+
+
+# the helpers that generated code inlines, with their operator
+_INLINE = {_eval_add: "+", _eval_sub: "-", _eval_mul: "*", _eval_div: "/"}
+
+
+class _Program:
+    """A batch of expressions as a flat register program: registers with
+    the constants preset, variable loads, operations (slot, helper, i, j)
+    in first-occurrence post-order and the slots of the roots."""
+
+    __slots__ = ("exprs", "regs", "loads", "ops", "roots", "runs", "run", "generated")
+
+    def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None):
+        position = None if order is None else {name: i for i, name in enumerate(order)}
+        self.exprs = exprs  # keeps every node, and so every id() below, alive
+        self.regs: list[float | None] = []
+        self.loads: list[tuple[int, str, str | int]] = []  # slot, name, key into env
+        self.ops: list[tuple[int, Callable, int, int | None]] = []
+
+        def number(node: Expression, operands: list[int]) -> int:
+            slot = len(self.regs)
+            self.regs.append(node.value if isinstance(node, Const) else None)
+            if operands:
+                j = operands[1] if len(operands) == 2 else None
+                self.ops.append((slot, _EVAL[type(node)], operands[0], j))
+            elif isinstance(node, Var):
+                name = node.name
+                self.loads.append((slot, name, name if position is None else position[name]))
+            return slot
+
+        slots = _fold(exprs, number)
+        self.roots = [slots[id(e)] for e in exprs]
+        self.runs = [0]  # shared with the interpreter, which holds no self
+        self.run = self._interpreter()
+        self.generated = False
+
+    def _interpreter(self) -> Callable[..., list[float]]:
+        regs, loads, prog, roots, runs = self.regs, self.loads, self.ops, self.roots, self.runs
+
+        def run(env) -> list[float]:
+            runs[0] += 1
+            reg = regs[:]
+            for slot, name, key in loads:
+                v = reg[slot] = env[key]
+                if v - v != 0.0:  # exactly when v is infinite or NaN
+                    _bad_variable(name, v)
+            for slot, fn, i, j in prog:
+                reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
+            return [reg[k] for k in roots]
+
+        return run
+
+    def generate(self) -> Callable[..., list[float]]:
+        """The program as one Python function.  + - * / and negation are
+        inline with the helpers' finiteness test; where a test fails, the
+        helper itself runs and raises its DomainError.  Constants, names
+        and helpers are bound by name, so no formula text reaches the
+        source."""
+        src = {}  # slot -> the Python name holding its value
+        bound: dict[str, object] = {"_bad_variable": _bad_variable}
+        for slot, v in enumerate(self.regs):
+            if v is not None:
+                src[slot] = f"c{slot}"
+                bound[src[slot]] = v
+        body = []
+        for slot, name, key in self.loads:
+            r = src[slot] = f"r{slot}"
+            bound[f"n{slot}"] = name
+            k = key if isinstance(key, int) else f"n{slot}"
+            body += [f"{r} = env[{k}]", f"if {r} - {r} != 0.0: _bad_variable(n{slot}, {r})"]
+        for slot, fn, i, j in self.ops:
+            r = src[slot] = f"r{slot}"
+            a = src[i]
+            if fn is _eval_neg:
+                body.append(f"{r} = -{a}")
+                continue
+            bound[fn.__name__] = fn
+            if j is None:
+                body.append(f"{r} = {fn.__name__}({a})")
+                continue
+            b = src[j]
+            call = f"{fn.__name__}({a}, {b})"
+            if fn not in _INLINE:
+                body.append(f"{r} = {call}")
+                continue
+            if fn is _eval_div:
+                body.append(f"if {b} == 0.0: {call}")
+            body += [f"{r} = {a} {_INLINE[fn]} {b}", f"if {r} - {r} != 0.0: {call}"]
+        body.append(f"return [{', '.join(src[k] for k in self.roots)}]")
+        text = (f"def make({', '.join(bound)}):\n    def run(env):\n        "
+                + "\n        ".join(body) + "\n    return run\n")
+        namespace: dict[str, Callable] = {}
+        exec(compile(text, "<svflow program>", "exec"), namespace)
+        return namespace["make"](**bound)
+
+
 def compile_expressions(exprs: Iterable[Expression],
                         order: Iterable[str] | None = None) -> Callable[..., list[float]]:
     """Compile a batch of expressions into one register program.
@@ -546,40 +684,29 @@ def compile_expressions(exprs: Iterable[Expression],
     first-occurrence post-order through the _eval_* helpers, so the values
     and the first DomainError are those of evaluating each expression
     alone, in order.  A NaN or infinite variable is a DomainError.
+    Programs are memoized and hot ones generated as Python (see above);
+    both tiers give bitwise the same values and errors.
     """
     exprs = list(exprs)
-    position = None if order is None else {name: i for i, name in enumerate(order)}
-    regs: list[float | None] = []  # constants preset, the rest set by run
-    loads: list[tuple[int, str, str | int]] = []  # slot, name, key into env
-    prog: list[tuple[int, Callable, int, int | None]] = []
-
-    def number(node: Expression, operands: list[int]) -> int:
-        slot = len(regs)
-        regs.append(node.value if isinstance(node, Const) else None)
-        if operands:
-            j = operands[1] if len(operands) == 2 else None
-            prog.append((slot, _EVAL[type(node)], operands[0], j))
-        elif isinstance(node, Var):
-            name = node.name
-            loads.append((slot, name, name if position is None else position[name]))
-        return slot
-
-    slots = _fold(exprs, number)
-    roots = [slots[id(e)] for e in exprs]
-
-    def run(env) -> list[float]:
-        reg = regs[:]
-        for slot, name, key in loads:
-            v = reg[slot] = env[key]
-            if v - v != 0.0:  # exactly when v is infinite or NaN
-                raise DomainError(
-                    f"variable {name} is {'NaN' if v != v else 'infinite'}"
-                )
-        for slot, fn, i, j in prog:
-            reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
-        return [reg[k] for k in roots]
-
-    return run
+    order = None if order is None else tuple(order)
+    key = (*map(id, exprs), order)
+    memo = _PROGRAMS.get(None)
+    if memo is None:
+        memo = OrderedDict()
+        _PROGRAMS.set(memo)
+    program = memo.get(key)
+    if program is None:
+        program = _Program(exprs, order)
+        if len(program.ops) <= MAX_MEMO_OPS:
+            memo[key] = program
+            if len(memo) > MEMO_PROGRAMS:
+                memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+        if not program.generated and program.runs[0] >= GENERATE_AFTER_RUNS:
+            program.run = program.generate()
+            program.generated = True
+    return program.run
 
 
 def compile_expression(e: Expression) -> Callable[[Mapping[str, float] | Point], float]:
@@ -608,16 +735,19 @@ _DERIVATIVES: contextvars.ContextVar[
 
 @contextlib.contextmanager
 def derivative_memo():
-    """Keep every derivative that differentiate builds inside the block.
+    """Keep every derivative that differentiate builds inside the block,
+    and open a fresh program memo for compile_expressions.
 
     Each block starts empty and drops its results on exit, so nothing is
     shared between two blocks and the unique table shrinks afterwards.
     Results are the very nodes differentiate returns outside a block.
     """
     token = _DERIVATIVES.set(({}, []))
+    programs = _PROGRAMS.set(OrderedDict())
     try:
         yield
     finally:
+        _PROGRAMS.reset(programs)
         _DERIVATIVES.reset(token)
 
 

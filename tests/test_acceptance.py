@@ -94,14 +94,17 @@ def test_reports_match_golden_bundle(suite):
 
 
 def _memo_recorder(seen, key="c99_memo"):
-    """A stand-in criterion that records the derivative memo it runs in,
-    then fills it."""
+    """A stand-in criterion that records the derivative and program memos
+    it runs in, then fills both."""
 
     def criterion(seed):
-        memo = fieldcalc._DERIVATIVES.get()
-        seen.append((memo, memo is not None and memo == ({}, [])))
+        memo, programs = fieldcalc._DERIVATIVES.get(), fieldcalc._PROGRAMS.get()
+        fresh = memo == ({}, []) and len(programs) == 0
+        seen.append((memo, fresh, programs))
         t = fieldcalc.Var("t")
-        fieldcalc.differentiate(fieldcalc.Mul(t, fieldcalc.Sin(t)), "t")
+        d = fieldcalc.differentiate(fieldcalc.Mul(t, fieldcalc.Sin(t)), "t")
+        fieldcalc.evaluate(d, {"t": 0.5})
+        assert len(programs) == 1
         return verification.CriterionResult(key, "memo probe", True, "", ("x",), [(1,)])
 
     return criterion
@@ -114,8 +117,9 @@ def test_each_criterion_call_starts_with_an_empty_derivative_memo(monkeypatch):
     results, _ = run_all(seed=1)
     assert [r.key for r in results][-1] == "c11_determinism" and results[-1].passed
     assert len(seen) == 6  # three criteria, two passes
-    assert all(fresh for _, fresh in seen)
-    assert len({id(memo) for memo, _ in seen}) == 6
+    assert all(fresh for _, fresh, _ in seen)
+    assert len({id(memo) for memo, _, _ in seen}) == 6
+    assert len({id(programs) for _, _, programs in seen} | {id(fieldcalc._PROGRAMS.get(None))}) == 7
     assert fieldcalc._DERIVATIVES.get() is None
 
 
@@ -128,8 +132,9 @@ def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     monkeypatch.setitem(cli._COMMANDS, "correlator", probe)
     assert run(["correlator", "--output", str(tmp_path)]) == 0
     assert run(["correlator", "--output", str(tmp_path)]) == 0
-    assert [fresh for _, fresh in seen] == [True, True]
+    assert [fresh for _, fresh, _ in seen] == [True, True]
     assert seen[0][0] is not seen[1][0]
+    assert len({id(seen[0][2]), id(seen[1][2]), id(fieldcalc._PROGRAMS.get(None))}) == 3
     assert fieldcalc._DERIVATIVES.get() is None
 
 

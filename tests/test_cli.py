@@ -229,6 +229,16 @@ def test_config_without_a_command_key(tmp_path):
     assert run(["correlator", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 0
 
 
+def test_config_naming_another_command_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\ncommand = primary\n")
+    assert run(["correlator", "--config", str(cfg), "--output", str(tmp_path / "r")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["svflow: config error: the config file is for 'primary', "
+                     "not 'correlator'"]
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_supplies_command_and_output(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\ncommand = correlator\noutput = {tmp_path / 'r'}\n")

@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -572,6 +573,184 @@ def test_batch_raises_the_first_error_in_order():
             compile_expressions(batch)(env)
         assert str(batched.value) == str(one_by_one.value)
         assert str(batched.value).startswith(first)
+
+
+# ------------------------------------------------ program memo and generated code
+
+# state-variable names as flowexp builds them: none is a Python identifier
+_STATE_NAMES = ["t", "r", "_T", "_J[0,1]", "__J[1,0]"]
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320, 1e154, 2.0, -1.5]
+) | st.floats(-1e3, 1e3)
+
+
+def _outcome(run, env):
+    """Bits of the values, or the kind and message of the DomainError."""
+    try:
+        return bits(run(env))
+    except DomainError as err:
+        return err.kind, str(err)
+
+
+@st.composite
+def named_batches(draw):
+    """Batches over state-variable names, sharing subtrees as shared_batches
+    does, with a variable order that may hold names no root reads."""
+    pool = [Var(n) for n in _STATE_NAMES] + draw(
+        st.lists(st.sampled_from(_LEAVES) | st.floats(-1e3, 1e3).map(Const), max_size=3)
+    )
+    index = st.integers(0, 10**6)
+    for _ in range(draw(st.integers(1, 16))):
+        cls = draw(st.sampled_from(_OPS))
+        a = pool[draw(index) % len(pool)]
+        pool.append(cls(a) if issubclass(cls, fc._Unary) else cls(a, pool[draw(index) % len(pool)]))
+    roots = [pool[draw(index) % len(pool)] for _ in range(draw(st.integers(1, 5)))]
+    return roots, draw(st.permutations(_STATE_NAMES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_batches(), st.lists(_EDGE_VALUES, min_size=5, max_size=5), st.booleans())
+def test_generated_program_matches_the_interpreter(batch, values, by_position):
+    exprs, order = batch
+    program = fc._Program(exprs, tuple(order) if by_position else None)
+    env = values if by_position else dict(zip(order, values))
+    assert _outcome(program.generate(), env) == _outcome(program.run, env)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_batches(), _EDGE_VALUES, _EDGE_VALUES)
+def test_generated_program_matches_the_reference(exprs, tv, rv):
+    env = {"t": tv, "r": rv}
+    program = fc._Program(exprs, None)
+    assert _outcome(program.generate(), env) == _outcome(program.run, env)
+    if all(math.isfinite(v) for v in env.values()):
+        values, error = reference_batch(exprs, env)
+        if error is None:
+            assert bits(program.generate()(env)) == bits(values)
+
+
+_FORMULAS = st.recursive(
+    st.sampled_from(["t", "r", "pi", "0", "2", "0.5", "1e308", "1e-320"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(sorted(fc.FUNCTIONS)), inner).map(lambda p: f"{p[0]}({p[1]})"),
+        inner.map(lambda s: f"-{s}"),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FORMULAS, min_size=1, max_size=3), _EDGE_VALUES, _EDGE_VALUES)
+def test_generated_program_of_parsed_formulas(texts, tv, rv):
+    exprs = [parse_expression(text, ("t", "r")) for text in texts]
+    program = fc._Program(exprs, ("r", "t"))
+    assert _outcome(program.generate(), [rv, tv]) == _outcome(program.run, [rv, tv])
+
+
+@pytest.mark.parametrize("text, t, r", [
+    ("t / r", 1.0, 0.0), ("t / r", 1.0, -0.0), ("t / r", 1e308, 1e-10),
+    ("t * r", 1e308, 10.0), ("t + r", 1e308, 1e308), ("t - r", -1e308, 1e308),
+    ("-t", 0.0, 1.0), ("-(t * r)", 0.0, -1.0), ("t^r", -2.0, 0.5), ("log(t) + r", 0.0, 1.0),
+    ("t + r", math.nan, math.inf), ("t + r", 1.0, -math.inf), ("exp(t) * r", 710.0, 1.0),
+])
+def test_generated_program_raises_and_rounds_as_the_interpreter(text, t, r):
+    program = fc._Program([parse_expression(text, ["t", "r"])], None)
+    env = {"t": t, "r": r}
+    assert _outcome(program.generate(), env) == _outcome(program.run, env)
+
+
+def _hot(run, times=fc.GENERATE_AFTER_RUNS):
+    for _ in range(times):
+        run({"t": 0.5, "r": 2.0})
+
+
+def test_hot_program_is_generated_on_the_next_request():
+    e = [parse_expression("exp(-r^2/t) * sin(t) - 0.5/r", ["t", "r"])]
+    with fc.derivative_memo():
+        first = compile_expressions(e)
+        _hot(first, fc.GENERATE_AFTER_RUNS - 1)
+        assert compile_expressions(e) is first  # one run short: still interpreted
+        first({"t": 0.5, "r": 2.0})
+        generated = compile_expressions(e)
+        assert generated is not first
+        assert compile_expressions(e) is generated
+        assert bits(generated({"t": 0.5, "r": 2.0})) == bits(first({"t": 0.5, "r": 2.0}))
+        (program,) = fc._PROGRAMS.get().values()
+        assert program.generated and program.run is generated
+
+
+def test_same_roots_in_another_order_are_another_program():
+    e = [fc.Sub(Var("a"), Var("b"))]
+    with fc.derivative_memo():
+        ab, ba = compile_expressions(e, ["a", "b"]), compile_expressions(e, ["b", "a"])
+        by_name = compile_expressions(e)
+        assert len({id(ab), id(ba), id(by_name)}) == 3
+        assert compile_expressions(e, ("a", "b")) is ab
+        assert ab([3.0, 1.0]) == [2.0] and ba([3.0, 1.0]) == [-2.0]
+        assert by_name({"a": 3.0, "b": 1.0}) == [2.0]
+        assert len(fc._PROGRAMS.get()) == 3
+
+
+def test_each_thread_has_its_own_program_memo():
+    e = [Mul(Var("t"), Const(0.375))]
+    run = compile_expressions(e)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(compile_expressions(e)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and seen[0] is not run
+    assert compile_expressions(e) is run
+
+
+def _chain(n_ops):
+    e = Var("t")
+    for k in range(n_ops):
+        e = Add(e, Const(k + 0.5))
+    return [e]
+
+
+def test_program_above_the_cap_is_neither_memoized_nor_generated():
+    with fc.derivative_memo():
+        at_cap, above = _chain(fc.MAX_MEMO_OPS), _chain(fc.MAX_MEMO_OPS + 1)
+        big = compile_expressions(above)
+        _hot(big)
+        again = compile_expressions(above)
+        assert again is not big and not fc._PROGRAMS.get()
+        assert again({"t": 1.0}) == big({"t": 1.0})
+        _hot(compile_expressions(at_cap))
+        compile_expressions(at_cap)
+        (program,) = fc._PROGRAMS.get().values()
+        assert program.generated and len(program.ops) == fc.MAX_MEMO_OPS
+
+
+def test_program_memo_is_a_bounded_lru():
+    batches = [[Mul(Var("t"), Const(k + 0.5))] for k in range(fc.MEMO_PROGRAMS + 1)]
+    with fc.derivative_memo():
+        runs = [compile_expressions(b) for b in batches[:-1]]
+        assert compile_expressions(batches[0]) is runs[0]  # now the most recent
+        compile_expressions(batches[-1])
+        memo = fc._PROGRAMS.get()
+        assert len(memo) == fc.MEMO_PROGRAMS
+        assert compile_expressions(batches[0]) is runs[0]
+        assert compile_expressions(batches[1]) is not runs[1]  # evicted
+
+
+def test_unique_table_shrinks_after_a_program_memo_exits():
+    gc.collect()
+    before = len(fc._TABLE)
+    with fc.derivative_memo():
+        e = Var("t")
+        for k in range(120):  # 240 operations, below the cap
+            e = Add(Mul(Const(1.0 + k / 1024), e), Var(f"x{k}"))
+        env = {"t": 1.0, **{f"x{k}": 0.0 for k in range(120)}}
+        value = compile_expressions([e])(env)
+        del e
+        gc.collect()
+        held = len(fc._TABLE)  # the memo keeps the roots alive
+    gc.collect()
+    assert value[0] > 0 and held > before + 400
+    assert len(fc._TABLE) == before
 
 
 # ---------------------------------------------------------------- simplify
