@@ -34,7 +34,8 @@ from .fieldcalc import (
     scalar_field,
     vector_field,
 )
-from .flowexp import Tolerance
+from .flowexp import DEFAULT_TOLERANCE, Tolerance
+
 
 class ConfigError(SvflowError):
     pass
@@ -141,11 +142,12 @@ def _write_csv(path: Path, columns, rows):
     path.write_bytes(verification.render_csv(columns, rows))
 
 
-def _tolerance(args, cfg, absolute=1e-10, relative=1e-9) -> Tolerance:
-    absolute = _merge(args, cfg, "abs_tol", absolute)
-    relative = _merge(args, cfg, "rel_tol", relative)
-    max_steps = _merge(args, cfg, "max_steps", 10**6)
-    return Tolerance(absolute=absolute, relative=relative, max_steps=max_steps)
+def _tolerance(args, cfg, default: Tolerance = DEFAULT_TOLERANCE) -> Tolerance:
+    return Tolerance(
+        absolute=_merge(args, cfg, "abs_tol", default.absolute),
+        relative=_merge(args, cfg, "rel_tol", default.relative),
+        max_steps=_merge(args, cfg, "max_steps", default.max_steps),
+    )
 
 
 def _sv_params(args, cfg) -> svgen.SVParams:
@@ -158,9 +160,17 @@ def _sv_params(args, cfg) -> svgen.SVParams:
         raise ConfigError(str(err)) from err
 
 
+def _require(gates) -> None:
+    """A VerificationFailure naming the first gate that fails."""
+    for gate in gates:
+        if not gate.passed:
+            raise VerificationFailure(gate.failure())
+
+
 # --------------------------------------------------------------------------
 # Subcommand bodies.  Each writes its CSV report, returns its summary
-# lines and raises VerificationFailure when an asserted invariant misses.
+# lines and asserts the gates of its claim, which the criteria of
+# verification share.
 
 
 def _run_flow(args, cfg, out_dir: Path):
@@ -189,14 +199,10 @@ def _run_flow(args, cfg, out_dir: Path):
 
     res = flowexp.integrate_flow(B, x, rho, tol)
     variational = flowexp.integrate_flow(B, x, rho, tol, jacobian=True)
-    J = variational.jacobian
+    J, n = variational.jacobian, len(chart)
     push = flowexp.pushforward_defect(B, x, variational)
     rows = [("endpoint", i, v) for i, v in enumerate(res.endpoint.coords)]
-    rows += [
-        ("jacobian", i * len(chart) + j, float(J[i, j]))
-        for i in range(len(chart))
-        for j in range(len(chart))
-    ]
+    rows += [("jacobian", i * n + j, float(J[i, j])) for i in range(n) for j in range(n)]
     rows.append(("pushforward_residual", "", push))
     summary = [
         f"endpoint: {res.endpoint.coords} in {res.steps} steps "
@@ -216,11 +222,7 @@ def _run_flow(args, cfg, out_dir: Path):
             f"difference {abs(applied - series):.3e}"
         )
     _write_csv(out_dir / "flow.csv", ("quantity", "index", "value"), rows)
-    bound = 10 * (tol.absolute + tol.relative)
-    if push > bound:
-        raise VerificationFailure(
-            f"pushforward residual {push:.3e} above {bound:.1e}"
-        )
+    _require([verification.pushforward_gate(push, tol)])
     return summary
 
 
@@ -244,8 +246,7 @@ def _run_virasoro(args, cfg, out_dir: Path):
         f"bracket residuals for |m|,|n| <= {max_index} over {n_points} points: "
         f"worst {worst:.3e}"
     ]
-    if worst > 1e-8:
-        raise VerificationFailure(f"bracket residual {worst:.3e} above 1e-8")
+    _require([verification.bracket_gate(worst)])
     return summary
 
 
@@ -262,10 +263,11 @@ def _run_primary(args, cfg, out_dir: Path):
     t, r = coords
     rho = _merge(args, cfg, "rho", 1.0)
     tol = _tolerance(args, cfg)
-    psi = scalar_field("exp(-r^2 / (1 + t^2))", svgen.CHART)
+    psi = scalar_field(verification.PRIMARY_PSI, svgen.CHART)
     tr = svgen.primary_transform(eps, p, t, r, rho, tol)
     flow_res = svgen.primary_vs_flow_residual(eps, p, psi, t, r, rho, tol)
-    form_res = svgen.weight_form_residual(eps, p, t, r, rho, tol)
+    jac_res, defect = svgen.weight_form_terms(eps, p, t, r, rho, tol)
+    form_res = jac_res + defect
     rows = [
         ("t_prime", tr.t_prime),
         ("r_prime", tr.r_prime),
@@ -279,10 +281,10 @@ def _run_primary(args, cfg, out_dir: Path):
         f"t' = {tr.t_prime!r}, r' = {tr.r_prime!r}, prefactor = {tr.prefactor!r}",
         f"flow-comparison residual {flow_res:.3e}, weight-form residual {form_res:.3e}",
     ]
-    if flow_res > 1e-7:
-        raise VerificationFailure(f"primary/flow residual {flow_res:.3e} above 1e-7")
-    if form_res > 1e-8:
-        raise VerificationFailure(f"weight-form residual {form_res:.3e} above 1e-8")
+    _require([
+        verification.primary_flow_gate(flow_res),
+        *verification.weight_form_gates(form_res, jac_res),
+    ])
     return summary
 
 
@@ -299,18 +301,13 @@ def _run_nrlimit(args, cfg, out_dir: Path):
         raise ConfigError("nrlimit --point needs t,x0,x")
     psi_text = _merge(args, cfg, "psi")
     is_heat_default = psi_text is None
-    psi = (
-        nrlimit.heat_kernel(p)
-        if is_heat_default
-        else scalar_field(psi_text, nrlimit.PSI_CHART)
-    )
+    psi = (nrlimit.heat_kernel(p) if is_heat_default
+           else scalar_field(psi_text, nrlimit.PSI_CHART))
     c_values = _merge(args, cfg, "c_values", [10.0, 100.0, 1000.0])
 
     contraction = nrlimit.contraction_residual(psi, p, *point)
     kg = nrlimit.kg_diffusion_residual(psi, p, point)
-    slope = nrlimit.diffusion_defect_scaling(
-        psi, p, c_values, (point[0], 0.0, point[2])
-    )
+    slope = nrlimit.diffusion_defect_scaling(psi, p, c_values, (point[0], 0.0, point[2]))
     rows = [
         ("contraction_residual", contraction),
         ("kg_identity_residual", kg.identity_residual),
@@ -325,14 +322,10 @@ def _run_nrlimit(args, cfg, out_dir: Path):
         f"defect split: diffusion {kg.diffusion_term:.3e}, relativistic "
         f"{kg.relativistic_term:.3e}; slope vs c: {slope:.4f}",
     ]
-    if contraction > 1e-10:
-        raise VerificationFailure(f"contraction residual {contraction:.3e} above 1e-10")
-    if kg.identity_residual > 1e-10:
-        raise VerificationFailure(
-            f"KG identity residual {kg.identity_residual:.3e} above 1e-10"
-        )
-    if is_heat_default and abs(slope + 2.0) > 0.05:
-        raise VerificationFailure(f"defect slope {slope:.4f} outside -2 +- 0.05")
+    gates = verification.nr_identity_gates(contraction, kg.identity_residual)
+    if is_heat_default:
+        gates.append(verification.defect_slope_gate(slope))
+    _require(gates)
     return summary
 
 
@@ -341,8 +334,7 @@ def _run_curvature(args, cfg, out_dir: Path):
     if metric_path is None:
         _refuse_flags(args, ("points",), "--metric")
         result = verification.criterion_curvature()
-        rows, summary = result.rows, result.detail
-        failure = None if result.passed else "curvature criterion failed"
+        rows, summary, gates = result.rows, result.detail, result.gates
     else:
         try:
             G, split = geomcurv.load_metric_file(metric_path)
@@ -357,12 +349,9 @@ def _run_curvature(args, cfg, out_dir: Path):
         summary = "file metric residuals: " + ", ".join(
             f"{k}={v:.2e}" for k, v in rep.max_residuals.items()
         )
-        failure = verification.block_riemann_failure(rep)
-    _write_csv(
-        out_dir / "curvature.csv", ("metric", "quantity", "point", "value"), rows
-    )
-    if failure:
-        raise VerificationFailure(failure)
+        gates = [verification.block_riemann_gate(rep.max_residuals)]
+    _write_csv(out_dir / "curvature.csv", ("metric", "quantity", "point", "value"), rows)
+    _require(gates)
     return [summary]
 
 
@@ -379,7 +368,7 @@ def _run_frame(args, cfg, out_dir: Path):
         )
     except ValueError as err:
         raise ConfigError(f"frame --grid: {err}") from err
-    tol = _tolerance(args, cfg, absolute=1e-8, relative=1e-8)
+    tol = _tolerance(args, cfg, accframe.FRAME_TOLERANCE)
     max_iter = _merge(args, cfg, "max_iter", 100)
     try:
         traj = accframe.Trajectory.from_formula(f_text, c=c)
@@ -398,10 +387,7 @@ def _run_frame(args, cfg, out_dir: Path):
         f"boundary residuals: |x'(t,f(t))| <= {bx:.2e}, "
         f"|t'(t,f(t)) - tau| <= {bt:.2e}",
     ]
-    if not fm.converged:
-        raise VerificationFailure(
-            f"frame iteration did not converge (residual {fm.residual:.3e})"
-        )
+    _require(verification.frame_gates(fm.converged, bx, bt))
     return summary
 
 
@@ -409,8 +395,7 @@ def _run_correlator(args, cfg, out_dir: Path):
     seed = _merge(args, cfg, "seed", verification.DEFAULT_SEED)
     result = verification.criterion_correlator(seed)
     _write_csv(out_dir / "correlator.csv", result.columns, result.rows)
-    if not result.passed:
-        raise VerificationFailure(result.detail)
+    _require(result.gates)
     return [result.detail]
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Sequence
 
 from . import fieldcalc as fc
 from . import flowexp
@@ -66,7 +68,8 @@ class EpsilonFn:
     """eps(t) = sum_n eps_n t^{n+1} with finitely many nonzero terms.
 
     Terms with n <= -2 make eps singular at t = 0; evaluation there
-    raises DomainError.
+    raises DomainError, and so does eps or eps' overflowing (kind
+    "overflow").
     """
 
     terms: tuple[tuple[int, float], ...]
@@ -100,61 +103,34 @@ class EpsilonFn:
             raise ValueError(f"{text!r} is the zero function")
         return cls.from_coefficients(coeffs)
 
-    def _power_value(self, t: float, k: int) -> float:
-        if k == 0:
-            return 1.0
-        if t == 0.0 and k < 0:
-            raise DomainError("eps term with negative power evaluated at t = 0")
-        return fc._eval_pow(float(t), k)
+    @cached_property
+    def _roots(self) -> tuple[Expression, Expression]:
+        return self.expression("t", 0), self.expression("t", 1)
 
-    # A term or the sum that overflows is a DomainError of kind "overflow".
+    def program(self) -> Callable[[Sequence[float]], list[float]]:
+        """[eps(t), eps'(t)] from [t]: one compiled program.  It is fetched
+        from the program memo on each call, so it lives in the innermost
+        derivative_memo() block and turns into generated code when hot."""
+        return fc.compile_expressions(self._roots, ("t",))
 
     def value(self, t: float) -> float:
-        return fc._check_finite(
-            sum(c * self._power_value(t, n + 1) for n, c in self.terms), "eps"
-        )
+        return self.program()([float(t)])[0]
 
     def deriv(self, t: float) -> float:
-        return fc._check_finite(
-            sum(
-                c * (n + 1) * self._power_value(t, n)
-                for n, c in self.terms
-                if n + 1 != 0
-            ),
-            "eps'",
-        )
-
-    def deriv2(self, t: float) -> float:
-        return fc._check_finite(
-            sum(
-                c * (n + 1) * n * self._power_value(t, n - 1)
-                for n, c in self.terms
-                if n + 1 != 0 and n != 0
-            ),
-            "eps''",
-        )
-
-    def _monomial_expr(self, var: str, coeff: float, k: int) -> Expression:
-        if coeff == 0.0:
-            return fc.ZERO
-        if k == 0:
-            return Const(coeff)
-        base = fc.pow_(Var(var), Const(float(k)))
-        return fc.mul(Const(coeff), base)
+        return self.program()([float(t)])[1]
 
     def expression(self, var: str = "t", order: int = 0) -> Expression:
         """Symbolic eps (order 0), eps' (1) or eps'' (2)."""
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
         total: Expression = fc.ZERO
         for n, c in self.terms:
-            if order == 0:
-                term = self._monomial_expr(var, c, n + 1)
-            elif order == 1:
-                term = self._monomial_expr(var, c * (n + 1), n)
-            elif order == 2:
-                term = self._monomial_expr(var, c * (n + 1) * n, n - 1)
-            else:
-                raise ValueError("order must be 0, 1 or 2")
-            total = fc.add(total, term)
+            k = n + 1
+            for _ in range(order):
+                c, k = c * k, k - 1
+            if c != 0.0:
+                term = fc.pow_(Var(var), Const(float(k))) if k else fc.ONE
+                total = fc.add(total, fc.mul(Const(c), term))
         return total
 
 
@@ -288,15 +264,6 @@ def apply_generator(eps: EpsilonFn, p: SVParams, u: Expression) -> Expression:
     return fc.neg(flowexp.apply_operator(B, C, u))
 
 
-def _apply_bracket_target(
-    coeffs: dict[int, float], p: SVParams, u: Expression
-) -> Expression:
-    if not coeffs:
-        return fc.ZERO
-    lam = EpsilonFn.from_coefficients(coeffs)
-    return apply_generator(lam, p, u)
-
-
 def bracket_residual(
     eps: EpsilonFn,
     eta: EpsilonFn,
@@ -316,7 +283,8 @@ def bracket_residual(
         apply_generator(eps, p, apply_generator(eta, p, u)),
         apply_generator(eta, p, apply_generator(eps, p, u)),
     )
-    target = _apply_bracket_target(bracket_eps(eps, eta), p, u)
+    coeffs = bracket_eps(eps, eta)
+    target = apply_generator(EpsilonFn.from_coefficients(coeffs), p, u) if coeffs else fc.ZERO
     residual = fc.sub(lhs, target)
     if fc.node_count(residual) > max_nodes:
         raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
@@ -341,7 +309,8 @@ def solve_tprime(
     defining integral is then re-evaluated by independent adaptive
     quadrature and must agree with rho.
     """
-    e_start = eps.value(t)
+    run = eps.program()
+    e_start = run([float(t)])[0]
     if e_start == 0.0:
         raise EpsilonRootError(f"eps vanishes at the start point t = {t}")
     B = VectorField(("t",), (eps.expression("t", 0),))
@@ -351,7 +320,7 @@ def solve_tprime(
     sign = math.copysign(1.0, e_start)
 
     def integrand(tau: float) -> float:
-        v = eps.value(tau)
+        v = run([tau])[0]
         if v == 0.0 or math.copysign(1.0, v) != sign:
             raise EpsilonRootError(f"eps root encountered on path at t = {tau}")
         return 1.0 / v
@@ -381,7 +350,10 @@ def primary_transform(
     """Finite transformation of a primary field: t', r' and the scalar
     prefactor multiplying psi(t', r')."""
     t_prime = solve_tprime(eps, t, rho, tol)
-    ratio = eps.value(t_prime) / eps.value(t)
+    run = eps.program()
+    e_tp, d_tp = run([t_prime])
+    e_t, d_t = run([float(t)])
+    ratio = e_tp / e_t
     if ratio <= 0.0:
         raise NegativeScaleRatioError(
             f"eps(t')/eps(t) = {ratio:.3e} is not positive"
@@ -391,8 +363,7 @@ def primary_transform(
     k = p.r_exponent
     weight = fc._eval_pow(ratio, p.N * p.chi / 2.0)
     arg = (p.m / 4.0) * (
-        fc._eval_pow(r_prime, k) * eps.deriv(t_prime) / eps.value(t_prime)
-        - fc._eval_pow(r, k) * eps.deriv(t) / eps.value(t)
+        fc._eval_pow(r_prime, k) * d_tp / e_tp - fc._eval_pow(r, k) * d_t / e_t
     )
     return PrimaryTransform(
         t_prime=t_prime, r_prime=r_prime, prefactor=weight * fc._eval_exp(arg)
@@ -433,16 +404,19 @@ def weight_form_terms(
     computed independently through the variational equation.
     """
     tr = primary_transform(eps, p, t, r, rho, tol)
-    if eps.value(t) <= 0.0 or eps.value(tr.t_prime) <= 0.0:
+    run = eps.program()
+    e_t, d_t = run([float(t)])
+    e_tp, d_tp = run([tr.t_prime])
+    if e_t <= 0.0 or e_tp <= 0.0:
         raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
     B1 = VectorField(("t",), (eps.expression("t", 0),))
     flow = flowexp.integrate_flow(B1, Point(("t",), (t,)), rho, tol, jacobian=True)
     jac = flow.jacobian[0, 0]
-    ratio = eps.value(tr.t_prime) / eps.value(t)
+    ratio = e_tp / e_t
 
     k = p.r_exponent
-    sdot_t = eps.deriv(t) / eps.value(t)
-    sdot_tp = eps.deriv(tr.t_prime) / eps.value(tr.t_prime)
+    sdot_t = d_t / e_t
+    sdot_tp = d_tp / e_tp
     lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * sdot_t)
     rhs = fc._eval_pow(jac, p.N * p.chi / 2.0) * fc._eval_exp(
         (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * sdot_tp

@@ -2,7 +2,7 @@
 and the test suite.
 
 Every criterion runs fixed, versioned cases at pinned tolerances and
-returns a CriterionResult carrying a pass flag, a human-readable detail
+returns a CriterionResult carrying its gates, a human-readable detail
 line, and the rows of its CSV report.  Randomness enters only through an
 explicit seed, so two runs with the same seed produce byte-identical
 reports.
@@ -32,6 +32,7 @@ from .fieldcalc import (
     ScalarField,
     VectorField,
     derivative_memo,
+    parse_expression,
     scalar_field,
     vector_field,
 )
@@ -50,25 +51,117 @@ RUNTIME_BUDGETS = {
 }
 
 
+# --------------------------------------------------------------------------
+# Gates.  A gate is one pass/fail check of a claim: a measured value and
+# its bound, passing when value <= bound.  Each bound is written once,
+# here; the criteria check it on their fixed cases and the CLI
+# subcommands on the user's values, through the same gate builders.
+
+FLOW_ORDER = 7.0  # c01: the log-log slope of the factorization gap
+FLOW_SLOPE_BOUND = 0.3  # c01: |slope - FLOW_ORDER|
+FLOW_GAP_BOUND = 1e-7  # c01: the gap at rho = 0.1
+KEY_LEMMA_BOUND = 1e-8  # c02
+BRACKET_BOUND = 1e-8  # c03, virasoro
+PRIMARY_FLOW_BOUND = 1e-7  # c04, primary
+CLOSED_FORM_BOUND = 1e-10  # c04
+WEIGHT_FORM_BOUND = 1e-8  # c05, primary: the form residual and dt'/dt alike
+NR_IDENTITY_BOUND = 1e-10  # c06, nrlimit: contraction and KG identity alike
+DEFECT_SLOPE = -2.0  # c06, nrlimit: the heat-kernel defect slope vs c
+DEFECT_SLOPE_BOUND = 0.05  # |slope - DEFECT_SLOPE|
+BARUT_BOUND = 1e-8  # c07
+ORACLE_BOUND = 1e-9  # c08: unit sphere, Riemann symmetries, additivity
+BLOCK_RIEMANN_BOUND = 1e-7  # c08, curvature --metric
+LORENTZ_BOUND = 1e-6  # c09
+PROPER_TIME_BOUND = 1e-9  # c09
+FRAME_BOUNDARY_BOUND = 1e-8  # c09, frame: both boundary residuals
+CORRELATOR_BOUND = 1e-10  # c10
+SPECIAL_CASE_BOUND = 1e-12  # c10
+PUSHFORWARD_TOL_FACTOR = 10  # flow: the bound in units of abs + rel tolerance
+EXACT = 0  # a count of mismatches: c03's table, c09's convergence, c11's files
+
+
+def fmt_bound(v: float) -> str:
+    """A bound as the reports print it: 1e-8, 0.05, -2."""
+    mantissa, e, exponent = f"{v:g}".partition("e")
+    return mantissa + e + str(int(exponent)) if e else mantissa
+
+
+@dataclass(frozen=True)
+class Gate:
+    label: str
+    value: float  # an int for a count
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
+
+    def failure(self) -> str:
+        value = self.value if isinstance(self.value, int) else f"{self.value:.3e}"
+        return f"{self.label} {value} above {fmt_bound(self.bound)}"
+
+    def report(self, what: str) -> str:
+        return f"{what} {self.value:.2e} (bound {fmt_bound(self.bound)})"
+
+
+def bracket_gate(worst: float) -> Gate:
+    return Gate("bracket residual", worst, BRACKET_BOUND)
+
+
+def primary_flow_gate(worst: float) -> Gate:
+    return Gate("primary/flow residual", worst, PRIMARY_FLOW_BOUND)
+
+
+def weight_form_gates(form: float, jacobian: float) -> list[Gate]:
+    return [Gate("weight-form residual", form, WEIGHT_FORM_BOUND),
+            Gate("dt'/dt residual", jacobian, WEIGHT_FORM_BOUND)]
+
+
+def nr_identity_gates(contraction: float, kg_identity: float) -> list[Gate]:
+    return [Gate("contraction residual", contraction, NR_IDENTITY_BOUND),
+            Gate("KG identity residual", kg_identity, NR_IDENTITY_BOUND)]
+
+
+def defect_slope_gate(slope: float) -> Gate:
+    label = f"defect slope distance from {fmt_bound(DEFECT_SLOPE)}"
+    return Gate(label, abs(slope - DEFECT_SLOPE), DEFECT_SLOPE_BOUND)
+
+
+def block_riemann_gate(max_residuals: dict[str, float]) -> Gate:
+    """From the max_residuals of one or more BlockComparisonReports."""
+    worst = max_residuals["riemann_block"]
+    return Gate("block Riemann formula vs direct", worst, BLOCK_RIEMANN_BOUND)
+
+
+def frame_gates(converged: bool, bx: float, bt: float) -> list[Gate]:
+    """A frame solve's convergence and its two boundary residuals."""
+    return [Gate("unconverged frame solves", int(not converged), EXACT),
+            Gate("boundary x' residual", bx, FRAME_BOUNDARY_BOUND),
+            Gate("boundary t' residual", bt, FRAME_BOUNDARY_BOUND)]
+
+
+def pushforward_gate(residual: float, tol: Tolerance) -> Gate:
+    bound = PUSHFORWARD_TOL_FACTOR * (tol.absolute + tol.relative)
+    return Gate("pushforward residual", residual, bound)
+
+
 @dataclass
 class CriterionResult:
     key: str
     title: str
-    passed: bool
+    gates: list[Gate]
     detail: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     runtime_s: float = 0.0
 
     @property
+    def passed(self) -> bool:
+        return all(gate.passed for gate in self.gates)
+
+    @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
-
-
-def fmt_csv_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def render_csv(columns, rows) -> bytes:
@@ -76,7 +169,7 @@ def render_csv(columns, rows) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([fmt_csv_value(v) for v in row])
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
@@ -93,45 +186,24 @@ class FlowCase:
     x: Point
 
 
+# name, chart, B's components, C, psi, start point
+_FLOW_CASES = (
+    ("poly1d", ("t",), ["0.4*t^2 + 0.6"], "0.5*t", "t^2 + t", (0.7,)),
+    ("exp1d", ("t",), ["0.8*t"], "0.4*t", "exp(0.5*t)", (0.9,)),
+    ("rot2d", ("t", "r"), ["r", "-t"], "0.4*t*r", "t^2 + 0.5*r^2 + t", (0.8, 0.5)),
+    ("shear2d", ("t", "r"), ["0.7*t + 0.3*r", "0.5*r"], "0.6*r", "exp(0.3*t) * r", (0.6, 0.9)),
+    ("mix3d", ("u", "v", "w"), ["v", "0.6*w", "0.5*u"], "0.5*u + 0.3*v*w", "u*v + w^2 + u",
+     (0.5, 0.7, 0.6)),
+)
+
+
 def flow_cases() -> list[FlowCase]:
     """Five fixed polynomial/exponential cases in dimensions 1 to 3,
     scaled so the seventh-order term is measurable in doubles."""
     return [
-        FlowCase(
-            "poly1d",
-            vector_field(["0.4*t^2 + 0.6"], ("t",)),
-            scalar_field("0.5*t", ("t",)),
-            scalar_field("t^2 + t", ("t",)),
-            Point(("t",), (0.7,)),
-        ),
-        FlowCase(
-            "exp1d",
-            vector_field(["0.8*t"], ("t",)),
-            scalar_field("0.4*t", ("t",)),
-            scalar_field("exp(0.5*t)", ("t",)),
-            Point(("t",), (0.9,)),
-        ),
-        FlowCase(
-            "rot2d",
-            vector_field(["r", "-t"], ("t", "r")),
-            scalar_field("0.4*t*r", ("t", "r")),
-            scalar_field("t^2 + 0.5*r^2 + t", ("t", "r")),
-            Point(("t", "r"), (0.8, 0.5)),
-        ),
-        FlowCase(
-            "shear2d",
-            vector_field(["0.7*t + 0.3*r", "0.5*r"], ("t", "r")),
-            scalar_field("0.6*r", ("t", "r")),
-            scalar_field("exp(0.3*t) * r", ("t", "r")),
-            Point(("t", "r"), (0.6, 0.9)),
-        ),
-        FlowCase(
-            "mix3d",
-            vector_field(["v", "0.6*w", "0.5*u"], ("u", "v", "w")),
-            scalar_field("0.5*u + 0.3*v*w", ("u", "v", "w")),
-            scalar_field("u*v + w^2 + u", ("u", "v", "w")),
-            Point(("u", "v", "w"), (0.5, 0.7, 0.6)),
-        ),
+        FlowCase(name, vector_field(B, chart), scalar_field(C, chart),
+                 scalar_field(psi, chart), Point(chart, x))
+        for name, chart, B, C, psi, x in _FLOW_CASES
     ]
 
 
@@ -148,34 +220,31 @@ def _fit_slope(rhos, diffs, floor=FIT_FLOOR):
 
 def criterion_flow_factorization(seed: int = DEFAULT_SEED) -> CriterionResult:
     rows = []
-    passed = True
+    gates = []
     details = []
     for case in flow_cases():
         terms = flowexp.series_terms(case.B, case.C, case.psi, case.x, 6)
         diffs = []
         for rho in FIT_RHOS:
-            lhs = flowexp.apply_exponential(
-                case.B, case.C, case.psi, case.x, rho, TIGHT
-            )
-            rhs = sum(
-                rho**n / math.factorial(n) * terms[n] for n in range(7)
-            )
+            lhs = flowexp.apply_exponential(case.B, case.C, case.psi, case.x, rho, TIGHT)
+            rhs = sum(rho**n / math.factorial(n) * terms[n] for n in range(7))
             d = abs(lhs - rhs)
             diffs.append(d)
             rows.append((case.name, rho, d))
         slope = _fit_slope(FIT_RHOS, diffs)
-        ok = (
-            slope is not None
-            and abs(slope - 7.0) <= 0.3
-            and diffs[-1] <= 1e-7
-        )
-        passed &= ok
-        rows.append((case.name, "slope", slope if slope is not None else math.nan))
+        distance = math.inf if slope is None else abs(slope - FLOW_ORDER)
+        gates += [
+            Gate(f"{case.name} slope distance from {fmt_bound(FLOW_ORDER)}", distance,
+                 FLOW_SLOPE_BOUND),
+            Gate(f"{case.name} gap at rho = 0.1", diffs[-1], FLOW_GAP_BOUND),
+        ]
+        slope = math.nan if slope is None else slope
+        rows.append((case.name, "slope", slope))
         details.append(f"{case.name}: slope={slope:.3f} diff(0.1)={diffs[-1]:.2e}")
     return CriterionResult(
         key="c01_flow_factorization",
         title="flow factorization: |exp route - series order 6| ~ rho^7",
-        passed=passed,
+        gates=gates,
         detail="; ".join(details),
         columns=("case", "rho", "difference"),
         rows=rows,
@@ -189,11 +258,12 @@ def criterion_key_lemma(seed: int = DEFAULT_SEED) -> CriterionResult:
         res = flowexp.pushforward_residual(case.B, case.x, 0.5)
         rows.append((case.name, res))
         worst = max(worst, res)
+    gate = Gate("pushforward residual", worst, KEY_LEMMA_BOUND)
     return CriterionResult(
         key="c02_key_lemma",
         title="pushforward residual at rho = 0.5",
-        passed=worst <= 1e-8,
-        detail=f"worst residual {worst:.2e} (bound 1e-8)",
+        gates=[gate],
+        detail=gate.report("worst residual"),
         columns=("case", "residual"),
         rows=rows,
     )
@@ -232,19 +302,16 @@ def criterion_virasoro(seed: int = DEFAULT_SEED) -> CriterionResult:
     p = svgen.SVParams(m=1.3, chi=0.7, N=1.0)
     table = virasoro_residuals(p, seed)
     rows = [(m, n, res, seed) for m, n, res in table]
-    worst = max(res for _, _, res in table)
-    algebra_ok = all(
-        svgen.monomial_bracket(m, n) == (float(m - n), m + n)
-        for m in range(-3, 4)
-        for n in range(-3, 4)
-    )
-    passed = worst <= 1e-8 and algebra_ok
+    bracket = bracket_gate(max(res for _, _, res in table))
+    span = range(-3, 4)
+    wrong = sum(svgen.monomial_bracket(m, n) != (m - n, m + n) for m in span for n in span)
+    monomials = Gate("monomial table mismatches", wrong, EXACT)
     return CriterionResult(
         key="c03_virasoro_bracket",
         title="Virasoro bracket residuals, |m|,|n| <= 3",
-        passed=passed,
-        detail=f"worst residual {worst:.2e} (bound 1e-8); "
-        f"monomial table {'exact' if algebra_ok else 'WRONG'}; seed {seed}",
+        gates=[bracket, monomials],
+        detail=f"{bracket.report('worst residual')}; "
+        f"monomial table {'exact' if monomials.passed else 'WRONG'}; seed {seed}",
         columns=("m", "n", "max_residual", "seed"),
         rows=rows,
     )
@@ -254,37 +321,35 @@ PRIMARY_EPS = svgen.EpsilonFn.from_coefficients({-1: 1.0, 0: 0.1, 1: 0.05})
 PRIMARY_PARAMS = svgen.SVParams(m=1.3, chi=0.7, N=1.0)
 PRIMARY_GRID_T = tuple(float(t) for t in np.linspace(0.2, 1.0, 5))
 PRIMARY_GRID_R = tuple(float(r) for r in np.linspace(0.5, 2.0, 5))
+PRIMARY_PSI = "exp(-r^2 / (1 + t^2))"  # c04, primary: the test function
 
 
 def criterion_primary(seed: int = DEFAULT_SEED) -> CriterionResult:
-    psi = scalar_field("exp(-r^2 / (1 + t^2))", svgen.CHART)
+    psi = scalar_field(PRIMARY_PSI, svgen.CHART)
     rows = []
     worst = 0.0
     for t in PRIMARY_GRID_T:
         for r in PRIMARY_GRID_R:
-            res = svgen.primary_vs_flow_residual(
-                PRIMARY_EPS, PRIMARY_PARAMS, psi, t, r
-            )
+            res = svgen.primary_vs_flow_residual(PRIMARY_EPS, PRIMARY_PARAMS, psi, t, r)
             worst = max(worst, res)
             rows.append((t, r, res))
-    tr = svgen.primary_transform(
-        svgen.EpsilonFn.monomial(0), PRIMARY_PARAMS, 1.0, 1.0, 1.0, TIGHT
-    )
+    eps_t = svgen.EpsilonFn.monomial(0)
+    tr = svgen.primary_transform(eps_t, PRIMARY_PARAMS, 1.0, 1.0, 1.0, TIGHT)
     closed = (
         abs(tr.t_prime - math.e),
         abs(tr.r_prime - math.sqrt(math.e)),
         abs(tr.prefactor - math.exp(PRIMARY_PARAMS.chi / 2.0)),
     )
-    rows.append(("closed_form_t", "", closed[0]))
-    rows.append(("closed_form_r", "", closed[1]))
-    rows.append(("closed_form_prefactor", "", closed[2]))
-    passed = worst <= 1e-7 and max(closed) <= 1e-10
+    for name, err in zip(("closed_form_t", "closed_form_r", "closed_form_prefactor"), closed):
+        rows.append((name, "", err))
+    flow = primary_flow_gate(worst)
+    closed_form = Gate("closed-form error", max(closed), CLOSED_FORM_BOUND)
     return CriterionResult(
         key="c04_primary_transform",
         title="primary transformation law vs flow route",
-        passed=passed,
-        detail=f"worst grid residual {worst:.2e} (bound 1e-7); "
-        f"closed-form errors {max(closed):.2e} (bound 1e-10)",
+        gates=[flow, closed_form],
+        detail=f"{flow.report('worst grid residual')}; "
+        f"{closed_form.report('closed-form errors')}",
         columns=("t", "r", "residual"),
         rows=rows,
     )
@@ -292,8 +357,7 @@ def criterion_primary(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
     rows = []
-    worst_form = 0.0
-    worst_jac = 0.0
+    worst_form = worst_jac = 0.0
     for t in PRIMARY_GRID_T:
         for r in PRIMARY_GRID_R:
             jac_res, defect = svgen.weight_form_terms(PRIMARY_EPS, PRIMARY_PARAMS, t, r)
@@ -301,13 +365,13 @@ def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
             worst_form = max(worst_form, form_res)
             worst_jac = max(worst_jac, jac_res)
             rows.append((t, r, form_res, jac_res))
-    passed = worst_form <= 1e-8 and worst_jac <= 1e-8
+    gates = weight_form_gates(worst_form, worst_jac)
     return CriterionResult(
         key="c05_scale_form",
         title="time-dependent-scale reformulation",
-        passed=passed,
-        detail=f"worst form residual {worst_form:.2e}, "
-        f"worst dt'/dt residual {worst_jac:.2e} (bounds 1e-8)",
+        gates=gates,
+        detail=f"worst form residual {worst_form:.2e}, worst dt'/dt residual "
+        f"{worst_jac:.2e} (bounds {fmt_bound(gates[0].bound)})",
         columns=("t", "r", "form_residual", "jacobian_residual"),
         rows=rows,
     )
@@ -326,28 +390,29 @@ def criterion_nr_limit(seed: int = DEFAULT_SEED) -> CriterionResult:
     p = nrlimit.RelParams(m=1.1, c=2.0, h=1.0)
     point = (0.5, 0.25, 0.8)
     rows = []
-    worst = 0.0
+    worst_contraction = worst_kg = 0.0
     for text in NR_TEST_FUNCTIONS:
         psi = scalar_field(text, nrlimit.PSI_CHART)
         contraction = nrlimit.contraction_residual(psi, p, *point)
         kg = nrlimit.kg_diffusion_residual(psi, p, point)
-        worst = max(worst, contraction, kg.identity_residual)
+        worst_contraction = max(worst_contraction, contraction)
+        worst_kg = max(worst_kg, kg.identity_residual)
         rows.append((text, contraction, kg.identity_residual))
-    heat = nrlimit.heat_kernel(nrlimit.RelParams(m=1.0, c=1.0, h=1.0))
+    unit = nrlimit.RelParams(m=1.0, c=1.0, h=1.0)
     slope = nrlimit.diffusion_defect_scaling(
-        heat,
-        nrlimit.RelParams(m=1.0, c=1.0, h=1.0),
-        [10.0, 100.0, 1000.0],
-        (0.9, 0.0, 0.3),
+        nrlimit.heat_kernel(unit), unit, [10.0, 100.0, 1000.0], (0.9, 0.0, 0.3)
     )
     rows.append(("heat_kernel_defect_slope", slope, ""))
-    passed = worst <= 1e-10 and abs(slope + 2.0) <= 0.05
+    identity = nr_identity_gates(worst_contraction, worst_kg)
+    slope_gate = defect_slope_gate(slope)
+    worst = max(worst_contraction, worst_kg)
     return CriterionResult(
         key="c06_nr_limit",
         title="contraction and KG/diffusion identities, defect scaling",
-        passed=passed,
-        detail=f"worst identity residual {worst:.2e} (bound 1e-10); "
-        f"defect slope {slope:.4f} (target -2 +- 0.05)",
+        gates=[*identity, slope_gate],
+        detail=f"worst identity residual {worst:.2e} "
+        f"(bound {fmt_bound(identity[0].bound)}); defect slope {slope:.4f} "
+        f"(target {fmt_bound(DEFECT_SLOPE)} +- {fmt_bound(slope_gate.bound)})",
         columns=("psi", "contraction_residual", "kg_identity_residual"),
         rows=rows,
     )
@@ -358,8 +423,6 @@ BARUT_CASES = (("1", 0.5), ("t", 1.0), ("1 + t^2", 0.3))
 
 def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
     p = nrlimit.RelParams(m=1.0, c=1.0, h=1.0)
-    from .fieldcalc import parse_expression
-
     rows = []
     worst = 0.0
     for text, t_start in BARUT_CASES:
@@ -368,36 +431,24 @@ def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
             res = nrlimit.barut_flow_identity(f, p, t_start, rho, TIGHT)
             worst = max(worst, res)
             rows.append((text, rho, res))
+    gate = Gate("lift identity residual", worst, BARUT_BOUND)
     return CriterionResult(
         key="c07_barut_identity",
         title="reparametrized lift identity for f in {1, t, 1+t^2}",
-        passed=worst <= 1e-8,
-        detail=f"worst residual {worst:.2e} (bound 1e-8)",
+        gates=[gate],
+        detail=gate.report("worst residual"),
         columns=("f", "rho", "residual"),
         rows=rows,
     )
 
 
-BLOCK_RIEMANN_BOUND = 1e-7  # block Riemann formula against the direct pipeline
-
-
-def block_riemann_failure(rep: geomcurv.BlockComparisonReport) -> str | None:
-    """Why rep's block Riemann residual is above BLOCK_RIEMANN_BOUND, or None."""
-    worst, bound = rep.max_residuals["riemann_block"], BLOCK_RIEMANN_BOUND
-    return f"block Riemann residual {worst:.2e} above {bound:g}" if worst > bound else None
-
-
 def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
     rows = []
-    checks = []
 
     sphere = geomcurv.METRIC_SUITE["sphere_unit"]
     bundle = geomcurv.curvature_direct(sphere.metric)
-    sphere_err = max(
-        abs(bundle.at(env).scalar - 2.0) for env in sphere.sample_envs(8)
-    )
+    sphere_err = max(abs(bundle.at(env).scalar - 2.0) for env in sphere.sample_envs(8))
     rows.append(("sphere_unit", "scalar_minus_2", -1, sphere_err))
-    checks.append(("R(unit sphere) = 2", sphere_err <= 1e-9))
 
     sym_worst = 0.0
     for name in ("sphere_radius", "warped_exp", "offdiag_block", "cross_4d"):
@@ -405,27 +456,20 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
         b = geomcurv.curvature_direct(s.metric)
         for k, env in enumerate(s.sample_envs(5)):
             R = b.at(env).riemann
-            sym = max(
-                float(np.max(np.abs(R + R.transpose(1, 0, 2, 3)))),
-                float(np.max(np.abs(R + R.transpose(0, 1, 3, 2)))),
-                float(np.max(np.abs(R - R.transpose(2, 3, 0, 1)))),
-                float(
-                    np.max(
-                        np.abs(R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2))
-                    )
-                ),
-            )
+            sym = max(float(np.max(np.abs(defect))) for defect in (
+                R + R.transpose(1, 0, 2, 3),
+                R + R.transpose(0, 1, 3, 2),
+                R - R.transpose(2, 3, 0, 1),
+                R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2),
+            ))
             sym_worst = max(sym_worst, sym)
             rows.append((name, "riemann_symmetries", k, sym))
-    checks.append(("Riemann symmetries", sym_worst <= 1e-9))
 
-    eq37_ok, report_worst = True, dict.fromkeys(geomcurv.FORMULA_NAMES, 0.0)
+    report_worst = dict.fromkeys(geomcurv.FORMULA_NAMES, 0.0)
     for name, s in geomcurv.METRIC_SUITE.items():
         rep = geomcurv.block_vs_direct_residual(s.metric, s.split, s.sample_envs(20))
-        eq37_ok = block_riemann_failure(rep) is None and eq37_ok
         rows += [(name, *row) for row in rep.rows]
         report_worst = {k: max(v, rep.max_residuals[k]) for k, v in report_worst.items()}
-    checks.append(("block Riemann formula vs direct", eq37_ok))
 
     prod = geomcurv.METRIC_SUITE["spheres_product"]
     expected = 2.0 / 1.3**2 + 2.0 / 0.7**2
@@ -434,17 +478,19 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
         for env in prod.sample_envs(6)
     )
     rows.append(("spheres_product", "additivity", -1, add_err))
-    checks.append(("scalar additivity", add_err <= 1e-9))
 
-    passed = all(ok for _, ok in checks)
+    gates = [
+        Gate("R(unit sphere) = 2", sphere_err, ORACLE_BOUND),
+        Gate("Riemann symmetries", sym_worst, ORACLE_BOUND),
+        block_riemann_gate(report_worst),
+        Gate("scalar additivity", add_err, ORACLE_BOUND),
+    ]
     report_txt = ", ".join(f"{k}={v:.1e}" for k, v in report_worst.items())
     return CriterionResult(
         key="c08_curvature",
         title="curvature oracle gates and block-formula report",
-        passed=passed,
-        detail="; ".join(
-            f"{label}: {'ok' if ok else 'FAIL'}" for label, ok in checks
-        )
+        gates=gates,
+        detail="; ".join(f"{g.label}: {'ok' if g.passed else 'FAIL'}" for g in gates)
         + f"; informational residuals: {report_txt}",
         columns=("metric", "quantity", "point", "value"),
         rows=rows,
@@ -452,13 +498,9 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
-    rows = []
-
     traj = accframe.Trajectory.from_formula("0.6*t", c=1.0)
     grid = accframe.GridSpec(0.0, 1.0, -1.0, 1.2, nt=200, nx=200)
-    fm = accframe.solve_frame_map(
-        traj, grid, Tolerance(absolute=1e-10, relative=1e-10)
-    )
+    fm = accframe.solve_frame_map(traj, grid, Tolerance(absolute=1e-10, relative=1e-10))
     gamma = 1.25
     T, X = np.meshgrid(fm.t_grid, fm.x_grid, indexing="ij")
     lorentz_err = max(
@@ -466,28 +508,25 @@ def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
         float(np.max(np.abs(fm.t_prime - gamma * (T - 0.6 * X)))),
     )
     bx, bt = fm.boundary_residuals()
-    rows.append(("lorentz_max_error", lorentz_err))
-    rows.append(("boundary_x_residual", bx))
-    rows.append(("boundary_t_residual", bt))
 
     acc = accframe.Trajectory.from_formula("0.25*t^2", c=1.0)
     closed = 0.5 * math.sqrt(0.75) + math.asin(0.5)
     tau_err = abs(accframe.proper_time(acc, 0.0, 1.0, TIGHT) - closed)
-    rows.append(("proper_time_error", tau_err))
-
-    passed = (
-        fm.converged
-        and lorentz_err <= 1e-6
-        and tau_err <= 1e-9
-        and bx <= 1e-8
-        and bt <= 1e-8
-    )
+    rows = [
+        ("lorentz_max_error", lorentz_err),
+        ("boundary_x_residual", bx),
+        ("boundary_t_residual", bt),
+        ("proper_time_error", tau_err),
+    ]
+    lorentz = Gate("lorentz error", lorentz_err, LORENTZ_BOUND)
+    tau = Gate("proper-time error", tau_err, PROPER_TIME_BOUND)
+    solve = frame_gates(fm.converged, bx, bt)
     return CriterionResult(
         key="c09_frame",
         title="accelerated-frame solver gates",
-        passed=passed,
-        detail=f"lorentz error {lorentz_err:.2e} (bound 1e-6); proper-time error "
-        f"{tau_err:.2e} (bound 1e-9); boundary ({bx:.1e}, {bt:.1e}) (bound 1e-8); "
+        gates=[lorentz, tau, *solve],
+        detail=f"{lorentz.report('lorentz error')}; {tau.report('proper-time error')}; "
+        f"boundary ({bx:.1e}, {bt:.1e}) (bound {fmt_bound(solve[1].bound)}); "
         f"converged={fm.converged} in {fm.iterations} iteration(s)",
         columns=("quantity", "value"),
         rows=rows,
@@ -516,12 +555,12 @@ def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     special_err = abs(special - 1.0)
     rows.append(("special_case", 1.0, 1.0, "", 0.0, 4, special_err, seed))
-    passed = worst <= 1e-10 and special_err <= 1e-12
+    composition = Gate("composition error", worst, CORRELATOR_BOUND)
     return CriterionResult(
         key="c10_correlator",
         title="half-space correlator vs flat propagator composition",
-        passed=passed,
-        detail=f"worst composition error {worst:.2e} (bound 1e-10); "
+        gates=[composition, Gate("special-case error", special_err, SPECIAL_CASE_BOUND)],
+        detail=f"{composition.report('worst composition error')}; "
         f"special-case error {special_err:.2e}; seed {seed}",
         columns=("case", "T", "T_prime", "t", "r", "d", "relative_error", "seed"),
         rows=rows,
@@ -572,20 +611,19 @@ def run_all(seed: int = DEFAULT_SEED) -> tuple[list[CriterionResult], dict[str, 
     second = [_run_criterion(fn, seed) for fn in CRITERIA]
     bundle1 = _csv_bundle(first, seed)
     bundle2 = _csv_bundle(second, seed)
-    same = bundle1.keys() == bundle2.keys() and all(
-        bundle1[k] == bundle2[k] for k in bundle1
+    differing = Gate(
+        "differing report files",
+        sum(bundle1.get(k) != bundle2.get(k) for k in bundle1.keys() | bundle2.keys()),
+        EXACT,
     )
     det = CriterionResult(
         key="c11_determinism",
         title="two same-seed runs produce identical CSV bytes",
-        passed=same,
+        gates=[differing],
         detail=f"{len(bundle1)} report files compared, "
-        f"{'identical' if same else 'DIFFER'}; seed {seed}",
+        f"{'identical' if differing.passed else 'DIFFER'}; seed {seed}",
         columns=("file", "bytes", "identical"),
-        rows=[
-            (k, len(v), bundle1[k] == bundle2.get(k))
-            for k, v in sorted(bundle1.items())
-        ],
+        rows=[(k, len(v), bundle1[k] == bundle2.get(k)) for k, v in sorted(bundle1.items())],
         runtime_s=time.perf_counter() - t0,
     )
     results = first + [det]

@@ -105,7 +105,7 @@ def _memo_recorder(seen, key="c99_memo"):
         d = fieldcalc.differentiate(fieldcalc.Mul(t, fieldcalc.Sin(t)), "t")
         fieldcalc.evaluate(d, {"t": 0.5})
         assert len(programs) == 1
-        return verification.CriterionResult(key, "memo probe", True, "", ("x",), [(1,)])
+        return verification.CriterionResult(key, "memo probe", [], "", ("x",), [(1,)])
 
     return criterion
 
@@ -172,3 +172,45 @@ def test_goldens_hold_under_other_blas_kernels():
     for kernel, child in children.items():
         out, _ = child.communicate(timeout=600)
         assert child.returncode == 0, f"OPENBLAS_CORETYPE={kernel}:\n{out[-3000:]}"
+
+
+SPHERE_METRIC = "dim = 2\ncoords = theta, phi\nsplit = theta | phi\ng[0,0] = 1\ng[1,1] = sin(theta)^2\n"
+
+
+@pytest.mark.parametrize(
+    "bound, criterion, argv, label",
+    [
+        ("BRACKET_BOUND", "criterion_virasoro",
+         ["virasoro", "--max-index", "1", "--points", "2"], "bracket residual"),
+        ("PRIMARY_FLOW_BOUND", "criterion_primary", ["primary"], "primary/flow residual"),
+        ("WEIGHT_FORM_BOUND", "criterion_scale_form", ["primary"], "weight-form residual"),
+        ("NR_IDENTITY_BOUND", "criterion_nr_limit", ["nrlimit"], "contraction residual"),
+        ("DEFECT_SLOPE_BOUND", "criterion_nr_limit", ["nrlimit"], "defect slope distance"),
+        ("BLOCK_RIEMANN_BOUND", "criterion_curvature",
+         ["curvature", "--metric", "{metric}"], "block Riemann formula vs direct"),
+        ("FRAME_BOUNDARY_BOUND", "criterion_frame", ["frame"], "boundary x' residual"),
+    ],
+)
+def test_a_bound_is_read_by_its_criterion_and_its_subcommand(
+    bound, criterion, argv, label, monkeypatch, tmp_path, capsys
+):
+    # -1 lies below every measured residual, distance and count
+    monkeypatch.setattr(verification, bound, -1.0)
+    assert not getattr(verification, criterion)().passed
+    metric = tmp_path / "sphere.metric"
+    metric.write_text(SPHERE_METRIC)
+    argv = [a.format(metric=metric) for a in argv]
+    assert run([*argv, "--output", str(tmp_path / "r")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"svflow: verification FAILED: {label} ")
+    assert lines[0].endswith(" above -1")
+
+
+@pytest.mark.parametrize(
+    "bound, text",
+    [(1e-8, "1e-8"), (1e-10, "1e-10"), (1e-12, "1e-12"), (0.05, "0.05"),
+     (-2.0, "-2"), (7.0, "7"), (0, "0"), (1.1e-8, "1.1e-8"), (1e6, "1e6")],
+)
+def test_bounds_print_as_the_reports_write_them(bound, text):
+    assert verification.fmt_bound(bound) == text

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from svflow import cli
 from svflow.cli import ConfigError, load_config, run
 
 
@@ -520,3 +524,12 @@ def test_a_non_numeric_flag_names_the_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("svflow: config error: flag 'seed': invalid literal for int()")
     assert len(err.splitlines()) == 1
+
+
+def test_cli_restates_no_bound_or_tolerance():
+    # gate bounds live in verification and tolerance defaults in flowexp and
+    # accframe; cli.py's own numbers are defaults and ranges, none below 0.1
+    tree = ast.parse(Path(cli.__file__).read_text())
+    numbers = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and type(node.value) in (int, float)]
+    assert [v for v in numbers if 0 < abs(v) < 0.1] == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svflow import fieldcalc as fc
 from svflow.fieldcalc import DomainError, Point, scalar_field
@@ -56,7 +58,7 @@ def test_epsilon_values_and_derivatives():
     for t in (0.3, 1.0, 2.2):
         assert eps.value(t) == pytest.approx(1 + 0.1 * t + 0.05 * t * t, rel=1e-15)
         assert eps.deriv(t) == pytest.approx(0.1 + 0.1 * t, rel=1e-15)
-        assert eps.deriv2(t) == pytest.approx(0.1, rel=1e-15)
+        assert fc.evaluate(eps.expression("t", 2), {"t": t}) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_epsilon_negative_terms_need_nonzero_t():
@@ -67,11 +69,55 @@ def test_epsilon_negative_terms_need_nonzero_t():
 
 
 def test_epsilon_expression_matches_numeric():
+    # eps = 0.5 t^-2 + 1.2 t - 0.3 t^3
     eps = EpsilonFn.from_coefficients({-3: 0.5, 0: 1.2, 2: -0.3})
-    for order, fn in ((0, eps.value), (1, eps.deriv), (2, eps.deriv2)):
-        e = eps.expression("t", order)
-        for t in (0.4, 1.0, 1.7):
-            assert fc.evaluate(e, {"t": t}) == pytest.approx(fn(t), rel=1e-13)
+    second = fc.compile_expression(eps.expression("t", 2))
+    for t in (0.4, 1.0, 1.7):
+        assert eps.value(t) == pytest.approx(0.5 / t**2 + 1.2 * t - 0.3 * t**3, rel=1e-13)
+        assert eps.deriv(t) == pytest.approx(-1.0 / t**3 + 1.2 - 0.9 * t**2, rel=1e-13)
+        assert second({"t": t}) == pytest.approx(3.0 / t**4 - 1.8 * t, rel=1e-13)
+
+
+def _summed(eps, t, order):
+    """eps (order 0) or eps' (1) as EpsilonFn summed them term by term
+    before it compiled them: the reference for the compiled program."""
+
+    def power(k):
+        if k == 0:
+            return 1.0
+        if t == 0.0 and k < 0:
+            raise DomainError("eps term with negative power evaluated at t = 0")
+        return fc._eval_pow(float(t), k)
+
+    if order == 0:
+        total = sum(c * power(n + 1) for n, c in eps.terms)
+    else:
+        total = sum(c * (n + 1) * power(n) for n, c in eps.terms if n + 1 != 0)
+    return fc._check_finite(total, "eps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(-4, 5),
+        st.floats(-10.0, 10.0).filter(lambda c: c != 0.0),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(0.05, 4.0) | st.floats(-4.0, -0.05) | st.just(0.0),
+)
+def test_compiled_epsilon_matches_the_term_sums(coeffs, t):
+    # equal as floats: bitwise, but for the sign of a zero, which the sum's
+    # leading integer 0 drops
+    eps = EpsilonFn.from_coefficients(coeffs)
+    try:
+        expected = (_summed(eps, t, 0), _summed(eps, t, 1))
+    except DomainError:
+        for method in (eps.value, eps.deriv):
+            with pytest.raises(DomainError):
+                method(t)
+        return
+    assert (eps.value(t), eps.deriv(t)) == expected
 
 
 # ------------------------------------------------------------ generator
@@ -421,7 +467,8 @@ def test_epsilon_sum_overflow_is_a_domain_error():
         EpsilonFn.from_formula("1e300*t^2 + 1").value(1e10)
     assert exc.value.kind == "overflow"
     eps = EpsilonFn.from_formula("1e300*t^3 + 1")
-    for method in (eps.value, eps.deriv, eps.deriv2):
+    second = fc.compile_expression(eps.expression("t", 2))
+    for method in (eps.value, eps.deriv, lambda t: second({"t": t})):
         with pytest.raises(DomainError) as exc:
             method(1e10)
         assert exc.value.kind == "overflow"
