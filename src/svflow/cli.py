@@ -344,7 +344,7 @@ def _run_curvature(args, cfg, out_dir: Path):
             raise ConfigError("metric file needs a split line for block checks")
         ranges = {c: (0.3, 0.9) for c in G.coords}
         envs = geomcurv.halton_envs(G.coords, ranges, _merge(args, cfg, "points", 20))
-        rep = geomcurv.block_vs_direct_residual(G, split, envs)
+        rep = geomcurv.block_vs_direct_residual(geomcurv.curvature_direct(G), split, envs)
         rows = [("file_metric", *row) for row in rep.rows]
         summary = "file metric residuals: " + ", ".join(
             f"{k}={v:.2e}" for k, v in rep.max_residuals.items()

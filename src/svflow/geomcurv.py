@@ -208,12 +208,19 @@ def symbolic_inverse(G: MetricField) -> list[list[Expression]]:
 # Direct pipeline
 
 
-def _compile_grid(grid) -> Callable[[Mapping[str, float] | Point], np.ndarray]:
-    """One program over a nested grid of expressions; evaluates to an
-    array of the grid's shape."""
-    cells = np.array(grid, dtype=object)
-    run = fc.compile_expressions(cells.ravel())
-    return lambda env: np.array(run(env)).reshape(cells.shape)
+def _compile_grids(*grids) -> Callable[[Mapping[str, float] | Point], list[np.ndarray]]:
+    """One program over nested grids of expressions; evaluates to one
+    array per grid, of that grid's shape."""
+    cells = [np.array(grid, dtype=object) for grid in grids]
+    run = fc.compile_expressions([e for c in cells for e in c.ravel()])
+    ends = np.cumsum([c.size for c in cells]).tolist()
+    spans = [(end - c.size, end, c.shape) for end, c in zip(ends, cells)]
+
+    def at(env) -> list[np.ndarray]:
+        values = np.array(run(env))
+        return [values[i:j].reshape(shape) for i, j, shape in spans]
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -270,18 +277,18 @@ class CurvatureBundle:
         ]  # dgamma[m][n][c][d] = d_d Gamma^m_nc
         self.christoffel = gamma
         self.dchristoffel = dgamma
-        self._g_at = _compile_grid([list(r) for r in G.components])
-        self._gamma_at = _compile_grid(gamma)
-        self._dgamma_at = _compile_grid(dgamma)
+        # g runs alone and first: at() checks its determinant before the
+        # Gamma program divides by it; dGamma's nodes contain Gamma's
+        self._g_at = _compile_grids(G.components)
+        self._gamma_at = _compile_grids(gamma, dgamma)
 
     def at(self, env: Mapping[str, float] | Point) -> CurvatureValues:
-        g = self._g_at(env)
+        g, = self._g_at(env)
         det = np.linalg.det(g)
         if abs(det) <= DEGENERACY_EPS:
             raise DegenerateMetricError(f"|det G| = {abs(det):.3e} at {env}")
         ginv = np.linalg.inv(g)
-        gam = self._gamma_at(env)
-        dgam = self._dgamma_at(env)  # axes (m, n, c, d) = d_d Gamma^m_nc
+        gam, dgam = self._gamma_at(env)  # dgam axes (m, n, c, d) = d_d Gamma^m_nc
         # R^m_npq = d_p Gamma^m_nq - d_q Gamma^m_np + Gamma^m_pl Gamma^l_nq
         #           - Gamma^m_ql Gamma^l_np
         up = (
@@ -343,20 +350,13 @@ class _BlockPieces:
         # first and second derivatives across the split, dd[a][b] = d_a d_b
         dg_dy = _derivative_grid([list(r) for r in g_sub.components], h_sub.coords)
         dh_dx = _derivative_grid([list(r) for r in h_sub.components], g_sub.coords)
-        self._dg_dy = _compile_grid(dg_dy)
-        self._dh_dx = _compile_grid(dh_dx)
-        self._ddg_dyy = _compile_grid(_derivative_grid(dg_dy, h_sub.coords))
-        self._ddh_dxx = _compile_grid(_derivative_grid(dh_dx, g_sub.coords))
+        self._cross_at = _compile_grids(
+            dg_dy, dh_dx,
+            _derivative_grid(dg_dy, h_sub.coords), _derivative_grid(dh_dx, g_sub.coords),
+        )
 
     def at(self, env) -> BlockValues:
-        return BlockValues(
-            g=self.g_bundle.at(env),
-            h=self.h_bundle.at(env),
-            dg=self._dg_dy(env),
-            dh=self._dh_dx(env),
-            ddg=self._ddg_dyy(env),
-            ddh=self._ddh_dxx(env),
-        )
+        return BlockValues(self.g_bundle.at(env), self.h_bundle.at(env), *self._cross_at(env))
 
 
 def _riemann_block(v: BlockValues) -> np.ndarray:
@@ -490,12 +490,12 @@ class BlockComparisonReport:
 
 
 def block_vs_direct_residual(
-    G: MetricField, s: BlockSplit, points: list[Mapping[str, float] | Point]
+    direct: CurvatureBundle, s: BlockSplit, points: list[Mapping[str, float] | Point]
 ) -> BlockComparisonReport:
     """For each decomposition formula, the max absolute difference with
-    the direct pipeline over the points, plus per-point rows for CSV."""
-    direct = curvature_direct(G)
-    pieces = _BlockPieces(G, s)
+    the direct pipeline, the bundle of the split metric, over the points,
+    plus per-point rows for CSV."""
+    pieces = _BlockPieces(direct.metric, s)
     fi = np.array(s.first)
     si = np.array(s.second)
     report = BlockComparisonReport(max_residuals={k: 0.0 for k in FORMULA_NAMES})

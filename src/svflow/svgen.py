@@ -264,32 +264,45 @@ def apply_generator(eps: EpsilonFn, p: SVParams, u: Expression) -> Expression:
     return fc.neg(flowexp.apply_operator(B, C, u))
 
 
-def bracket_residual(
-    eps: EpsilonFn,
-    eta: EpsilonFn,
-    p: SVParams,
-    test: ScalarField,
-    points: list[Point],
-    *,
-    max_nodes: int = flowexp.DEFAULT_MAX_NODES,
-) -> float:
-    """max over points of |([X_eps, X_eta] - X_{eps' eta - eps eta'}) psi|,
-    all operator applications exact-symbolic; max_nodes bounds the
-    distinct nodes of the residual expression."""
-    if test.chart != CHART:
+def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
+                      tests: Sequence[ScalarField], points: list[Point], *,
+                      max_nodes: int = flowexp.DEFAULT_MAX_NODES) -> list[float]:
+    """Per (eps, eta) pair, the max over tests psi and points of
+    |([X_eps, X_eta] - X_{eps' eta - eps eta'}) psi|, all exact-symbolic;
+    max_nodes bounds the distinct nodes of each residual.  Each generator
+    is built once and all residuals run as one program, so a DomainError
+    is that of the first failing point."""
+    if any(test.chart != CHART for test in tests):
         raise ValueError(f"test function must live on chart {CHART}")
-    u = test.expression
-    lhs = fc.sub(
-        apply_generator(eps, p, apply_generator(eta, p, u)),
-        apply_generator(eta, p, apply_generator(eps, p, u)),
-    )
-    coeffs = bracket_eps(eps, eta)
-    target = apply_generator(EpsilonFn.from_coefficients(coeffs), p, u) if coeffs else fc.ZERO
-    residual = fc.sub(lhs, target)
-    if fc.node_count(residual) > max_nodes:
-        raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
-    run = fc.compile_expression(residual)
-    return max(abs(run(pt)) for pt in points)
+    generators: dict[EpsilonFn, tuple[VectorField, ScalarField]] = {}
+
+    def X(eps: EpsilonFn, u: Expression) -> Expression:
+        if eps not in generators:
+            generators[eps] = build_generator(eps, p)
+        return fc.neg(flowexp.apply_operator(*generators[eps], u))
+
+    residuals = []
+    for eps, eta in pairs:
+        coeffs = bracket_eps(eps, eta)
+        target = EpsilonFn.from_coefficients(coeffs) if coeffs else None
+        for test in tests:
+            u = test.expression
+            lhs = fc.sub(X(eps, X(eta, u)), X(eta, X(eps, u)))
+            residual = fc.sub(lhs, X(target, u) if target else fc.ZERO)
+            if fc.node_count(residual) > max_nodes:
+                raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
+            residuals.append(residual)
+    run = fc.compile_expressions(residuals)
+    rows = [[abs(v) for v in run(pt)] for pt in points]
+    k = len(tests)
+    return [max(max(row[i:i + k]) for row in rows) for i in range(0, len(residuals), k)]
+
+
+def bracket_residual(eps: EpsilonFn, eta: EpsilonFn, p: SVParams, test: ScalarField,
+                     points: list[Point], *,
+                     max_nodes: int = flowexp.DEFAULT_MAX_NODES) -> float:
+    """bracket_residuals for one pair and one test function."""
+    return bracket_residuals([(eps, eta)], p, [test], points, max_nodes=max_nodes)[0]
 
 
 def monomial_bracket(m_idx: int, n_idx: int) -> tuple[float, int]:

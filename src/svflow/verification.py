@@ -285,17 +285,10 @@ def virasoro_residuals(
     ]
     tests = [scalar_field(s, svgen.CHART) for s in VIRASORO_TEST_FUNCTIONS]
     span = range(-max_index, max_index + 1)
-    return [
-        (m, n, max(
-            svgen.bracket_residual(
-                svgen.EpsilonFn.monomial(m), svgen.EpsilonFn.monomial(n),
-                p, psi, points,
-            )
-            for psi in tests
-        ))
-        for m in span
-        for n in span
-    ]
+    pairs = [(m, n) for m in span for n in span]
+    eps = {m: svgen.EpsilonFn.monomial(m) for m in span}
+    worst = svgen.bracket_residuals([(eps[m], eps[n]) for m, n in pairs], p, tests, points)
+    return [(m, n, res) for (m, n), res in zip(pairs, worst)]
 
 
 def criterion_virasoro(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -444,18 +437,18 @@ def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
     rows = []
+    suite = geomcurv.METRIC_SUITE
+    # one direct bundle per suite metric, shared by every check below
+    direct = {name: geomcurv.curvature_direct(s.metric) for name, s in suite.items()}
 
-    sphere = geomcurv.METRIC_SUITE["sphere_unit"]
-    bundle = geomcurv.curvature_direct(sphere.metric)
-    sphere_err = max(abs(bundle.at(env).scalar - 2.0) for env in sphere.sample_envs(8))
+    sphere_err = max(abs(direct["sphere_unit"].at(env).scalar - 2.0)
+                     for env in suite["sphere_unit"].sample_envs(8))
     rows.append(("sphere_unit", "scalar_minus_2", -1, sphere_err))
 
     sym_worst = 0.0
     for name in ("sphere_radius", "warped_exp", "offdiag_block", "cross_4d"):
-        s = geomcurv.METRIC_SUITE[name]
-        b = geomcurv.curvature_direct(s.metric)
-        for k, env in enumerate(s.sample_envs(5)):
-            R = b.at(env).riemann
+        for k, env in enumerate(suite[name].sample_envs(5)):
+            R = direct[name].at(env).riemann
             sym = max(float(np.max(np.abs(defect))) for defect in (
                 R + R.transpose(1, 0, 2, 3),
                 R + R.transpose(0, 1, 3, 2),
@@ -466,17 +459,14 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
             rows.append((name, "riemann_symmetries", k, sym))
 
     report_worst = dict.fromkeys(geomcurv.FORMULA_NAMES, 0.0)
-    for name, s in geomcurv.METRIC_SUITE.items():
-        rep = geomcurv.block_vs_direct_residual(s.metric, s.split, s.sample_envs(20))
+    for name, s in suite.items():
+        rep = geomcurv.block_vs_direct_residual(direct[name], s.split, s.sample_envs(20))
         rows += [(name, *row) for row in rep.rows]
         report_worst = {k: max(v, rep.max_residuals[k]) for k, v in report_worst.items()}
 
-    prod = geomcurv.METRIC_SUITE["spheres_product"]
     expected = 2.0 / 1.3**2 + 2.0 / 0.7**2
-    add_err = max(
-        abs(geomcurv.curvature_direct(prod.metric).at(env).scalar - expected)
-        for env in prod.sample_envs(6)
-    )
+    add_err = max(abs(direct["spheres_product"].at(env).scalar - expected)
+                  for env in suite["spheres_product"].sample_envs(6))
     rows.append(("spheres_product", "additivity", -1, add_err))
 
     gates = [

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from svflow import cli, fieldcalc, verification
+from svflow import cli, fieldcalc, geomcurv, svgen, verification
 from svflow.cli import run
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
 
@@ -136,6 +136,38 @@ def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     assert seen[0][0] is not seen[1][0]
     assert len({id(seen[0][2]), id(seen[1][2]), id(fieldcalc._PROGRAMS.get(None))}) == 3
     assert fieldcalc._DERIVATIVES.get() is None
+
+
+@pytest.mark.parametrize(
+    "criterion, expected",
+    [
+        # c03: 7 monomials and 38 distinct bracket targets; 147 residuals
+        # in one program
+        (verification.criterion_virasoro, {"generators": 45, "compiles": 1, "bundles": 0}),
+        # c08: 7 direct bundles and 14 block bundles; each bundle compiles
+        # g and Gamma with dGamma, each split its cross-derivatives
+        (verification.criterion_curvature, {"generators": 0, "compiles": 49, "bundles": 21}),
+    ],
+)
+def test_c03_and_c08_do_each_piece_of_work_once(criterion, expected, monkeypatch):
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr, key in [
+        (svgen, "build_generator", "generators"),
+        (fieldcalc, "compile_expressions", "compiles"),
+        (geomcurv.CurvatureBundle, "__init__", "bundles"),
+    ]:
+        monkeypatch.setattr(owner, attr, counted(key, getattr(owner, attr)))
+    with fieldcalc.derivative_memo():
+        criterion(DEFAULT_SEED)
+    assert counts == expected
 
 
 @pytest.mark.parametrize(

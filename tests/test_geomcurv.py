@@ -208,7 +208,7 @@ def test_all_block_formulas_match_direct_on_suite():
     # eq-37 agreement is the asserted gate; the other three are reported,
     # and on this suite they agree to rounding as well
     for name, s in METRIC_SUITE.items():
-        rep = block_vs_direct_residual(s.metric, s.split, s.sample_envs(10))
+        rep = block_vs_direct_residual(curvature_direct(s.metric), s.split, s.sample_envs(10))
         assert rep.max_residuals["riemann_block"] <= 1e-7, name
         assert max(rep.max_residuals.values()) <= 1e-9, (name, rep.max_residuals)
         assert len(rep.rows) == 4 * 10
@@ -216,7 +216,7 @@ def test_all_block_formulas_match_direct_on_suite():
 
 def test_report_rows_shape():
     s = METRIC_SUITE["sphere_unit"]
-    rep = block_vs_direct_residual(s.metric, s.split, s.sample_envs(3))
+    rep = block_vs_direct_residual(curvature_direct(s.metric), s.split, s.sample_envs(3))
     names = {r[0] for r in rep.rows}
     assert names == {"riemann_block", "mixed_block", "ricci_block", "scalar_block"}
     assert all(isinstance(r[1], int) and r[2] >= 0.0 for r in rep.rows)
@@ -240,7 +240,7 @@ def test_report_builds_one_bundle_per_block_and_one_direct(monkeypatch):
 
     monkeypatch.setattr(CurvatureBundle, "__init__", counting_init)
     s = METRIC_SUITE["cross_4d"]
-    block_vs_direct_residual(s.metric, s.split, s.sample_envs(3))
+    block_vs_direct_residual(curvature_direct(s.metric), s.split, s.sample_envs(3))
     assert built == [("x1", "x2", "y1", "y2"), ("x1", "x2"), ("y1", "y2")]
 
 
@@ -250,8 +250,8 @@ def test_public_evaluators_give_the_report_rows_bitwise(name):
     # report's rows exactly: the report and the evaluators share formulas
     s = METRIC_SUITE[name]
     envs = s.sample_envs(20)
-    rep = block_vs_direct_residual(s.metric, s.split, envs)
     direct = curvature_direct(s.metric)
+    rep = block_vs_direct_residual(direct, s.split, envs)
     evaluators = {k: f(s.metric, s.split) for k, f in _FACTORIES.items()}
     fi, si = np.array(s.split.first), np.array(s.split.second)
     rows = []
@@ -279,7 +279,7 @@ def test_degenerate_y_block_is_an_error_through_every_route():
         with pytest.raises(DegenerateMetricError):
             factory(G, split)(env)
     with pytest.raises(DegenerateMetricError):
-        block_vs_direct_residual(G, split, [{"x": 0.5, "y": 0.5}, env])
+        block_vs_direct_residual(curvature_direct(G), split, [{"x": 0.5, "y": 0.5}, env])
 
 
 # ------------------------------------------------------------ metric files
@@ -343,7 +343,7 @@ def test_mixed_block_scalar_factor_case_vs_direct():
     )
     split = BlockSplit((0, 1), (2, 3))
     envs = halton_envs(G.coords, {c: (0.2, 0.8) for c in G.coords}, 6)
-    rep = block_vs_direct_residual(G, split, envs)
+    rep = block_vs_direct_residual(curvature_direct(G), split, envs)
     # a purely conformal y-dependence antisymmetrizes away: both routes
     # must agree that these components vanish
     at = mixed_block(G, split)
@@ -351,8 +351,6 @@ def test_mixed_block_scalar_factor_case_vs_direct():
     assert rep.max_residuals["mixed_block"] <= 1e-12
     # while the all-first-block Riemann correction is genuinely nonzero
     assert rep.max_residuals["riemann_block"] <= 1e-12
-    from svflow.geomcurv import curvature_direct
-
     direct = curvature_direct(G)
     assert any(
         np.max(np.abs(direct.at(env).riemann)) > 1e-4 for env in envs

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from svflow import fieldcalc as fc
 from svflow.fieldcalc import DomainError, Point, scalar_field
-from svflow.flowexp import BlowupError, StepLimitError, Tolerance
+from svflow.flowexp import BlowupError, ExpressionSizeError, StepLimitError, Tolerance
 from svflow.svgen import (
     CHART,
     CorrelatorSingularityError,
@@ -18,6 +18,7 @@ from svflow.svgen import (
     apply_generator,
     bracket_eps,
     bracket_residual,
+    bracket_residuals,
     build_generator,
     halfspace_correlator,
     invert_halfspace,
@@ -29,6 +30,7 @@ from svflow.svgen import (
     weight_form_residual,
     weight_form_terms,
 )
+from svflow.verification import VIRASORO_TEST_FUNCTIONS
 
 TIGHT = Tolerance(absolute=1e-12, relative=1e-12)
 EPS_ONE = EpsilonFn.monomial(-1)          # eps(t) = 1
@@ -211,6 +213,78 @@ def test_bracket_monomial_table():
             assert bracket_residual(
                 EpsilonFn.monomial(m), EpsilonFn.monomial(n), p, psi, pts
             ) <= 1e-9
+
+
+def _pair_expression(eps, eta, p, test):
+    u = test.expression
+    lhs = fc.sub(
+        apply_generator(eps, p, apply_generator(eta, p, u)),
+        apply_generator(eta, p, apply_generator(eps, p, u)),
+    )
+    coeffs = bracket_eps(eps, eta)
+    target = apply_generator(EpsilonFn.from_coefficients(coeffs), p, u) if coeffs else fc.ZERO
+    return fc.sub(lhs, target)
+
+
+def _pair_residual(eps, eta, p, test, points):
+    """One pair and one test function as bracket_residual computed them
+    before the batch: generators rebuilt per application, one program per
+    residual.  The reference for bracket_residuals."""
+    run = fc.compile_expression(_pair_expression(eps, eta, p, test))
+    return max(abs(run(pt)) for pt in points)
+
+
+_COEFF = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_EPS = st.builds(EpsilonFn.monomial, st.integers(-3, 3)) | st.dictionaries(
+    st.integers(-3, 3), _COEFF, min_size=2, max_size=2
+).map(EpsilonFn.from_coefficients)
+_C03_POINT = st.builds(
+    lambda t, r: Point(CHART, (t, r)), st.floats(0.6, 1.6), st.floats(0.5, 1.5)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_EPS, _EPS), min_size=1, max_size=4),
+    st.builds(SVParams, st.floats(0.5, 2.0), st.floats(0.0, 1.0),
+              st.sampled_from((0.5, 1.0, 2.0))),
+    st.lists(st.sampled_from(VIRASORO_TEST_FUNCTIONS), min_size=1, max_size=3, unique=True),
+    st.lists(_C03_POINT, min_size=1, max_size=4),
+)
+def test_bracket_batch_matches_the_per_pair_residuals_bitwise(pairs, p, texts, points):
+    tests = [scalar_field(s, CHART) for s in texts]
+    expected = [
+        max(_pair_residual(eps, eta, p, test, points) for test in tests)
+        for eps, eta in pairs
+    ]
+    assert bracket_residuals(pairs, p, tests, points) == expected
+
+
+def test_bracket_batch_domain_error_keeps_class_and_kind():
+    p = SVParams(m=1.1, chi=0.6)
+    psi = scalar_field("log(t) * r", CHART)
+    pts = [Point(CHART, (1.0, 1.0)), Point(CHART, (-1.0, 1.0))]
+    with pytest.raises(DomainError) as per_pair:
+        _pair_residual(EPS_T, EPS_T2, p, psi, pts)
+    with pytest.raises(DomainError) as batch:
+        bracket_residuals([(EPS_ONE, EPS_T), (EPS_T, EPS_T2)], p, [psi], pts)
+    assert batch.value.kind == per_pair.value.kind
+
+
+def test_bracket_batch_keeps_the_node_budget_per_residual():
+    # the budget bounds each residual, not the batch
+    p = SVParams(m=1.1, chi=0.6)
+    tests = [scalar_field(s, CHART) for s in VIRASORO_TEST_FUNCTIONS]
+    pairs = [(EPS_ONE, EPS_T), (EPS_T, EPS_T2), (EPS_POLY, EPS_T)]
+    largest = max(
+        fc.node_count(_pair_expression(eps, eta, p, test))
+        for eps, eta in pairs
+        for test in tests
+    )
+    pts = rand_points(2, seed=6)
+    bracket_residuals(pairs, p, tests, pts, max_nodes=largest)
+    with pytest.raises(ExpressionSizeError):
+        bracket_residuals(pairs, p, tests, pts, max_nodes=largest - 1)
 
 
 def test_jacobi_identity():
