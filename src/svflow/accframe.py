@@ -18,7 +18,6 @@ construction of the per-slice integrals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,21 +156,6 @@ class FrameMap:
             bt = max(bt, abs(tp - self.tau[i]))
         return bx, bt
 
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "x_prime", "t_prime", "v"])
-        for i, t in enumerate(self.t_grid):
-            for j, x in enumerate(self.x_grid):
-                writer.writerow(
-                    [
-                        repr(float(t)),
-                        repr(float(x)),
-                        repr(float(self.x_prime[i, j])),
-                        repr(float(self.t_prime[i, j])),
-                        repr(float(self.v[i, j])),
-                    ]
-                )
-
 
 def _cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
     out = np.zeros_like(y)
@@ -208,7 +192,6 @@ def solve_frame_map(
     grid: GridSpec,
     tol: Tolerance = FRAME_TOLERANCE,
     max_iter: int = 100,
-    tau_origin: float = 0.0,
 ) -> FrameMap:
     """Fixed-point solve of the frame system on the grid.
 
@@ -233,7 +216,7 @@ def solve_frame_map(
         )
 
     tau = np.empty(grid.nt)
-    tau[0] = proper_time(traj, tau_origin, float(t_grid[0]), tol)
+    tau[0] = proper_time(traj, 0.0, float(t_grid[0]), tol)
     for i in range(1, grid.nt):
         tau[i] = tau[i - 1] + proper_time(
             traj, float(t_grid[i - 1]), float(t_grid[i]), tol

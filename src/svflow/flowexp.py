@@ -303,11 +303,16 @@ def series_oracle(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> float:
     """Truncated sum over rho^n / n! ((B.d + C)^n psi)(x)."""
-    values = series_terms(
-        B, C, psi, x, order, max_order=max_order, max_nodes=max_nodes
-    )
+    terms = series_terms(B, C, psi, x, order, max_order=max_order, max_nodes=max_nodes)
+    return taylor_sum(terms, rho)
+
+
+def taylor_sum(terms: list[float], rho: float) -> float:
+    """sum_n rho^n / n! terms[n], added left to right.  Builtin sum()
+    compensates float rounding from Python 3.12 on, so with it the
+    reports would depend on the interpreter's version."""
     total = 0.0
-    for n, v in enumerate(values):
+    for n, v in enumerate(terms):
         total += rho**n / math.factorial(n) * v
     return total
 

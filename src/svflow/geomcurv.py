@@ -22,7 +22,7 @@ symbolically beyond the metric inverse that feeds Gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .fieldcalc import Const, Expression, Point, SvflowError, parse_expression
 
 DEGENERACY_EPS = 1e-12
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+HALTON_SKIP = 20  # leading Halton points dropped: across bases they are correlated
 
 
 class DegenerateMetricError(SvflowError):
@@ -65,7 +66,7 @@ class MetricField:
             raise ValueError(f"components must form a {D}x{D} matrix")
         for i in range(D):
             for j in range(i + 1, D):
-                if fc.to_string(comps[i][j]) != fc.to_string(comps[j][i]):
+                if comps[i][j] is not comps[j][i]:  # hash-consed: same structure
                     raise ValueError(
                         f"metric not structurally symmetric at ({i},{j})"
                     )
@@ -166,12 +167,10 @@ def restrict(G: MetricField, indices: tuple[int, ...]) -> MetricField:
 # the derivative route goes through d-Gamma)
 
 
-def _sym_det(m: list[list[Expression]]) -> Expression:
+def _sym_det(m: Sequence[Sequence[Expression]]) -> Expression:
     n = len(m)
     if n == 1:
         return m[0][0]
-    if n == 2:
-        return fc.sub(fc.mul(m[0][0], m[1][1]), fc.mul(m[0][1], m[1][0]))
     total: Expression = fc.ZERO
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
@@ -182,7 +181,7 @@ def _sym_det(m: list[list[Expression]]) -> Expression:
 
 def symbolic_inverse(G: MetricField) -> list[list[Expression]]:
     D = G.dimension
-    m = [list(row) for row in G.components]
+    m = G.components
     if G.is_diagonal():
         return [
             [fc.div(fc.ONE, m[i][i]) if i == j else fc.ZERO for j in range(D)]
@@ -192,11 +191,7 @@ def symbolic_inverse(G: MetricField) -> list[list[Expression]]:
     inv = [[fc.ZERO] * D for _ in range(D)]
     for i in range(D):
         for j in range(D):
-            minor = [
-                [m[r][c] for c in range(D) if c != j]
-                for r in range(D)
-                if r != i
-            ]
+            minor = [[m[r][c] for c in range(D) if c != j] for r in range(D) if r != i]
             cof = _sym_det(minor)
             if (i + j) % 2 == 1:
                 cof = fc.neg(cof)
@@ -275,8 +270,6 @@ class CurvatureBundle:
             ]
             for m in range(D)
         ]  # dgamma[m][n][c][d] = d_d Gamma^m_nc
-        self.christoffel = gamma
-        self.dchristoffel = dgamma
         # g runs alone and first: at() checks its determinant before the
         # Gamma program divides by it; dGamma's nodes contain Gamma's
         self._g_at = _compile_grids(G.components)
@@ -348,8 +341,8 @@ class _BlockPieces:
         self.g_bundle = CurvatureBundle(g_sub)
         self.h_bundle = CurvatureBundle(h_sub)
         # first and second derivatives across the split, dd[a][b] = d_a d_b
-        dg_dy = _derivative_grid([list(r) for r in g_sub.components], h_sub.coords)
-        dh_dx = _derivative_grid([list(r) for r in h_sub.components], g_sub.coords)
+        dg_dy = _derivative_grid(g_sub.components, h_sub.coords)
+        dh_dx = _derivative_grid(h_sub.components, g_sub.coords)
         self._cross_at = _compile_grids(
             dg_dy, dh_dx,
             _derivative_grid(dg_dy, h_sub.coords), _derivative_grid(dh_dx, g_sub.coords),
@@ -537,7 +530,6 @@ def halton_envs(
     coords: tuple[str, ...],
     ranges: Mapping[str, tuple[float, float]],
     n: int,
-    skip: int = 20,
 ) -> list[dict[str, float]]:
     """Deterministic quasi-random sample boxes; no seed, no state."""
     envs = []
@@ -545,14 +537,13 @@ def halton_envs(
         env = {}
         for k, name in enumerate(coords):
             lo, hi = ranges[name]
-            env[name] = lo + (hi - lo) * _halton(i + 1 + skip, _HALTON_PRIMES[k])
+            env[name] = lo + (hi - lo) * _halton(i + 1 + HALTON_SKIP, _HALTON_PRIMES[k])
         envs.append(env)
     return envs
 
 
 @dataclass(frozen=True)
 class SuiteMetric:
-    name: str
     metric: MetricField
     split: BlockSplit
     ranges: dict[str, tuple[float, float]]
@@ -568,16 +559,14 @@ def _suite() -> dict[str, SuiteMetric]:
         ("x1", "x2", "x3"), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}
     )
     suite["flat3"] = SuiteMetric(
-        "flat3", flat, BlockSplit((0, 1), (2,)),
-        {"x1": (0.1, 1.0), "x2": (0.1, 1.0), "x3": (0.1, 1.0)},
+        flat, BlockSplit((0, 1), (2,)), {"x1": (0.1, 1.0), "x2": (0.1, 1.0), "x3": (0.1, 1.0)}
     )
 
     sphere = MetricField.from_entries(
         ("theta", "phi"), {(0, 0): 1.0, (1, 1): "sin(theta)^2"}
     )
     suite["sphere_unit"] = SuiteMetric(
-        "sphere_unit", sphere, BlockSplit((0,), (1,)),
-        {"theta": (0.5, 2.6), "phi": (0.1, 6.0)},
+        sphere, BlockSplit((0,), (1,)), {"theta": (0.5, 2.6), "phi": (0.1, 6.0)}
     )
 
     a = 1.3
@@ -585,8 +574,7 @@ def _suite() -> dict[str, SuiteMetric]:
         ("theta", "phi"), {(0, 0): a * a, (1, 1): f"{a * a}*sin(theta)^2"}
     )
     suite["sphere_radius"] = SuiteMetric(
-        "sphere_radius", sphere_a, BlockSplit((0,), (1,)),
-        {"theta": (0.5, 2.6), "phi": (0.1, 6.0)},
+        sphere_a, BlockSplit((0,), (1,)), {"theta": (0.5, 2.6), "phi": (0.1, 6.0)}
     )
 
     b = 0.7
@@ -600,7 +588,7 @@ def _suite() -> dict[str, SuiteMetric]:
         },
     )
     suite["spheres_product"] = SuiteMetric(
-        "spheres_product", prod, BlockSplit((0, 1), (2, 3)),
+        prod, BlockSplit((0, 1), (2, 3)),
         {"t1": (0.5, 2.6), "p1": (0.1, 6.0), "t2": (0.5, 2.6), "p2": (0.1, 6.0)},
     )
 
@@ -609,7 +597,7 @@ def _suite() -> dict[str, SuiteMetric]:
         {(0, 0): "exp(2*y)", (1, 1): "exp(2*y)", (2, 2): 1.0},
     )
     suite["warped_exp"] = SuiteMetric(
-        "warped_exp", warped, BlockSplit((0, 1), (2,)),
+        warped, BlockSplit((0, 1), (2,)),
         {"x1": (0.2, 1.0), "x2": (0.2, 1.0), "y": (-0.5, 0.5)},
     )
 
@@ -623,7 +611,7 @@ def _suite() -> dict[str, SuiteMetric]:
         },
     )
     suite["offdiag_block"] = SuiteMetric(
-        "offdiag_block", offdiag, BlockSplit((0, 1), (2,)),
+        offdiag, BlockSplit((0, 1), (2,)),
         {"x1": (0.3, 0.9), "x2": (0.3, 0.9), "y": (0.3, 0.9)},
     )
 
@@ -642,7 +630,7 @@ def _suite() -> dict[str, SuiteMetric]:
         },
     )
     suite["cross_4d"] = SuiteMetric(
-        "cross_4d", cross, BlockSplit((0, 1), (2, 3)),
+        cross, BlockSplit((0, 1), (2, 3)),
         {"x1": (0.2, 0.8), "x2": (0.2, 0.8), "y1": (0.2, 0.8), "y2": (0.2, 0.8)},
     )
 

@@ -27,12 +27,11 @@ from .fieldcalc import (
 from .flowexp import DEFAULT_TOLERANCE, Tolerance
 
 PSI_CHART = ("t", "x")
-LIFT_CHART = ("t", "x0", "x")
 EXP_CAP = 700.0
 
 
 class PhaseOverflowError(SvflowError):
-    """The lift exponent exceeded the configured overflow cap."""
+    """The lift exponent or a flow phase exceeded EXP_CAP, where exp overflows."""
 
 
 class DegenerateFitError(SvflowError):
@@ -79,14 +78,13 @@ def lift_expression(psi: ScalarField, p: RelParams) -> Expression:
 
 
 def lift_wavefunction(
-    psi: ScalarField, p: RelParams, t: float, x0: float, x: float,
-    *, exp_cap: float = EXP_CAP,
+    psi: ScalarField, p: RelParams, t: float, x0: float, x: float
 ) -> float:
     """exp(2 pi m c x0 / h) * psi(t + x0/c, x)."""
     _require_psi_chart(psi)
     arg = p.lift_rate * x0
-    if abs(arg) > exp_cap:
-        raise PhaseOverflowError(f"lift exponent {arg:.3g} beyond cap {exp_cap:g}")
+    if abs(arg) > EXP_CAP:
+        raise PhaseOverflowError(f"lift exponent {arg:.3g} beyond cap {EXP_CAP:g}")
     value = psi.eval_at(Point(PSI_CHART, (t + x0 / p.c, x)))
     return math.exp(arg) * value
 
@@ -214,8 +212,6 @@ def barut_flow_identity(
     rho: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
     psi: ScalarField | None = None,
-    *,
-    exp_cap: float = EXP_CAP,
 ) -> float:
     """Residual of exp(rho f(t) (2 pi m c^2/h + d_t)) psi
     = exp((2 pi m c^2/h)(t' - t)) psi(t').
@@ -237,7 +233,7 @@ def barut_flow_identity(
     res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol, charge=C)
     t_prime = res.endpoint.coords[0]
     expected_phase = a * (t_prime - t)
-    if abs(res.phase) > exp_cap or abs(expected_phase) > exp_cap:
+    if abs(res.phase) > EXP_CAP or abs(expected_phase) > EXP_CAP:
         raise PhaseOverflowError("phase beyond the exponential overflow cap")
     psi_val = 1.0 if psi is None else psi.eval_at(res.endpoint)
     return abs(math.exp(res.phase) * psi_val - math.exp(expected_phase) * psi_val)

@@ -227,7 +227,7 @@ def criterion_flow_factorization(seed: int = DEFAULT_SEED) -> CriterionResult:
         diffs = []
         for rho in FIT_RHOS:
             lhs = flowexp.apply_exponential(case.B, case.C, case.psi, case.x, rho, TIGHT)
-            rhs = sum(rho**n / math.factorial(n) * terms[n] for n in range(7))
+            rhs = flowexp.taylor_sum(terms, rho)
             d = abs(lhs - rhs)
             diffs.append(d)
             rows.append((case.name, rho, d))

@@ -127,7 +127,7 @@ def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     seen = []
     criterion = _memo_recorder(seen)
     probe = cli._COMMANDS["correlator"]._replace(
-        run=lambda args, cfg, out: [criterion(verification.DEFAULT_SEED).key]
+        run=lambda args, cfg: cli._Report({}, [criterion(verification.DEFAULT_SEED).key], [])
     )
     monkeypatch.setitem(cli._COMMANDS, "correlator", probe)
     assert run(["correlator", "--output", str(tmp_path)]) == 0
@@ -170,22 +170,87 @@ def test_c03_and_c08_do_each_piece_of_work_once(criterion, expected, monkeypatch
     assert counts == expected
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("flow", ["--field", "t;-r", "--vars", "t,r", "--point", "1,0.5",
-                  "--rho", "0.4", "--charge", "0.3*t", "--psi", "t*r"]),
-        ("primary", ["--eps", "1 + 0.1*t + 0.05*t^2", "--chi", "0.7", "--m", "1.3",
-                     "--point", "0.5,1.2"]),
-        ("virasoro", ["--max-index", "2", "--points", "4", "--seed", "7"]),
-    ],
-)
+_CLI_GOLDEN_ARGV = {
+    "flow": ["--field", "t;-r", "--vars", "t,r", "--point", "1,0.5",
+             "--rho", "0.4", "--charge", "0.3*t", "--psi", "t*r"],
+    "primary": ["--eps", "1 + 0.1*t + 0.05*t^2", "--chi", "0.7", "--m", "1.3",
+                "--point", "0.5,1.2"],
+    "virasoro": ["--max-index", "2", "--points", "4", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name, argv", list(_CLI_GOLDEN_ARGV.items()))
 def test_cli_reports_match_golden(name, argv, tmp_path, capsys):
     # tests/golden/cli holds each subcommand's CSV and stdout, byte for byte
     golden = Path(__file__).parent / "golden" / "cli"
     assert run([name, *argv, "--output", str(tmp_path)]) == 0
     assert capsys.readouterr().out.encode() == (golden / f"{name}.stdout").read_bytes()
     assert (tmp_path / f"{name}.csv").read_bytes() == (golden / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, bound, label",
+    [("flow", "PUSHFORWARD_TOL_FACTOR", "pushforward residual"),
+     ("primary", "PRIMARY_FLOW_BOUND", "primary/flow residual"),
+     ("virasoro", "BRACKET_BOUND", "bracket residual")],
+)
+def test_a_failing_subcommand_still_writes_and_prints_its_report(
+    name, bound, label, monkeypatch, tmp_path, capsys
+):
+    # bounds enter no report, so the CSV and stdout are the golden ones
+    monkeypatch.setattr(verification, bound, -1)
+    golden = Path(__file__).parent / "golden" / "cli"
+    assert run([name, *_CLI_GOLDEN_ARGV[name], "--output", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.encode() == (golden / f"{name}.stdout").read_bytes()
+    assert (tmp_path / f"{name}.csv").read_bytes() == (golden / f"{name}.csv").read_bytes()
+    assert err.startswith(f"svflow: verification FAILED: {label} ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "patch, failing, failure",
+    [(("KEY_LEMMA_BOUND", -1.0), ["c02_key_lemma"], "failing criteria 1 above 0"),
+     (("RUNTIME_BUDGETS", {"c02_key_lemma": 0.0}), [],
+      "criteria over runtime budget 1 above 0")],
+)
+def test_a_failing_verify_all_still_writes_and_prints_its_report(
+    patch, failing, failure, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(verification, *patch)
+    assert run(["verify-all", "--output", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"svflow: verification FAILED: {failure}\n"
+    golden = sorted(p.name for p in (Path(__file__).parent / "golden").glob("*.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == golden  # 11 criteria, summary
+    keys = [name[:-4] for name in golden if name != "summary.csv"]
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["FAIL" if key in failing else "PASS", key] for key in keys
+    ]
+    assert lines[-1] == f"reports written to {tmp_path}"
+
+
+def _compensated_sum(values, start=0):
+    """sum() as Python 3.12 adds floats: Neumaier's compensated summation."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_c01_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    # builtin sum() compensates float rounding from Python 3.12 on; c01's
+    # Taylor sums must give the golden bytes under either behaviour
+    monkeypatch.setattr(verification, "sum", _compensated_sum, raising=False)
+    result = verification.criterion_flow_factorization()
+    golden = Path(__file__).parent / "golden" / "c01_flow_factorization.csv"
+    assert verification.render_csv(result.columns, result.rows) == golden.read_bytes()
 
 
 def test_goldens_hold_under_other_blas_kernels():

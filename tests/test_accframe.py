@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,6 +15,7 @@ from svflow.accframe import (
     proper_time,
     solve_frame_map,
 )
+from svflow.cli import run
 from svflow.flowexp import Tolerance
 
 TIGHT = Tolerance(absolute=1e-12, relative=1e-12)
@@ -189,15 +189,14 @@ def test_frame_map_superluminal_worldline():
         solve_frame_map(traj, grid)
 
 
-def test_frame_map_csv_round_trip_and_determinism():
-    traj = Trajectory.from_formula("0.3*t", c=1.0)
-    grid = GridSpec(0.0, 0.5, -0.5, 0.5, nt=6, nx=5)
-    fm = solve_frame_map(traj, grid)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    fm.write_csv(buf1)
-    solve_frame_map(traj, grid).write_csv(buf2)
-    assert buf1.getvalue() == buf2.getvalue()  # byte identical
-    lines = buf1.getvalue().strip().splitlines()
+def test_frame_map_csv_round_trip_and_determinism(tmp_path):
+    argv = ["frame", "--f", "0.3*t", "--c", "1", "--grid", "0,0.5,-0.5,0.5,6,5"]
+    texts = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run([*argv, "--output", str(out)]) == 0
+        texts.append((out / "frame.csv").read_bytes())
+    assert texts[0] == texts[1]  # byte identical
+    lines = texts[0].decode().strip().splitlines()
     assert lines[0] == "t,x,x_prime,t_prime,v"
     assert len(lines) == 1 + 6 * 5
     first = lines[1].split(",")

@@ -208,6 +208,13 @@ def test_barut_root_at_expansion_point():
         barut_flow_identity(f, UNIT, t=0.0, rho=0.3)
 
 
+def test_barut_phase_overflow_guard():
+    # f = 1 accumulates the phase 2 pi m c^2 / h * rho = 400 pi, past EXP_CAP
+    f = fc.parse_expression("1", ["t"])
+    with pytest.raises(PhaseOverflowError, match="overflow cap"):
+        barut_flow_identity(f, RelParams(m=1, c=10, h=1), t=0.5, rho=2)
+
+
 def test_barut_matches_series_oracle_at_seventh_order():
     # |flow route - series order 6| should scale like rho^7
     f = fc.parse_expression("1 + t^2", ["t"])

@@ -14,6 +14,7 @@ from svflow.svgen import (
     EpsilonFn,
     EpsilonRootError,
     NegativeScaleRatioError,
+    ReparametrizationError,
     SVParams,
     apply_generator,
     bracket_eps,
@@ -353,6 +354,17 @@ def test_tprime_blowup():
 def test_tprime_root_at_start():
     with pytest.raises(EpsilonRootError):
         solve_tprime(EPS_T, 0.0, 1.0)
+
+
+def test_tprime_refusals_near_a_root_on_the_path():
+    # t'(rho) = 1 - exp(-rho) creeps up to the root of eps at t = 1: at
+    # rho = 30 the quadrature check of int dt/eps = rho misses its budget,
+    # and at rho = 40 t' rounds onto the root
+    eps = EpsilonFn.from_formula("1 - t")
+    with pytest.raises(ReparametrizationError, match="integral residual .* above budget"):
+        solve_tprime(eps, 0.0, 30.0)
+    with pytest.raises(EpsilonRootError, match="on path at t = 1.0"):
+        solve_tprime(eps, 0.0, 40.0)
 
 
 def test_tprime_monotone_in_t():
