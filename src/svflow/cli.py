@@ -27,10 +27,8 @@ from .fieldcalc import (
     ExpressionError,
     ParseError,
     Point,
-    ScalarField,
     SvflowError,
     derivative_memo,
-    parse_expression,
     scalar_field,
     vector_field,
 )
@@ -205,25 +203,24 @@ def _run_flow(args, cfg):
     order = _merge(args, cfg, "order", 6)
     charge = _merge(args, cfg, "charge")
     psi_text = _merge(args, cfg, "psi")
+    C = psi = None
     if charge is None or psi_text is None:
         _refuse_flags(args, ("charge", "psi", "order"), "--charge and --psi")
+    else:
+        C, psi = scalar_field(charge, chart), scalar_field(psi_text, chart)
 
-    res = flowexp.integrate_flow(B, x, rho, tol)
-    variational = flowexp.integrate_flow(B, x, rho, tol, jacobian=True)
-    J, n = variational.jacobian, len(chart)
-    push = flowexp.pushforward_defect(B, x, variational)
+    res = flowexp.integrate_flow(B, x, rho, tol, charge=C, jacobian=True)
+    push = flowexp.pushforward_defect(B, x, res)
     rows = [("endpoint", i, v) for i, v in enumerate(res.endpoint.coords)]
-    rows += [("jacobian", i * n + j, float(J[i, j])) for i in range(n) for j in range(n)]
+    rows += [("jacobian", k, v) for k, v in enumerate(res.jacobian.flat)]
     rows.append(("pushforward_residual", "", push))
     summary = [
         f"endpoint: {res.endpoint.coords} in {res.steps} steps "
         f"(estimated error {res.estimated_error:.2e})",
         f"pushforward residual: {push:.3e}",
     ]
-    if charge is not None and psi_text is not None:
-        C = ScalarField(chart, parse_expression(charge, chart))
-        psi = ScalarField(chart, parse_expression(psi_text, chart))
-        applied = flowexp.apply_exponential(B, C, psi, x, rho, tol)
+    if psi is not None:
+        applied = res.factorized(psi)
         series = flowexp.series_oracle(B, C, psi, x, rho, order)
         rows.append(("apply_exponential", "", applied))
         rows.append((f"series_order_{order}", "", series))
@@ -270,8 +267,8 @@ def _run_primary(args, cfg):
     tol = _tolerance(args, cfg)
     psi = scalar_field(verification.PRIMARY_PSI, svgen.CHART)
     tr = svgen.primary_transform(eps, p, t, r, rho, tol)
-    flow_res = svgen.primary_vs_flow_residual(eps, p, psi, t, r, rho, tol)
-    jac_res, defect = svgen.weight_form_terms(eps, p, t, r, rho, tol)
+    flow_res = svgen._law_vs_flow(tr, eps, p, psi, t, r, rho, tol)
+    jac_res, defect = svgen._weight_form_terms(tr, p, r)
     form_res = jac_res + defect
     rows = [
         ("t_prime", tr.t_prime),
@@ -374,10 +371,8 @@ def _run_frame(args, cfg):
     except ValueError as err:
         raise ConfigError(str(err)) from err
     fm = accframe.solve_frame_map(traj, grid, tol, max_iter)
-    # Python floats: render_csv would write a numpy float64 as np.float64(...)
-    xp, tp, v = fm.x_prime.tolist(), fm.t_prime.tolist(), fm.v.tolist()
-    rows = [(t, x, xp[i][j], tp[i][j], v[i][j]) for i, t in enumerate(fm.t_grid.tolist())
-            for j, x in enumerate(fm.x_grid.tolist())]
+    rows = [(t, x, fm.x_prime[i, j], fm.t_prime[i, j], fm.v[i, j])
+            for i, t in enumerate(fm.t_grid) for j, x in enumerate(fm.x_grid)]
     bx, bt = fm.boundary_residuals()
     summary = [
         f"f = {f_text!r}, grid {grid.nt}x{grid.nx}: "
@@ -509,9 +504,12 @@ def run(argv: list[str] | None = None) -> int:
         out_dir = _out_dir(args, cfg)
         with derivative_memo():
             report = _COMMANDS[command].run(args, cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, payload in report.files.items():
-            (out_dir / name).write_bytes(payload)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, payload in report.files.items():
+                (out_dir / name).write_bytes(payload)
+        except OSError as err:
+            raise ConfigError(f"output directory {out_dir}: {err.strerror}") from err
         for line in report.lines:
             print(line)
         _require(report.gates)

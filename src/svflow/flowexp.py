@@ -89,6 +89,10 @@ class FlowResult:
     estimated_error: float
     jacobian: np.ndarray | None = None
 
+    def factorized(self, psi: ScalarField) -> float:
+        """exp(T) * psi(x'): the factorized exponential applied to psi."""
+        return fc._eval_exp(self.phase) * psi.eval_at(self.endpoint)
+
 
 def _require_same_chart(*objs):
     charts = {o.chart for o in objs if o is not None}
@@ -246,8 +250,7 @@ def apply_exponential(
 ) -> float:
     """exp(T(x, rho)) * psi(x'(x, rho)): the factorized exponential."""
     _require_same_chart(B, C, psi)
-    res = integrate_flow(B, x, rho, tol, charge=C, blowup_bound=blowup_bound)
-    return fc._eval_exp(res.phase) * psi.eval_at(res.endpoint)
+    return integrate_flow(B, x, rho, tol, charge=C, blowup_bound=blowup_bound).factorized(psi)
 
 
 def apply_operator(B: VectorField, C: ScalarField | None,
@@ -338,10 +341,7 @@ def displacement_series(
     for comp in B.components:
         values = series_terms(B, None, ScalarField(B.chart, comp), x, order - 1,
                               max_order=max_order, max_nodes=max_nodes)
-        total = rho * values[0]
-        for n in range(2, order + 1):
-            total += rho**n / math.factorial(n) * values[n - 1]
-        offsets.append(total)
+        offsets.append(taylor_sum([0.0, *values], rho))
     return tuple(offsets)
 
 

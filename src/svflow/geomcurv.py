@@ -685,6 +685,8 @@ def parse_metric_text(text: str) -> tuple[MetricField, BlockSplit | None]:
         raise MetricFileError(
             f"coords lists {len(coords)} names for dim = {dim}", 0
         )
+    if dim > len(_HALTON_PRIMES):
+        raise MetricFileError(f"dim {dim} above {len(_HALTON_PRIMES)}: too wide to sample", 0)
     try:
         G = MetricField.from_entries(coords, entries)
     except (ValueError, fc.ParseError) as err:

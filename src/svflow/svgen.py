@@ -234,9 +234,14 @@ class SVParams:
 
 @dataclass(frozen=True)
 class PrimaryTransform:
+    """primary_transform's result, with dt'/dt and [eps, eps'] at t and t' from its t' run."""
+
     t_prime: float
     r_prime: float
     prefactor: float
+    dtprime_dt: float
+    eps_t: tuple[float, float]
+    eps_tp: tuple[float, float]
 
 
 def build_generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
@@ -322,15 +327,20 @@ def solve_tprime(
     defining integral is then re-evaluated by independent adaptive
     quadrature and must agree with rho.
     """
+    return _solve_tprime(eps, t, rho, tol)[0]
+
+
+def _solve_tprime(eps, t, rho, tol):
+    """(t', dt'/dt, [eps, eps'] at t, the same at t'): eps d_t run with its Jacobian."""
     run = eps.program()
-    e_start = run([float(t)])[0]
-    if e_start == 0.0:
+    eps_t = run([float(t)])
+    if eps_t[0] == 0.0:
         raise EpsilonRootError(f"eps vanishes at the start point t = {t}")
     B = VectorField(("t",), (eps.expression("t", 0),))
-    res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol)
+    res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol, jacobian=True)
     t_prime = res.endpoint.coords[0]
 
-    sign = math.copysign(1.0, e_start)
+    sign = math.copysign(1.0, eps_t[0])
 
     def integrand(tau: float) -> float:
         v = run([tau])[0]
@@ -339,9 +349,8 @@ def solve_tprime(
         return 1.0 / v
 
     try:
-        q = adaptive_simpson(
-            integrand, t, t_prime, atol=tol.absolute / 10, rtol=tol.relative / 10
-        )
+        q = adaptive_simpson(integrand, t, t_prime,
+                             atol=tol.absolute / 10, rtol=tol.relative / 10)
     except QuadratureError as err:
         raise EpsilonRootError(f"quadrature failed near an eps root: {err}") from err
     budget = 100.0 * (tol.absolute + tol.relative * max(1.0, abs(rho)))
@@ -349,7 +358,7 @@ def solve_tprime(
         raise ReparametrizationError(
             f"integral residual {abs(q - rho):.3e} above budget {budget:.3e}"
         )
-    return float(t_prime)
+    return t_prime, float(res.jacobian[0, 0]), eps_t, run([t_prime])
 
 
 def primary_transform(
@@ -362,25 +371,18 @@ def primary_transform(
 ) -> PrimaryTransform:
     """Finite transformation of a primary field: t', r' and the scalar
     prefactor multiplying psi(t', r')."""
-    t_prime = solve_tprime(eps, t, rho, tol)
-    run = eps.program()
-    e_tp, d_tp = run([t_prime])
-    e_t, d_t = run([float(t)])
+    t_prime, dtprime_dt, (e_t, d_t), (e_tp, d_tp) = _solve_tprime(eps, t, rho, tol)
     ratio = e_tp / e_t
     if ratio <= 0.0:
-        raise NegativeScaleRatioError(
-            f"eps(t')/eps(t) = {ratio:.3e} is not positive"
-        )
-    n_half = p.N / 2.0
-    r_prime = r * fc._eval_pow(ratio, n_half)
+        raise NegativeScaleRatioError(f"eps(t')/eps(t) = {ratio:.3e} is not positive")
+    r_prime = r * fc._eval_pow(ratio, p.N / 2.0)
     k = p.r_exponent
     weight = fc._eval_pow(ratio, p.N * p.chi / 2.0)
     arg = (p.m / 4.0) * (
         fc._eval_pow(r_prime, k) * d_tp / e_tp - fc._eval_pow(r, k) * d_t / e_t
     )
-    return PrimaryTransform(
-        t_prime=t_prime, r_prime=r_prime, prefactor=weight * fc._eval_exp(arg)
-    )
+    return PrimaryTransform(t_prime, r_prime, weight * fc._eval_exp(arg), dtprime_dt,
+                            (e_t, d_t), (e_tp, d_tp))
 
 
 def primary_vs_flow_residual(
@@ -394,11 +396,13 @@ def primary_vs_flow_residual(
 ) -> float:
     """|exp(rho (B + C)) psi  -  prefactor * psi(t', r')|: the flow route
     and the closed-form transformation law must agree."""
+    return _law_vs_flow(primary_transform(eps, p, t, r, rho, tol), eps, p, psi, t, r, rho, tol)
+
+
+def _law_vs_flow(tr: PrimaryTransform, eps, p, psi, t, r, rho, tol) -> float:
     B, C = build_generator(eps, p)
     lhs = flowexp.apply_exponential(B, C, psi, Point(CHART, (t, r)), rho, tol)
-    tr = primary_transform(eps, p, t, r, rho, tol)
-    rhs = tr.prefactor * psi.eval_at(Point(CHART, (tr.t_prime, tr.r_prime)))
-    return abs(lhs - rhs)
+    return abs(lhs - tr.prefactor * psi.eval_at(Point(CHART, (tr.t_prime, tr.r_prime))))
 
 
 def weight_form_terms(
@@ -416,25 +420,19 @@ def weight_form_terms(
     Returns (|dt'/dt - eps(t')/eps(t)|, invariance defect), with dt'/dt
     computed independently through the variational equation.
     """
-    tr = primary_transform(eps, p, t, r, rho, tol)
-    run = eps.program()
-    e_t, d_t = run([float(t)])
-    e_tp, d_tp = run([tr.t_prime])
+    return _weight_form_terms(primary_transform(eps, p, t, r, rho, tol), p, r)
+
+
+def _weight_form_terms(tr: PrimaryTransform, p, r) -> tuple[float, float]:
+    (e_t, d_t), (e_tp, d_tp), jac = tr.eps_t, tr.eps_tp, tr.dtprime_dt
     if e_t <= 0.0 or e_tp <= 0.0:
         raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
-    B1 = VectorField(("t",), (eps.expression("t", 0),))
-    flow = flowexp.integrate_flow(B1, Point(("t",), (t,)), rho, tol, jacobian=True)
-    jac = flow.jacobian[0, 0]
-    ratio = e_tp / e_t
-
     k = p.r_exponent
-    sdot_t = d_t / e_t
-    sdot_tp = d_tp / e_tp
-    lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * sdot_t)
+    lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * (d_t / e_t))
     rhs = fc._eval_pow(jac, p.N * p.chi / 2.0) * fc._eval_exp(
-        (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * sdot_tp
+        (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * (d_tp / e_tp)
     )
-    return abs(jac - ratio), abs(lhs - rhs)
+    return abs(jac - e_tp / e_t), abs(lhs - rhs)
 
 
 def weight_form_residual(

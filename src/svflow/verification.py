@@ -169,7 +169,7 @@ def render_csv(columns, rows) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 

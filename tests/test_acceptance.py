@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from svflow import cli, fieldcalc, geomcurv, svgen, verification
+from svflow import cli, fieldcalc, flowexp, geomcurv, svgen, verification
 from svflow.cli import run
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
 
@@ -138,6 +139,23 @@ def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     assert fieldcalc._DERIVATIVES.get() is None
 
 
+def _call_counts(monkeypatch, targets):
+    """A dict, by key, of the calls made to each (owner, attr, key) target
+    from here on."""
+    counts = dict.fromkeys((key for _, _, key in targets), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr, key in targets:
+        monkeypatch.setattr(owner, attr, counted(key, getattr(owner, attr)))
+    return counts
+
+
 @pytest.mark.parametrize(
     "criterion, expected",
     [
@@ -150,21 +168,11 @@ def test_each_cli_command_runs_in_a_derivative_memo(monkeypatch, tmp_path):
     ],
 )
 def test_c03_and_c08_do_each_piece_of_work_once(criterion, expected, monkeypatch):
-    counts = dict.fromkeys(expected, 0)
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for owner, attr, key in [
+    counts = _call_counts(monkeypatch, [
         (svgen, "build_generator", "generators"),
         (fieldcalc, "compile_expressions", "compiles"),
         (geomcurv.CurvatureBundle, "__init__", "bundles"),
-    ]:
-        monkeypatch.setattr(owner, attr, counted(key, getattr(owner, attr)))
+    ])
     with fieldcalc.derivative_memo():
         criterion(DEFAULT_SEED)
     assert counts == expected
@@ -177,6 +185,32 @@ _CLI_GOLDEN_ARGV = {
                 "--point", "0.5,1.2"],
     "virasoro": ["--max-index", "2", "--points", "4", "--seed", "7"],
 }
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # one transform, whose t' run carries dt'/dt, and the exp route's flow
+        ("primary", {"flows": 2, "quadratures": 1}),
+        # endpoint, steps, Jacobian, pushforward and exp route from one run
+        ("flow", {"flows": 1, "quadratures": 0}),
+        # c04: per grid point a transform and the exp route's flow, plus eps = t
+        ("criterion_primary", {"flows": 51, "quadratures": 26}),
+        # c05: per grid point one transform
+        ("criterion_scale_form", {"flows": 25, "quadratures": 25}),
+    ],
+)
+def test_each_flow_question_is_one_run(name, expected, monkeypatch, tmp_path):
+    counts = _call_counts(monkeypatch, [
+        (flowexp, "integrate_flow", "flows"),
+        (svgen, "adaptive_simpson", "quadratures"),
+    ])
+    if name in _CLI_GOLDEN_ARGV:
+        assert run([name, *_CLI_GOLDEN_ARGV[name], "--output", str(tmp_path)]) == 0
+    else:
+        with fieldcalc.derivative_memo():
+            getattr(verification, name)(DEFAULT_SEED)
+    assert counts == expected
 
 
 @pytest.mark.parametrize("name, argv", list(_CLI_GOLDEN_ARGV.items()))
@@ -251,6 +285,11 @@ def test_c01_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     result = verification.criterion_flow_factorization()
     golden = Path(__file__).parent / "golden" / "c01_flow_factorization.csv"
     assert verification.render_csv(result.columns, result.rows) == golden.read_bytes()
+
+
+def test_csv_floats_do_not_depend_on_numpy():
+    # numpy 2 writes the repr of a float64 as np.float64(...), numpy 1 as 0.1
+    assert verification.render_csv(("v",), [(np.float64(0.1),)]) == b"v\n0.1\n"
 
 
 def test_goldens_hold_under_other_blas_kernels():

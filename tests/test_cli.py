@@ -401,6 +401,26 @@ def test_missing_metric_file_is_a_config_error(tmp_path, capsys):
         assert err.startswith("svflow: config error: metric file") and len(err.splitlines()) == 1
 
 
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run(["correlator", "--output", str(afile / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error: output directory") and len(err.splitlines()) == 1
+
+
+def test_metric_file_wider_than_the_sampler_is_refused(tmp_path, capsys):
+    names = [f"a{i}" for i in range(9)]
+    metric = tmp_path / "wide.metric"
+    metric.write_text(f"dim = 9\ncoords = {', '.join(names)}\n"
+                      f"split = a0 | {' '.join(names[1:])}\n"
+                      + "".join(f"g[{i},{i}] = 1\n" for i in range(9)))
+    assert run(["curvature", "--metric", str(metric), "--output", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "above 8" in err
+    assert err.startswith("svflow: error:") and len(err.splitlines()) == 1
+
+
 # ------------------------------------------------- the keys each command reads
 
 
