@@ -7,6 +7,7 @@ curvature, and accelerated-frame coordinates, plus a verification CLI.
 from .fieldcalc import (
     DomainError,
     Expression,
+    InputError,
     ParseError,
     Point,
     ScalarField,

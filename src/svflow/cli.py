@@ -2,9 +2,11 @@
 subcommand, with optional INI config files and CSV reports.
 
 Exit status 0 means every asserted invariant of the subcommand held at
-its tolerance, 1 names the failing invariant, 2 is a usage or config
-error.  Reports carry no timestamps and all randomness flows through the
---seed flag, so identical invocations produce byte-identical CSVs.
+its tolerance, 1 names the failing invariant or the library's error, 2 an
+input refused before computing (an InputError: flag, config field,
+formula or input file); run alone maps error classes to codes.  Reports
+carry no timestamps and all randomness flows through the --seed flag,
+so identical invocations produce byte-identical CSVs.
 
 Each subcommand declares in _COMMANDS the keys it reads: one flag each,
 and one key = value field of a config file's [run] section; explicit
@@ -24,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import accframe, flowexp, geomcurv, nrlimit, svgen, verification
 from .fieldcalc import (
-    ExpressionError,
+    InputError,
     ParseError,
     Point,
     SvflowError,
@@ -35,8 +37,8 @@ from .fieldcalc import (
 from .flowexp import DEFAULT_TOLERANCE, Tolerance
 
 
-class ConfigError(SvflowError):
-    pass
+class ConfigError(InputError):
+    """A flag, config file or output directory refused by the CLI itself."""
 
 
 class VerificationFailure(SvflowError):
@@ -55,7 +57,7 @@ def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"config parse error: {err}") from err
     if not read:
         raise ConfigError(f"config file {path} not found")
@@ -108,7 +110,7 @@ def _checked(source: str, key: str, value: str):
             raise ValueError(f"must be at least {minimum}, got {value}")
         if key in _POSITIVE and value <= 0:
             raise ValueError(f"must be positive, got {value}")
-    except (ValueError, ExpressionError) as err:
+    except ValueError as err:
         raise ConfigError(f"{source} {key!r}: {err}") from err
     return value
 
@@ -147,10 +149,7 @@ def _sv_params(args, cfg) -> svgen.SVParams:
     m = _merge(args, cfg, "m", 1.3)
     chi = _merge(args, cfg, "chi", 0.7)
     N = _merge(args, cfg, "n_aniso", 1.0)
-    try:
-        return svgen.SVParams(m=m, chi=chi, N=N)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return svgen.SVParams(m=m, chi=chi, N=N)
 
 
 def _out_dir(args, cfg) -> Path:
@@ -193,11 +192,8 @@ def _run_flow(args, cfg):
     coords = _merge(args, cfg, "point")
     if coords is None:
         raise ConfigError("flow needs --point")
-    try:
-        B = vector_field([s.strip() for s in comps.split(";")], chart)
-        x = Point(chart, tuple(coords))
-    except ValueError as err:
-        raise ConfigError(f"flow: {err}") from err
+    B = vector_field([s.strip() for s in comps.split(";")], chart)
+    x = Point(chart, tuple(coords))
     rho = _merge(args, cfg, "rho", 0.5)
     tol = _tolerance(args, cfg)
     order = _merge(args, cfg, "order", 6)
@@ -254,10 +250,7 @@ def _run_virasoro(args, cfg):
 
 def _run_primary(args, cfg):
     eps_text = _merge(args, cfg, "eps", "t")
-    try:
-        eps = svgen.EpsilonFn.from_formula(eps_text)
-    except ValueError as err:
-        raise ConfigError(f"field 'eps': {err}") from err
+    eps = svgen.EpsilonFn.from_formula(eps_text)
     p = _sv_params(args, cfg)
     coords = _merge(args, cfg, "point", [0.5, 1.2])
     if len(coords) != 2:
@@ -291,10 +284,7 @@ def _run_nrlimit(args, cfg):
     m = _merge(args, cfg, "m", 1.0)
     c = _merge(args, cfg, "c", 2.0)
     h = _merge(args, cfg, "h", 1.0)
-    try:
-        p = nrlimit.RelParams(m=m, c=c, h=h)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    p = nrlimit.RelParams(m=m, c=c, h=h)
     point = tuple(_merge(args, cfg, "point", [0.5, 0.25, 0.8]))
     if len(point) != 3:
         raise ConfigError("nrlimit --point needs t,x0,x")
@@ -333,10 +323,7 @@ def _run_curvature(args, cfg):
         result = verification.criterion_curvature()
         rows, summary, gates = result.rows, result.detail, result.gates
     else:
-        try:
-            G, split = geomcurv.load_metric_file(metric_path)
-        except OSError as err:
-            raise ConfigError(f"metric file {metric_path}: {err.strerror}") from err
+        G, split = geomcurv.load_metric_file(metric_path)
         if split is None:
             raise ConfigError("metric file needs a split line for block checks")
         ranges = {c: (0.3, 0.9) for c in G.coords}
@@ -357,19 +344,10 @@ def _run_frame(args, cfg):
     grid_vals = _merge(args, cfg, "grid", [0.0, 0.5, -0.3, 0.35, 41, 41])
     if len(grid_vals) != 6:
         raise ConfigError("frame --grid needs tmin,tmax,xmin,xmax,nt,nx")
-    try:
-        grid = accframe.GridSpec(
-            grid_vals[0], grid_vals[1], grid_vals[2], grid_vals[3],
-            int(grid_vals[4]), int(grid_vals[5]),
-        )
-    except ValueError as err:
-        raise ConfigError(f"frame --grid: {err}") from err
+    grid = accframe.GridSpec(*grid_vals)
     tol = _tolerance(args, cfg, accframe.FRAME_TOLERANCE)
     max_iter = _merge(args, cfg, "max_iter", 100)
-    try:
-        traj = accframe.Trajectory.from_formula(f_text, c=c)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    traj = accframe.Trajectory.from_formula(f_text, c=c)
     fm = accframe.solve_frame_map(traj, grid, tol, max_iter)
     rows = [(t, x, fm.x_prime[i, j], fm.t_prime[i, j], fm.v[i, j])
             for i, t in enumerate(fm.t_grid) for j, x in enumerate(fm.x_grid)]
@@ -495,9 +473,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         command = args.command
         if command is None:
-            parser.print_usage(sys.stderr)
-            print("svflow: error: no subcommand given", file=sys.stderr)
-            return 2
+            raise ConfigError("no subcommand given")
         cfg = load_config(args.config) if args.config else RunConfig()
         if cfg.command not in (None, command):
             raise ConfigError(f"the config file is for {cfg.command!r}, not {command!r}")
@@ -513,16 +489,16 @@ def run(argv: list[str] | None = None) -> int:
         for line in report.lines:
             print(line)
         _require(report.gates)
-    except ConfigError as err:
-        print(f"svflow: config error: {err}", file=sys.stderr)
-        return 2
-    except ParseError as err:
-        print(f"svflow: formula error: {err}", file=sys.stderr)
-        return 2
     except VerificationFailure as err:
         print(f"svflow: verification FAILED: {err}", file=sys.stderr)
         return 1
-    except (SvflowError, ValueError) as err:
+    except ParseError as err:
+        print(f"svflow: formula error: {err}", file=sys.stderr)
+        return 2
+    except InputError as err:
+        print(f"svflow: config error: {err}", file=sys.stderr)
+        return 2
+    except SvflowError as err:
         print(f"svflow: error: {err}", file=sys.stderr)
         return 1
     return 0

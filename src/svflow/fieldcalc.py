@@ -54,16 +54,22 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+import numpy as np
+
 
 class SvflowError(Exception):
     """Base class of every error svflow raises on purpose."""
+
+
+class InputError(SvflowError, ValueError):
+    """Input refused before computing; a ValueError too, for callers that catch one."""
 
 
 class ExpressionError(SvflowError):
     """Base class for errors raised by this module."""
 
 
-class ParseError(ExpressionError):
+class ParseError(ExpressionError, InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -362,6 +368,16 @@ def _unary_ctor(cls: type) -> Callable[[Expression], Expression]:
 # The arithmetic and power helpers test their result inline: v - v == 0.0
 # holds exactly when v is finite (inf - inf and NaN - NaN are NaN), so the
 # common case costs no second call and _check_finite runs only to raise.
+
+
+@contextlib.contextmanager
+def _checked_numpy(what: str):
+    """numpy overflow, NaN or zero division as a DomainError; einsum and interp set no flag."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as err:
+        raise DomainError(f"{what}: {err}", kind="overflow") from None
 
 
 def _check_finite(v: float, what: str) -> float:
@@ -964,7 +980,7 @@ class _Parser:
         self.variables = set(variables)
         clash = self.variables & RESERVED
         if clash:
-            raise ValueError(
+            raise InputError(
                 f"variable names {sorted(clash)} collide with reserved words"
             )
         self.tokens = _tokenize(text)
@@ -1078,9 +1094,9 @@ Chart = tuple[str, ...]
 def _as_chart(names: Iterable[str]) -> Chart:
     chart = tuple(names)
     if len(chart) == 0:
-        raise ValueError("chart needs at least one coordinate")
+        raise InputError("chart needs at least one coordinate")
     if len(set(chart)) != len(chart):
-        raise ValueError(f"duplicate coordinate names in chart {chart}")
+        raise InputError(f"duplicate coordinate names in chart {chart}")
     return chart
 
 
@@ -1095,7 +1111,7 @@ class Point:
         object.__setattr__(self, "chart", _as_chart(self.chart))
         object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
         if len(self.coords) != len(self.chart):
-            raise ValueError(
+            raise InputError(
                 f"{len(self.coords)} coordinates for {len(self.chart)}-chart {self.chart}"
             )
 
@@ -1117,7 +1133,7 @@ def _check_chart_vars(chart: Chart, exprs: Iterable[Expression], what: str):
     for e in exprs:
         extra = variables_of(e) - allowed
         if extra:
-            raise ValueError(f"{what} uses variables {sorted(extra)} outside chart {chart}")
+            raise InputError(f"{what} uses variables {sorted(extra)} outside chart {chart}")
 
 
 @dataclass(frozen=True)
@@ -1146,7 +1162,7 @@ class VectorField:
         object.__setattr__(self, "chart", _as_chart(self.chart))
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != len(self.chart):
-            raise ValueError(
+            raise InputError(
                 f"{len(self.components)} components for chart {self.chart}"
             )
         _check_chart_vars(self.chart, self.components, "vector field")

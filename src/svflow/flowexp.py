@@ -30,6 +30,7 @@ from . import fieldcalc as fc
 from .fieldcalc import (
     DomainError,
     Expression,
+    InputError,
     Point,
     ScalarField,
     SvflowError,
@@ -56,7 +57,7 @@ class BlowupError(FlowError):
     """A coordinate left the configured bound (or overflowed) during the flow."""
 
 
-class SeriesOrderError(FlowError):
+class SeriesOrderError(FlowError, InputError):
     """Requested expansion order above the configured maximum."""
 
 
@@ -72,7 +73,7 @@ class Tolerance:
 
     def __post_init__(self):
         if self.absolute <= 0 or self.relative <= 0 or self.max_steps <= 0:
-            raise ValueError("tolerance fields must be positive")
+            raise InputError("tolerance fields must be positive")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -97,7 +98,7 @@ class FlowResult:
 def _require_same_chart(*objs):
     charts = {o.chart for o in objs if o is not None}
     if len(charts) > 1:
-        raise ValueError(f"chart mismatch: {sorted(charts)}")
+        raise InputError(f"chart mismatch: {sorted(charts)}")
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +131,9 @@ def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
                 raise BlowupError(
                     f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
                 )
+    # the phase and Jacobian have no bound, and once infinite they stay so
+    if not all(map(math.isfinite, y[n_coords:])):
+        raise BlowupError(f"the phase or Jacobian overflowed within {n} steps")
     return y
 
 
@@ -140,7 +144,7 @@ def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
         return np.array(y0, dtype=float), 0, 0.0
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
-            raise ValueError("n_steps must be a positive even integer")
+            raise InputError("n_steps must be a positive even integer")
         coarse = _rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
         fine = np.array(_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords))
         est = float(np.max(np.abs(fine - coarse))) / 15.0
@@ -214,11 +218,9 @@ def integrate_flow(
     whole state.  The x-update never reads the extra state, so at fixed
     n_steps the endpoint is bitwise the same in every mode.
     """
-    _require_same_chart(B, charge)
-    if x.chart != B.chart:
-        raise ValueError(f"point chart {x.chart} does not match field {B.chart}")
+    _require_same_chart(B, charge, x)
     if not math.isfinite(rho):
-        raise ValueError("rho must be finite")
+        raise InputError("rho must be finite")
     d = B.dimension
     y0 = list(x.coords)
     if charge is not None:
@@ -279,7 +281,7 @@ def series_terms(
     symbolic application."""
     _require_same_chart(B, C, psi)
     if order < 0:
-        raise ValueError("order must be non-negative")
+        raise InputError("order must be non-negative")
     if order > max_order:
         raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
     u = psi.expression
@@ -311,12 +313,13 @@ def series_oracle(
 
 
 def taylor_sum(terms: list[float], rho: float) -> float:
-    """sum_n rho^n / n! terms[n], added left to right.  Builtin sum()
-    compensates float rounding from Python 3.12 on, so with it the
-    reports would depend on the interpreter's version."""
+    """sum_n rho^n / n! terms[n], added left to right by the checked
+    helpers, so an overflow is a DomainError.  Builtin sum() compensates
+    float rounding from Python 3.12 on, so with it the reports would
+    depend on the interpreter's version."""
     total = 0.0
     for n, v in enumerate(terms):
-        total += rho**n / math.factorial(n) * v
+        total = fc._eval_add(total, fc._eval_mul(fc._eval_pow(rho, n) / math.factorial(n), v))
     return total
 
 
@@ -334,7 +337,7 @@ def displacement_series(
     Approximates (flow endpoint - x) to order rho^{order+1}.
     """
     if order < 1:
-        raise ValueError("order must be at least 1")
+        raise InputError("order must be at least 1")
     if order > max_order:
         raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
     offsets = []

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import fieldcalc as fc
-from .fieldcalc import Const, Expression, Point, SvflowError, parse_expression
+from .fieldcalc import Const, Expression, InputError, Point, SvflowError, parse_expression
 
 DEGENERACY_EPS = 1e-12
 _HALTON_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -38,14 +38,27 @@ class DegenerateMetricError(SvflowError):
     """|det G| fell below the degeneracy threshold at an evaluation point."""
 
 
-class MetricFileError(SvflowError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+class MetricFileError(InputError):
+    """A metric file refused at one line, or as a whole (line None)."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
 # --------------------------------------------------------------------------
 # Metric and split types
+
+
+def _metric_entry(i: int, j: int, raw, D: int, chart) -> Expression:
+    """Entry (i, j) of a D-dimensional metric as an expression over chart."""
+    if not (0 <= i < D and 0 <= j < D):
+        raise InputError(f"entry index ({i},{j}) outside 0..{D - 1}")
+    if isinstance(raw, str):
+        return parse_expression(raw, chart)
+    if isinstance(raw, Expression):
+        return raw
+    return Const(float(raw))
 
 
 @dataclass(frozen=True)
@@ -63,22 +76,14 @@ class MetricField:
         comps = tuple(tuple(row) for row in self.components)
         object.__setattr__(self, "components", comps)
         if len(comps) != D or any(len(row) != D for row in comps):
-            raise ValueError(f"components must form a {D}x{D} matrix")
+            raise InputError(f"components must form a {D}x{D} matrix")
         for i in range(D):
             for j in range(i + 1, D):
                 if comps[i][j] is not comps[j][i]:  # hash-consed: same structure
-                    raise ValueError(
+                    raise InputError(
                         f"metric not structurally symmetric at ({i},{j})"
                     )
-        allowed = set(self.coords) | set(self.param_vars)
-        for row in comps:
-            for e in row:
-                extra = fc.variables_of(e) - allowed
-                if extra:
-                    raise ValueError(
-                        f"metric entry uses variables {sorted(extra)} "
-                        f"outside {sorted(allowed)}"
-                    )
+        fc._check_chart_vars(self.coords + self.param_vars, sum(comps, ()), "metric entry")
 
     @property
     def dimension(self) -> int:
@@ -99,16 +104,7 @@ class MetricField:
         grid: list[list[Expression]] = [[fc.ZERO] * D for _ in range(D)]
         chart = coords + param_vars
         for (i, j), raw in entries.items():
-            if not (0 <= i < D and 0 <= j < D):
-                raise ValueError(f"entry index ({i},{j}) outside 0..{D - 1}")
-            if isinstance(raw, str):
-                e = parse_expression(raw, chart)
-            elif isinstance(raw, Expression):
-                e = raw
-            else:
-                e = Const(float(raw))
-            grid[i][j] = e
-            grid[j][i] = e
+            grid[i][j] = grid[j][i] = _metric_entry(i, j, raw, D, chart)
         return cls(coords, tuple(tuple(row) for row in grid), param_vars)
 
     def is_diagonal(self) -> bool:
@@ -133,18 +129,18 @@ class BlockSplit:
         object.__setattr__(self, "second", tuple(self.second))
         joint = sorted(self.first + self.second)
         if len(set(joint)) != len(joint):
-            raise ValueError("split blocks overlap")
+            raise InputError("split blocks overlap")
         if joint != list(range(len(joint))):
-            raise ValueError("split must cover indices 0..D-1 exactly")
+            raise InputError("split must cover indices 0..D-1 exactly")
         if not self.first or not self.second:
-            raise ValueError("both blocks must be non-empty")
+            raise InputError("both blocks must be non-empty")
 
     def validate_against(self, G: MetricField):
         """Off-block components must vanish structurally."""
         for i in self.first:
             for j in self.second:
                 if not fc.is_const(G.components[i][j], 0.0):
-                    raise ValueError(
+                    raise InputError(
                         f"off-block component ({i},{j}) is not structurally zero"
                     )
 
@@ -482,12 +478,13 @@ class BlockComparisonReport:
     rows: list[tuple[str, int, float]] = field(default_factory=list)
 
 
+@fc._checked_numpy("block curvature")
 def block_vs_direct_residual(
     direct: CurvatureBundle, s: BlockSplit, points: list[Mapping[str, float] | Point]
 ) -> BlockComparisonReport:
     """For each decomposition formula, the max absolute difference with
     the direct pipeline, the bundle of the split metric, over the points,
-    plus per-point rows for CSV."""
+    plus per-point rows for CSV; an overflow or NaN is a DomainError."""
     pieces = _BlockPieces(direct.metric, s)
     fi = np.array(s.first)
     si = np.array(s.second)
@@ -507,6 +504,8 @@ def block_vs_direct_residual(
             ),
             "scalar_block": abs(_scalar_block(bv) - dv.scalar),
         }
+        if not np.isfinite(list(res.values())).all():  # einsum's inf or NaN
+            raise fc.DomainError(f"curvature at {env} is not finite", kind="overflow")
         for name, value in res.items():
             report.rows.append((name, idx, value))
             report.max_residuals[name] = max(report.max_residuals[name], value)
@@ -649,8 +648,8 @@ def parse_metric_text(text: str) -> tuple[MetricField, BlockSplit | None]:
     `split = a b | c`, then `g[i,j] = formula` lines (upper triangle)."""
     dim = None
     coords: tuple[str, ...] | None = None
-    split_spec: tuple[list[str], list[str]] | None = None
-    entries: dict[tuple[int, int], str] = {}
+    split_spec: tuple[list[str], list[str], int] | None = None
+    entries: dict[tuple[int, int], tuple[str, int]] = {}  # formula, line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -669,39 +668,47 @@ def parse_metric_text(text: str) -> tuple[MetricField, BlockSplit | None]:
             halves = value.split("|")
             if len(halves) != 2:
                 raise MetricFileError("split needs exactly one '|'", lineno)
-            split_spec = ([w for w in halves[0].split()], [w for w in halves[1].split()])
+            split_spec = (halves[0].split(), halves[1].split(), lineno)
         elif key.startswith("g[") and key.endswith("]"):
             body = key[2:-1]
             try:
                 i, j = (int(p) for p in body.split(","))
             except ValueError:
                 raise MetricFileError(f"bad component index {key!r}", lineno) from None
-            entries[(min(i, j), max(i, j))] = value
+            entries[(min(i, j), max(i, j))] = (value, lineno)
         else:
             raise MetricFileError(f"unknown key {key!r}", lineno)
     if dim is None or coords is None:
-        raise MetricFileError("file must define dim and coords", 0)
+        raise MetricFileError("file must define dim and coords")
     if len(coords) != dim:
-        raise MetricFileError(
-            f"coords lists {len(coords)} names for dim = {dim}", 0
-        )
+        raise MetricFileError(f"coords lists {len(coords)} names for dim = {dim}")
     if dim > len(_HALTON_PRIMES):
-        raise MetricFileError(f"dim {dim} above {len(_HALTON_PRIMES)}: too wide to sample", 0)
-    try:
-        G = MetricField.from_entries(coords, entries)
-    except (ValueError, fc.ParseError) as err:
-        raise MetricFileError(str(err), 0) from err
+        raise MetricFileError(f"dim {dim} above {len(_HALTON_PRIMES)}: too wide to sample")
+    parsed = {}
+    for (i, j), (value, lineno) in entries.items():
+        try:
+            parsed[(i, j)] = _metric_entry(i, j, value, dim, coords)
+        except InputError as err:
+            raise MetricFileError(str(err), lineno) from err
     split = None
     if split_spec is not None:
+        *halves, lineno = split_spec
+        unknown = sorted(set(halves[0] + halves[1]) - set(coords))
+        if unknown:
+            raise MetricFileError(f"split names unknown: {unknown}", lineno)
         try:
-            first = tuple(coords.index(nm) for nm in split_spec[0])
-            second = tuple(coords.index(nm) for nm in split_spec[1])
-        except ValueError as err:
-            raise MetricFileError(f"split names unknown: {err}", 0) from err
-        split = BlockSplit(first, second)
-    return G, split
+            split = BlockSplit(*(tuple(coords.index(nm) for nm in h) for h in halves))
+        except InputError as err:
+            raise MetricFileError(str(err), lineno) from err
+    return MetricField.from_entries(coords, parsed), split
 
 
 def load_metric_file(path) -> tuple[MetricField, BlockSplit | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_metric_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise MetricFileError(f"metric file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise MetricFileError(f"metric file {path}: not UTF-8 text: {err.reason}") from err
+    return parse_metric_text(text)

@@ -35,6 +35,7 @@ from .fieldcalc import (
     Const,
     DomainError,
     Expression,
+    InputError,
     Point,
     ScalarField,
     SvflowError,
@@ -79,7 +80,7 @@ class EpsilonFn:
             sorted((int(n), float(c)) for n, c in dict(self.terms).items() if c != 0.0)
         )
         if not cleaned:
-            raise ValueError("eps needs at least one nonzero coefficient")
+            raise InputError("eps needs at least one nonzero coefficient")
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
@@ -97,11 +98,7 @@ class EpsilonFn:
         extracted structurally and exactly; non-polynomial formulas are
         rejected."""
         expr = fc.simplify(fc.parse_expression(text, ("t",)))
-        powers = _laurent_coefficients(expr)
-        coeffs = {k - 1: c for k, c in powers.items() if c != 0.0}
-        if not coeffs:
-            raise ValueError(f"{text!r} is the zero function")
-        return cls.from_coefficients(coeffs)
+        return cls.from_coefficients({k - 1: c for k, c in _laurent_coefficients(expr).items()})
 
     @cached_property
     def _roots(self) -> tuple[Expression, Expression]:
@@ -122,7 +119,7 @@ class EpsilonFn:
     def expression(self, var: str = "t", order: int = 0) -> Expression:
         """Symbolic eps (order 0), eps' (1) or eps'' (2)."""
         if order not in (0, 1, 2):
-            raise ValueError("order must be 0, 1 or 2")
+            raise InputError("order must be 0, 1 or 2")
         total: Expression = fc.ZERO
         for n, c in self.terms:
             k = n + 1
@@ -145,13 +142,13 @@ def _product(left: dict[int, float], right: dict[int, float]) -> dict[int, float
         for k2, c2 in right.items():
             out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
     if any(abs(k) > MAX_EPS_DEGREE for k in out):
-        raise ValueError(f"powers of t beyond +-{MAX_EPS_DEGREE}")
+        raise InputError(f"powers of t beyond +-{MAX_EPS_DEGREE}")
     return out
 
 
 def _laurent_coefficients(e: fc.Expression) -> dict[int, float]:
     """Map power -> coefficient for an expression that is a Laurent
-    polynomial in t; raises ValueError otherwise."""
+    polynomial in t; raises InputError otherwise."""
     return fc._fold([e], _laurent_node)[id(e)]
 
 
@@ -177,26 +174,26 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
         num, den = ops
         live = {k: c for k, c in den.items() if c != 0.0}
         if len(live) != 1:
-            raise ValueError("division only by a constant or a monomial in t")
+            raise InputError("division only by a constant or a monomial in t")
         (k0, c0), = live.items()
         return {k - k0: c / c0 for k, c in num.items()}
     if isinstance(e, fc.Pow):
         if not isinstance(e.right, Const) or e.right.value != int(e.right.value):
-            raise ValueError("powers must have integer constant exponents")
+            raise InputError("powers must have integer constant exponents")
         n = int(e.right.value)
         if abs(n) > MAX_EPS_DEGREE:
-            raise ValueError(f"exponent {e.right.value:g} beyond +-{MAX_EPS_DEGREE}")
+            raise InputError(f"exponent {e.right.value:g} beyond +-{MAX_EPS_DEGREE}")
         live = {k: c for k, c in ops[0].items() if c != 0.0}
         if n < 0:
             if len(live) != 1:
-                raise ValueError("negative powers only of a single monomial")
+                raise InputError("negative powers only of a single monomial")
             (k0, c0), = live.items()
             return {k0 * n: fc._eval_pow(c0, n)}
         out = {0: 1.0}
         for _ in range(n):
             out = _product(out, live)
         return out
-    raise ValueError(f"not a Laurent polynomial in t: {fc.to_string(e)}")
+    raise InputError(f"not a Laurent polynomial in t: {fc.to_string(e)}")
 
 
 def bracket_eps(eps: EpsilonFn, eta: EpsilonFn) -> dict[int, float]:
@@ -225,7 +222,7 @@ class SVParams:
 
     def __post_init__(self):
         if self.N == 0:
-            raise ValueError("N must be nonzero")
+            raise InputError("N must be nonzero")
 
     @property
     def r_exponent(self) -> float:
@@ -278,7 +275,7 @@ def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
     is built once and all residuals run as one program, so a DomainError
     is that of the first failing point."""
     if any(test.chart != CHART for test in tests):
-        raise ValueError(f"test function must live on chart {CHART}")
+        raise InputError(f"test function must live on chart {CHART}")
     generators: dict[EpsilonFn, tuple[VectorField, ScalarField]] = {}
 
     def X(eps: EpsilonFn, u: Expression) -> Expression:
@@ -454,7 +451,7 @@ def map_halfspace(
     """Exponential map from the flat (t, r) plane to the half-space
     0 < t' < infinity."""
     if T <= 0.0 or T_prime <= 0.0:
-        raise ValueError("T and T' must be positive")
+        raise InputError("T and T' must be positive")
     t_prime = T_prime * math.exp(t / T)
     r_prime = r * math.sqrt(T_prime / T) * math.exp(t / (2.0 * T))
     return (t_prime, r_prime)
@@ -465,7 +462,7 @@ def invert_halfspace(
 ) -> tuple[float, float]:
     """Algebraic inverse of map_halfspace."""
     if t_prime <= 0.0:
-        raise ValueError("t' must be positive")
+        raise InputError("t' must be positive")
     t = T * math.log(t_prime / T_prime)
     r = r_prime * math.sqrt(T / t_prime)
     return (t, r)
@@ -486,9 +483,9 @@ def halfspace_correlator(
     the scaling weight and the mass-dependent exponential.
     """
     if T <= 0.0 or T_prime <= 0.0:
-        raise ValueError("T and T' must be positive")
+        raise InputError("T and T' must be positive")
     if t_prime <= 0.0:
-        raise ValueError("t' must lie in (0, infinity)")
+        raise InputError("t' must lie in (0, infinity)")
     r2 = fc._eval_pow(r_prime, 2)
     base = (T / t_prime) * r2 + fc._eval_pow(T, 2) * fc._eval_pow(
         math.log(t_prime / T_prime), 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svflow.accframe import (
+    MAX_GRID_POINTS,
     FrameInversionError,
     GridSpec,
     SuperluminalError,
@@ -16,6 +17,7 @@ from svflow.accframe import (
     solve_frame_map,
 )
 from svflow.cli import run
+from svflow.fieldcalc import InputError
 from svflow.flowexp import Tolerance
 
 TIGHT = Tolerance(absolute=1e-12, relative=1e-12)
@@ -129,6 +131,28 @@ def test_differentials_compose_to_identity():
 
 
 # ------------------------------------------------------------ frame solver
+
+
+def test_a_grid_above_the_point_cap_is_refused_before_any_array():
+    # a GridSpec allocates nothing: 10^12 x 5 points once ended in MemoryError
+    with pytest.raises(InputError, match="above 250,000"):
+        GridSpec(0.0, 1.0, -1.0, 1.0, 1e12, 5)
+    with pytest.raises(InputError):
+        GridSpec(0.0, 1.0, -1.0, 1.0, MAX_GRID_POINTS // 5 + 1, 5)
+    assert GridSpec(0.0, 1.0, -1.0, 1.0, MAX_GRID_POINTS // 5, 5).nt == MAX_GRID_POINTS // 5
+
+
+def test_a_grid_of_infinite_width_is_refused():
+    # -1e308..1e308 is inf wide: the grid step was inf and x' NaN
+    with pytest.raises(InputError, match="finite width"):
+        GridSpec(0.0, 1.0, -1e308, 1e308, 5, 5)
+
+
+def test_grid_line_counts_must_be_whole():
+    with pytest.raises(InputError, match="whole"):
+        GridSpec(0.0, 1.0, -1.0, 1.0, 3.7, 11)
+    grid = GridSpec(0.0, 1.0, -1.0, 1.0, 41.0, 11)
+    assert grid.nt == 41 and type(grid.nt) is int
 
 
 def test_frame_map_at_rest_is_identity():

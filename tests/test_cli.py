@@ -1,4 +1,7 @@
 import ast
+import inspect
+import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -127,6 +130,30 @@ def test_quadrature_budget_is_a_library_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--field", "0", "--vars", "t", "--point", "1", "--rho", "1e200",
+         "--charge", "0", "--psi", "1"],
+        ["frame", "--c", "1e308"],
+        ["frame", "--grid=0,1e-320,-1e308,0,3,3"],
+        ["nrlimit", "--c-values", "1,1,1e308"],
+        ["nrlimit", "--c-values", "1,1,1e-320"],
+        ["curvature", "--metric", "{huge}"],
+    ],
+)
+def test_overflow_is_one_library_error_line(argv, tmp_path, capsys):
+    # these ended in a traceback or printed a numpy warning line first
+    huge = tmp_path / "huge.metric"
+    huge.write_text("dim = 2\ncoords = a, b\nsplit = a | b\ng[0,0] = 1e200\ng[1,1] = 1e200\n")
+    argv = [arg.format(huge=huge) for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--output", str(tmp_path / "r")])
+    assert code == 1
+    _assert_one_error_line(capsys)
+
+
 def test_phase_overflow_is_a_library_error(tmp_path, capsys):
     code = run(
         [
@@ -172,7 +199,8 @@ def test_eps_degree_beyond_the_cap_is_a_config_error(eps, tmp_path, capsys):
     code = run(["primary", "--eps", eps, "--output", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("svflow: config error: field 'eps':") and len(err.splitlines()) == 1
+    assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
+    assert "beyond +-64" in err
 
 
 def test_deep_nesting_is_a_formula_error(tmp_path, capsys):
@@ -401,6 +429,16 @@ def test_missing_metric_file_is_a_config_error(tmp_path, capsys):
         assert err.startswith("svflow: config error: metric file") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--metric", "--config"])
+def test_a_file_that_is_not_text_is_a_config_error(flag, tmp_path, capsys):
+    # a UnicodeDecodeError is a ValueError but no InputError: it was a traceback
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff")
+    assert run(["curvature", flag, str(path), "--output", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
+
+
 def test_unusable_output_directory_is_a_config_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")
@@ -415,10 +453,46 @@ def test_metric_file_wider_than_the_sampler_is_refused(tmp_path, capsys):
     metric.write_text(f"dim = 9\ncoords = {', '.join(names)}\n"
                       f"split = a0 | {' '.join(names[1:])}\n"
                       + "".join(f"g[{i},{i}] = 1\n" for i in range(9)))
-    assert run(["curvature", "--metric", str(metric), "--output", str(tmp_path / "r")]) == 1
+    assert run(["curvature", "--metric", str(metric), "--output", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "above 8" in err
-    assert err.startswith("svflow: error:") and len(err.splitlines()) == 1
+    assert err.startswith("svflow: config error:") and len(err.splitlines()) == 1
+
+
+_METRIC_AB = "dim = 2\ncoords = a, b\ng[0,0] = 1\ng[1,1] = 1\n"
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        ("", "file must define dim and coords"),
+        (_METRIC_AB + "split = a | b\ng[0,1] = a\n", "off-block component (0,1)"),
+        (_METRIC_AB + "split = a b | b\n", "line 5: split blocks overlap"),
+        (_METRIC_AB + "split = a b |\n", "line 5: both blocks must be non-empty"),
+        (_METRIC_AB + "split = a | b\ng[1,1] = q\n", "line 6: unknown identifier 'q'"),
+    ],
+)
+def test_a_refused_metric_file_is_a_config_error(metric, message, tmp_path, capsys):
+    path = tmp_path / "m.metric"
+    path.write_text(metric)
+    assert run(["curvature", "--metric", str(path), "--output", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error: " + message) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frame", "--grid", "0,1,-1,1,1e12,5"], "grid of 1000000000000x5 points above"),
+        (["frame", "--grid", "0,0.5,-0.3,0.35,3.7,11"], "grid line counts must be whole"),
+        (_FLOW + ["--point", "1,0.5", "--charge", "1", "--psi", "t", "--order", "9"],
+         "order 9 above configured maximum 8"),
+    ],
+)
+def test_input_refused_inside_the_library_is_a_config_error(argv, message, tmp_path, capsys):
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svflow: config error: " + message) and len(err.splitlines()) == 1
 
 
 # ------------------------------------------------- the keys each command reads
@@ -553,3 +627,26 @@ def test_cli_restates_no_bound_or_tolerance():
     numbers = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
                and type(node.value) in (int, float)]
     assert [v for v in numbers if 0 < abs(v) < 0.1] == []
+
+
+def test_the_library_refuses_input_only_with_input_errors():
+    # a refusal is an InputError, which run alone maps to exit 2; _checked
+    # alone raises ValueError, beside the one int() and float() raise
+    package = Path(cli.__file__).parent
+    bare = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "cli.py":
+            checked = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "_checked")
+            exempt = {id(node) for node in ast.walk(checked)}
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Raise) and id(node) not in exempt
+                 and any(isinstance(n, ast.Name) and n.id == "ValueError"
+                         for n in ast.walk(node))]
+    assert bare == []
+    for fn in (cli.run, *(command.run for command in cli._COMMANDS.values())):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(n, ast.Name) and n.id == "ValueError"
+                       for n in ast.walk(tree)), fn.__name__

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from svflow.flowexp import (
     integrate_flow,
     pushforward_residual,
     series_oracle,
+    taylor_sum,
     series_terms,
 )
 
@@ -60,6 +62,22 @@ def test_blowup_detected():
     B = vector_field(["t^2"], T1)
     with pytest.raises(BlowupError):
         integrate_flow(B, Point(T1, (1.0,)), 2.0)
+
+
+def test_an_overflowing_phase_is_a_blowup():
+    # the charge -1e308 takes the phase to -inf in the first RK4 update;
+    # the step-doubling estimate then warned on inf - inf and ran to the cap
+    B = vector_field(["t"], T1)
+    C = scalar_field("-1e308", T1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError, match="phase or Jacobian overflowed"):
+            integrate_flow(B, Point(T1, (1.0,)), 0.3, Tolerance(max_steps=64), charge=C)
+
+
+def test_an_overflowing_taylor_sum_is_a_domain_error():
+    with pytest.raises(DomainError, match="pow overflowed"):
+        taylor_sum([1.0, 1.0, 1.0], 1e200)
 
 
 def test_step_limit_error():
@@ -434,6 +452,8 @@ def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
             raise BlowupError(
                 f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
             )
+    if not np.all(np.isfinite(y[n_coords:])):
+        raise BlowupError(f"the phase or Jacobian overflowed within {n} steps")
     return y
 
 

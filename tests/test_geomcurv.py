@@ -327,6 +327,39 @@ def test_metric_file_reports_line_numbers():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "coords = a, b", "dim = 3\ncoords = a, b",
+     "dim = 9\ncoords = " + ", ".join(f"a{i}" for i in range(9))],
+)
+def test_a_whole_file_metric_error_names_no_line(text):
+    with pytest.raises(MetricFileError) as exc:
+        parse_metric_text(text)
+    assert exc.value.line is None and not str(exc.value).startswith("line")
+
+
+_TWO = "dim = 2\ncoords = a, b\ng[0,0] = 1\n"
+
+
+@pytest.mark.parametrize(
+    "line4, frag",
+    [
+        ("g[1,1] = q", "unknown identifier 'q'"),
+        ("g[1,1] = a +", "position"),
+        ("g[0,5] = 1", "outside 0..1"),
+        ("g[-1,1] = 1", "outside 0..1"),
+        ("split = a | zz", "unknown: ['zz']"),
+        ("split = a | a", "overlap"),
+        ("split = a b |", "non-empty"),
+    ],
+)
+def test_an_error_in_one_metric_line_names_that_line(line4, frag):
+    with pytest.raises(MetricFileError) as exc:
+        parse_metric_text(_TWO + line4 + "\ng[0,1] = 0\n")
+    assert exc.value.line == 4 and str(exc.value).startswith("line 4: ")
+    assert frag in str(exc.value)
+
+
 def test_mixed_block_scalar_factor_case_vs_direct():
     # g depends on (y1, y2) only through a scalar factor and h is constant:
     # only the first term of the mixed formula survives; it must still

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from svflow import fieldcalc as fc
-from svflow.fieldcalc import Point, ScalarField, Var, scalar_field
+from svflow.fieldcalc import DomainError, Point, ScalarField, Var, scalar_field
 from svflow.flowexp import Tolerance, apply_exponential, series_oracle
 from svflow.nrlimit import (
     PSI_CHART,
     DegenerateFitError,
-    PhaseOverflowError,
     RelParams,
     RootOnPathError,
     barut_flow_identity,
@@ -69,8 +68,16 @@ def test_lift_additivity():
 
 def test_lift_overflow_guard():
     psi = psi_field("1")
-    with pytest.raises(PhaseOverflowError):
+    with pytest.raises(DomainError, match="overflows"):
         lift_wavefunction(psi, RelParams(m=1, c=100, h=1), t=0, x0=5.0, x=0)
+
+
+def test_lift_exponent_short_of_the_overflow_is_computed():
+    # lift rate 1: exponents 705 (once refused by a cap at 700) and -800
+    p = RelParams(m=1.0, c=1.0, h=2 * math.pi)
+    psi = psi_field("1")
+    assert lift_wavefunction(psi, p, t=0.0, x0=705.0, x=0.0) == math.exp(705.0)
+    assert lift_wavefunction(psi, p, t=0.0, x0=-800.0, x=0.0) == 0.0
 
 
 # ------------------------------------------------------------ contraction
@@ -209,10 +216,18 @@ def test_barut_root_at_expansion_point():
 
 
 def test_barut_phase_overflow_guard():
-    # f = 1 accumulates the phase 2 pi m c^2 / h * rho = 400 pi, past EXP_CAP
+    # f = 1 accumulates the phase 2 pi m c^2 / h * rho = 400 pi, past exp's range
     f = fc.parse_expression("1", ["t"])
-    with pytest.raises(PhaseOverflowError, match="overflow cap"):
+    with pytest.raises(DomainError, match="overflows"):
         barut_flow_identity(f, RelParams(m=1, c=10, h=1), t=0.5, rho=2)
+
+
+@pytest.mark.parametrize("rho", [705.0, -800.0])
+def test_barut_phase_short_of_the_overflow_is_computed(rho):
+    # a = 2 pi m c^2 / h = 1, so the phase is rho: once refused beyond 700
+    f = fc.parse_expression("1", ["t"])
+    res = barut_flow_identity(f, RelParams(m=1.0, c=1.0, h=2 * math.pi), t=0.5, rho=rho)
+    assert res <= 1e-12 * math.exp(max(rho, 0.0))
 
 
 def test_barut_matches_series_oracle_at_seventh_order():
