@@ -34,8 +34,10 @@ becomes one flat register program in which every distinct subexpression
 runs once.  compile_expression and evaluate are single-expression
 shorthands for it.  Programs are memoized by their roots (a bounded LRU
 per derivative_memo() block, else per context), and a memoized program
-that keeps running is generated as straight-line Python; both tiers give
-bitwise the same values and errors.
+that keeps running is generated as straight-line Python; a hot program
+that drives RK4 runs instead gets a stepper that runs all steps of a run
+in one generated function.  Every tier gives bitwise the same values and
+errors.
 
 Power semantics: an exponent that evaluates to an integer is valid for
 any base (0 excluded for negative exponents); a non-integer exponent
@@ -88,6 +90,14 @@ class DomainError(ExpressionError):
     def __init__(self, message: str, kind: str = "domain"):
         super().__init__(message)
         self.kind = kind
+
+
+class VariableError(DomainError):
+    """A program read a NaN or infinite variable; key is where env held it."""
+
+    def __init__(self, name: str, key: str | int, v: float):
+        super().__init__(f"variable {name} is {'NaN' if v != v else 'infinite'}")
+        self.key = key
 
 
 # --------------------------------------------------------------------------
@@ -566,35 +576,67 @@ def _nodes(e: Expression) -> list[Expression]:
 # A memoized program is first interpreted (one helper call per operation);
 # requested again after GENERATE_AFTER_RUNS runs, it is generated as one
 # straight-line Python function doing the same operations in the same
-# order.  The constants, measured on 2 cores with Python 3.11.7:
+# order.  A program that is the right-hand side of RK4 runs (flowexp's
+# augmented flow program) is instead checked at every run: after
+# STEPPER_AFTER_RUNS runs it gets a stepper, one generated function that
+# does all the steps of a run with the state in local variables.  The
+# constants, measured on 2 cores with Python 3.11.7:
 # - GENERATE_AFTER_RUNS: for the flow programs of the benchmark's five
 #   cases (1 to 12 operations, with and without the Jacobian), generation
 #   takes 66 to 380 us against 5 to 25 us for the interpreter's compile,
 #   and evaluation gets 2.9 to 4.9 times faster (shear2d with its Jacobian
 #   2.16 -> 0.56 us), so generation pays back after 130 to 260 runs.
-#   The pointwise benchmark re-requests a program after a median of 96
-#   runs (a flow runs its program four times a step), series_deep after
-#   1 to 4, so codegen goes to the programs that keep running.
+#   series_deep re-requests a program after 1 to 4 runs, so codegen goes
+#   to the programs that keep running.
 # - MAX_MEMO_OPS: Python's compile() of generated code peaks at about
 #   9.3 KB per operation (256 ops 2.4 MB, 1,000 ops 9.3 MB), against a
 #   bound of 4 MB on the benchmark's 42 MB peak.
 # - MEMO_PROGRAMS: a pointwise benchmark sweep requests 24 distinct
-#   programs, 176 times in all; 32 hold them all.
+#   programs and flow fields, 192 times in all; 32 hold them all.
+# - STEPPER_AFTER_RUNS: for the same flow programs with their charge, a
+#   stepper takes 0.76 to 3.6 ms to generate, about 3.5 times a plain
+#   program, and an RK4 step takes 1.0 to 6.4 us against 11 to 27 us for
+#   the list loop around the interpreter (6.6 to 13 us around a generated
+#   program), so it pays back after 74 to 146 steps (335 for mix3d with
+#   its Jacobian).  Step doubling runs as many steps in its next round as
+#   in all rounds before it, so a program that has run 512 times (128
+#   steps) gets its stepper when the coming round alone pays for it; a
+#   one-off flow that converges within 128 steps never generates one.
+# - MAX_STEPPER_OPS: a stepper holds the program four times, and its
+#   compile() peaks at about 36 KB per operation (96 ops 3.4 MB), against
+#   the same 4 MB bound as MAX_MEMO_OPS.
 GENERATE_AFTER_RUNS = 64
 MAX_MEMO_OPS = 256
 MEMO_PROGRAMS = 32
+STEPPER_AFTER_RUNS = 512
+MAX_STEPPER_OPS = 96
 
 # The program memo of the innermost derivative_memo() block, else of the
 # context (each thread has its own), made on first use.
 _PROGRAMS: contextvars.ContextVar[OrderedDict] = contextvars.ContextVar("svflow_programs")
 
-
-def _bad_variable(name: str, v: float):
-    raise DomainError(f"variable {name} is {'NaN' if v != v else 'infinite'}")
-
-
 # the helpers that generated code inlines, with their operator
 _INLINE = {_eval_add: "+", _eval_sub: "-", _eval_mul: "*", _eval_div: "/"}
+
+# How each RK4 stage reads state variable k: the state, then the state
+# plus a multiple of the previous stage's value, as flowexp's list loop.
+_STAGE_LOADS = (
+    lambda k: f"y{k}",
+    lambda k: f"y{k} + half * k1_{k}",
+    lambda k: f"y{k} + half * k2_{k}",
+    lambda k: f"y{k} + h * k3_{k}",
+)
+
+
+def _define(signature: str, lines: list[str], bound: dict[str, object]) -> Callable:
+    """The function `def signature:` with the given body lines, whose free
+    names are bound to the values of bound."""
+    name = signature[:signature.index("(")]
+    text = (f"def make({', '.join(bound)}):\n    def {signature}:\n"
+            + "".join(f"        {line}\n" for line in lines) + f"    return {name}\n")
+    namespace: dict[str, Callable] = {}
+    exec(compile(text, "<svflow program>", "exec"), namespace)
+    return namespace["make"](**bound)
 
 
 class _Program:
@@ -602,7 +644,8 @@ class _Program:
     the constants preset, variable loads, operations (slot, helper, i, j)
     in first-occurrence post-order and the slots of the roots."""
 
-    __slots__ = ("exprs", "regs", "loads", "ops", "roots", "runs", "run", "generated")
+    __slots__ = ("exprs", "regs", "loads", "ops", "roots", "runs", "run", "generated",
+                 "stepper")
 
     def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None):
         position = None if order is None else {name: i for i, name in enumerate(order)}
@@ -627,6 +670,7 @@ class _Program:
         self.runs = [0]  # shared with the interpreter, which holds no self
         self.run = self._interpreter()
         self.generated = False
+        self.stepper = None
 
     def _interpreter(self) -> Callable[..., list[float]]:
         regs, loads, prog, roots, runs = self.regs, self.loads, self.ops, self.roots, self.runs
@@ -637,55 +681,120 @@ class _Program:
             for slot, name, key in loads:
                 v = reg[slot] = env[key]
                 if v - v != 0.0:  # exactly when v is infinite or NaN
-                    _bad_variable(name, v)
+                    raise VariableError(name, key, v)
             for slot, fn, i, j in prog:
                 reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
             return [reg[k] for k in roots]
 
         return run
 
-    def generate(self) -> Callable[..., list[float]]:
-        """The program as one Python function.  + - * / and negation are
-        inline with the helpers' finiteness test; where a test fails, the
-        helper itself runs and raises its DomainError.  Constants, names
-        and helpers are bound by name, so no formula text reaches the
-        source."""
+    def _emit(self, load: Callable[[str | int], str],
+              bound: dict[str, object]) -> tuple[list[str], list[str]]:
+        """Python lines doing the program's loads and operations in order,
+        with variable k read as the Python expression load(k), and the
+        names holding the roots' values.  + - * / and negation are inline
+        with the helpers' finiteness test; where a test fails, the helper
+        itself runs and raises its DomainError.  Constants, names and
+        helpers are put in bound, so no formula text reaches the source."""
         src = {}  # slot -> the Python name holding its value
-        bound: dict[str, object] = {"_bad_variable": _bad_variable}
+        bound["VariableError"] = VariableError
         for slot, v in enumerate(self.regs):
             if v is not None:
                 src[slot] = f"c{slot}"
                 bound[src[slot]] = v
-        body = []
+        lines = []
         for slot, name, key in self.loads:
             r = src[slot] = f"r{slot}"
             bound[f"n{slot}"] = name
             k = key if isinstance(key, int) else f"n{slot}"
-            body += [f"{r} = env[{k}]", f"if {r} - {r} != 0.0: _bad_variable(n{slot}, {r})"]
+            lines += [f"{r} = {load(k)}",
+                      f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})"]
         for slot, fn, i, j in self.ops:
             r = src[slot] = f"r{slot}"
             a = src[i]
             if fn is _eval_neg:
-                body.append(f"{r} = -{a}")
+                lines.append(f"{r} = -{a}")
                 continue
             bound[fn.__name__] = fn
             if j is None:
-                body.append(f"{r} = {fn.__name__}({a})")
+                lines.append(f"{r} = {fn.__name__}({a})")
                 continue
             b = src[j]
             call = f"{fn.__name__}({a}, {b})"
             if fn not in _INLINE:
-                body.append(f"{r} = {call}")
+                lines.append(f"{r} = {call}")
                 continue
             if fn is _eval_div:
-                body.append(f"if {b} == 0.0: {call}")
-            body += [f"{r} = {a} {_INLINE[fn]} {b}", f"if {r} - {r} != 0.0: {call}"]
-        body.append(f"return [{', '.join(src[k] for k in self.roots)}]")
-        text = (f"def make({', '.join(bound)}):\n    def run(env):\n        "
-                + "\n        ".join(body) + "\n    return run\n")
-        namespace: dict[str, Callable] = {}
-        exec(compile(text, "<svflow program>", "exec"), namespace)
-        return namespace["make"](**bound)
+                lines.append(f"if {b} == 0.0: {call}")
+            lines += [f"{r} = {a} {_INLINE[fn]} {b}", f"if {r} - {r} != 0.0: {call}"]
+        return lines, [src[k] for k in self.roots]
+
+    def generate(self) -> Callable[..., list[float]]:
+        """The program as one straight-line Python function of env."""
+        bound: dict[str, object] = {}
+        lines, roots = self._emit(lambda k: f"env[{k}]", bound)
+        return _define("run(env)", lines + [f"return [{', '.join(roots)}]"], bound)
+
+    def rk4_stepper(self, n_coords: int) -> Callable | None:
+        """The stepper of the RK4 runs of y' = program(y), where the
+        program reads state variable k from env[k] and its root k is the
+        derivative of y[k], and the first n_coords components (the same
+        for every run) are bounded; None until the program has run
+        STEPPER_AFTER_RUNS times.  A hot program above MAX_STEPPER_OPS
+        operations (but within MAX_MEMO_OPS) gets its plain run generated
+        instead, and never a stepper."""
+        if self.stepper is None and not self.generated and self.runs[0] >= STEPPER_AFTER_RUNS:
+            if len(self.ops) <= MAX_STEPPER_OPS:
+                self.stepper = self._generate_stepper(n_coords)
+            elif len(self.ops) <= MAX_MEMO_OPS:
+                self.run = self.generate()
+                self.generated = True
+        return self.stepper
+
+    def _generate_stepper(self, n_coords: int) -> Callable:
+        """step(state, rho, n, bound): n RK4 steps from 0 to rho, each
+        running the program four times with the state in local variables.
+        Every component sees the operations, in order, of flowexp's list
+        loop, so values and the first error are bitwise the same.  Returns
+        (state, 0), or (None, k) when after step k one of the first
+        n_coords components is infinite, NaN or above bound in magnitude."""
+        bound: dict[str, object] = {}
+        loop = []
+        for stage, load in enumerate(_STAGE_LOADS, start=1):
+            lines, roots = self._emit(load, bound)
+            loop += lines
+            if stage < 4:
+                loop += [f"k{stage}_{p} = {r}" for p, r in enumerate(roots)]
+        loop += [f"y{p} = y{p} + sixth * (((k1_{p} + 2.0 * k2_{p}) + 2.0 * k3_{p}) + {r})"
+                 for p, r in enumerate(roots)]
+        loop += [f"if y{p} - y{p} != 0.0 or abs(y{p}) > bound: return None, k + 1"
+                 for p in range(n_coords)]
+        state = ", ".join(f"y{p}" for p in range(len(self.roots)))
+        lines = [f"{state}, = state", "h = rho / n", "half = 0.5 * h", "sixth = h / 6.0",
+                 "for k in range(n):", *(f"    {line}" for line in loop),
+                 f"return [{state}], 0"]
+        return _define("step(state, rho, n, bound)", lines, bound)
+
+
+def memoized_program(key: tuple, build: Callable[[], tuple]) -> _Program:
+    """The program memoized under key; else the program of the batch and
+    variable order that build() returns, memoized under key unless it has
+    more than MAX_MEMO_OPS operations.  key holds nodes, or the ids of
+    nodes, that the program keeps alive."""
+    memo = _PROGRAMS.get(None)
+    if memo is None:
+        memo = OrderedDict()
+        _PROGRAMS.set(memo)
+    program = memo.get(key)
+    if program is None:
+        program = _Program(*build())
+        if len(program.ops) <= MAX_MEMO_OPS:
+            memo[key] = program
+            if len(memo) > MEMO_PROGRAMS:
+                memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return program
 
 
 def compile_expressions(exprs: Iterable[Expression],
@@ -699,29 +808,16 @@ def compile_expressions(exprs: Iterable[Expression],
     the batch, that is each distinct node, runs once.  Operations run in
     first-occurrence post-order through the _eval_* helpers, so the values
     and the first DomainError are those of evaluating each expression
-    alone, in order.  A NaN or infinite variable is a DomainError.
+    alone, in order.  A NaN or infinite variable is a VariableError.
     Programs are memoized and hot ones generated as Python (see above);
     both tiers give bitwise the same values and errors.
     """
     exprs = list(exprs)
     order = None if order is None else tuple(order)
-    key = (*map(id, exprs), order)
-    memo = _PROGRAMS.get(None)
-    if memo is None:
-        memo = OrderedDict()
-        _PROGRAMS.set(memo)
-    program = memo.get(key)
-    if program is None:
-        program = _Program(exprs, order)
-        if len(program.ops) <= MAX_MEMO_OPS:
-            memo[key] = program
-            if len(memo) > MEMO_PROGRAMS:
-                memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-        if not program.generated and program.runs[0] >= GENERATE_AFTER_RUNS:
-            program.run = program.generate()
-            program.generated = True
+    program = memoized_program((*map(id, exprs), order), lambda: (exprs, order))
+    if not program.generated and program.runs[0] >= GENERATE_AFTER_RUNS:
+        program.run = program.generate()
+        program.generated = True
     return program.run
 
 

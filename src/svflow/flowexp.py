@@ -15,8 +15,11 @@ quadrature share identical nodes.  The x-update never reads the extra
 state, which keeps the flow endpoint bitwise independent of C.
 
 The derivative of the state, the variational product (dB/dx) J included,
-is one compiled program over the state list: RK4 runs on Python floats, the
-Jacobian rounds alike on every host, and numpy only estimates the error.
+is one compiled program over the state list, built once per field and memo
+scope: RK4 runs on Python floats, the Jacobian rounds alike on every host,
+and numpy only estimates the error.  Once the program is hot, each RK4 run
+is one call of its generated stepper (fieldcalc), with bitwise the same
+results and errors as the list loop.
 """
 
 from __future__ import annotations
@@ -105,58 +108,86 @@ def _require_same_chart(*objs):
 # Core integrator
 
 
-def _rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
-    """n fixed RK4 steps from 0 to rho on a list of floats: each component
-    sees the operations, in order, of y + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
-    h = float(rho) / n
+def _rk4_loop(run, y0, h, n, blowup_bound, n_coords):
+    """The interpreter tier of _rk4_run: n RK4 steps of size h on lists of
+    floats, each component seeing the operations, in order, of
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Returns (state, 0), or (None, k)
+    when a coordinate is infinite, NaN or above the bound after step k."""
     half = 0.5 * h
     sixth = h / 6.0
     y = list(y0)
     for k in range(n):
-        try:
-            k1 = deriv(y)
-            k2 = deriv([a + half * b for a, b in zip(y, k1)])
-            k3 = deriv([a + half * b for a, b in zip(y, k2)])
-            k4 = deriv([a + h * b for a, b in zip(y, k3)])
-        except DomainError as err:
-            if err.kind == "overflow":
-                raise BlowupError(f"field evaluation overflowed: {err}") from err
-            raise
+        k1 = run(y)
+        k2 = run([a + half * b for a, b in zip(y, k1)])
+        k3 = run([a + half * b for a, b in zip(y, k2)])
+        k4 = run([a + h * b for a, b in zip(y, k3)])
         y = [
             a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
         for v in y[:n_coords]:
             if not math.isfinite(v) or abs(v) > blowup_bound:
-                raise BlowupError(
-                    f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
-                )
+                return None, k + 1
+    return y, 0
+
+
+def _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase):
+    """n fixed RK4 steps from 0 to rho of y' = program(y), the state being
+    [x (n_coords), T if phase, J...].  Runs the program's generated
+    stepper once it has one (a hot program gets it at the start of any
+    run, so a long first flow promotes between its doubling rounds), else
+    the list loop; both give bitwise the same state and error."""
+    rho = float(rho)
+    try:
+        stepper = program.rk4_stepper(n_coords)
+        if stepper is not None:
+            y, failed = stepper(y0, rho, n, blowup_bound)
+        else:
+            y, failed = _rk4_loop(program.run, y0, rho / n, n, blowup_bound, n_coords)
+    except DomainError as err:
+        if err.kind == "overflow":
+            raise BlowupError(f"field evaluation overflowed: {err}") from err
+        # a stage read a Jacobian entry that an update made infinite or
+        # NaN; the program never reads the phase
+        if isinstance(err, fc.VariableError) and err.key >= n_coords:
+            raise BlowupError(f"the Jacobian overflowed within {n} steps") from err
+        raise
+    if failed:
+        raise BlowupError(
+            f"coordinate magnitude exceeded {blowup_bound:g} at step {failed}/{n}"
+        )
     # the phase and Jacobian have no bound, and once infinite they stay so
-    if not all(map(math.isfinite, y[n_coords:])):
-        raise BlowupError(f"the phase or Jacobian overflowed within {n} steps")
+    if phase and not math.isfinite(y[n_coords]):
+        raise BlowupError(f"the phase overflowed within {n} steps")
+    if not all(map(math.isfinite, y[n_coords + phase:])):
+        raise BlowupError(f"the Jacobian overflowed within {n} steps")
     return y
 
 
-def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
+def _integrate(program, y0, rho, tol, blowup_bound, n_coords, phase, n_steps=None):
     """Step doubling over _rk4_run.  Returns (state, steps, est_error);
     the error estimate compares whole runs, once per round, on arrays."""
     if rho == 0.0:
         return np.array(y0, dtype=float), 0, 0.0
+
+    def run(n):
+        return _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase)
+
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
             raise InputError("n_steps must be a positive even integer")
-        coarse = _rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
-        fine = np.array(_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords))
+        coarse = run(n_steps // 2)
+        fine = np.array(run(n_steps))
         est = float(np.max(np.abs(fine - coarse))) / 15.0
         return fine, n_steps, est
     n = 8
-    y_coarse = np.array(_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords))
+    y_coarse = np.array(run(n))
     while True:
         if 2 * n > tol.max_steps:
             raise StepLimitError(
                 f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
             )
-        y_fine = np.array(_rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords))
+        y_fine = np.array(run(2 * n))
         err = np.abs(y_fine - y_coarse) / 15.0
         scale = tol.absolute + tol.relative * np.abs(y_fine)
         if np.all(err <= scale):
@@ -166,32 +197,39 @@ def _integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
 
 
 def _field_deriv(B: VectorField, C: ScalarField | None = None,
-                 with_jacobian=False):
+                 with_jacobian=False) -> fc._Program:
     """Derivative of the stacked state [x, T?, J?] of the augmented system:
     one program over [B..., C?, (dB/dx) J...] that reads the state list by
     position.  Entry (i, j) of the variational product sums
     dB^i/dx^k * J_kj over ascending k; the smart constructors drop the
-    terms whose derivative is the constant zero."""
-    d = B.dimension
-    # names of the state beyond x: each is longer than every coordinate
-    # name, so none can clash with the chart
-    pad = "_" * max(map(len, B.chart))
-    order = list(B.chart)
-    exprs = list(B.components)
-    if C is not None:
-        order.append(pad + "T")
-        exprs.append(C.expression)
-    if with_jacobian:
-        names = [f"{pad}J[{k},{j}]" for k in range(d) for j in range(d)]
-        order += names
-        for comp in B.components:
-            grad = [fc.differentiate(comp, name) for name in B.chart]
-            for j in range(d):
-                entry = fc.ZERO
-                for k in range(d):
-                    entry = fc.add(entry, fc.mul(grad[k], fc.Var(names[k * d + j])))
-                exprs.append(entry)
-    return fc.compile_expressions(exprs, order)
+    terms whose derivative is the constant zero.  The program is memoized
+    with fieldcalc's programs, keyed on the field's nodes, so B is
+    differentiated once per memo scope."""
+
+    def build():
+        d = B.dimension
+        # names of the state beyond x: each is longer than every coordinate
+        # name, so none can clash with the chart
+        pad = "_" * max(map(len, B.chart))
+        order = list(B.chart)
+        exprs = list(B.components)
+        if C is not None:
+            order.append(pad + "T")
+            exprs.append(C.expression)
+        if with_jacobian:
+            names = [f"{pad}J[{k},{j}]" for k in range(d) for j in range(d)]
+            order += names
+            for comp in B.components:
+                grad = [fc.differentiate(comp, name) for name in B.chart]
+                for j in range(d):
+                    entry = fc.ZERO
+                    for k in range(d):
+                        entry = fc.add(entry, fc.mul(grad[k], fc.Var(names[k * d + j])))
+                    exprs.append(entry)
+        return exprs, tuple(order)
+
+    key = (B.chart, B.components, None if C is None else C.expression, with_jacobian)
+    return fc.memoized_program(key, build)
 
 
 # --------------------------------------------------------------------------
@@ -227,9 +265,9 @@ def integrate_flow(
         y0.append(0.0)
     if jacobian:
         y0.extend(float(i == j) for i in range(d) for j in range(d))
-    deriv = _field_deriv(B, charge, with_jacobian=jacobian)
+    program = _field_deriv(B, charge, with_jacobian=jacobian)
     y, steps, est = _integrate(
-        deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps
+        program, y0, rho, tol, blowup_bound, d, charge is not None, n_steps=n_steps
     )
     return FlowResult(
         endpoint=Point(B.chart, tuple(y[:d])),

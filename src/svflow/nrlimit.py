@@ -105,10 +105,6 @@ class KGResidual:
     diffusion_term: float
     relativistic_term: float
 
-    @property
-    def total_defect(self) -> float:
-        return self.diffusion_term + self.relativistic_term
-
 
 def kg_diffusion_residual(
     psi: ScalarField, p: RelParams, point: tuple[float, float, float]

@@ -260,12 +260,6 @@ def build_generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarFie
     )
 
 
-def apply_generator(eps: EpsilonFn, p: SVParams, u: Expression) -> Expression:
-    """X_eps applied to a scalar expression over (t, r), exactly."""
-    B, C = build_generator(eps, p)
-    return fc.neg(flowexp.apply_operator(B, C, u))
-
-
 def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
                       tests: Sequence[ScalarField], points: list[Point], *,
                       max_nodes: int = flowexp.DEFAULT_MAX_NODES) -> list[float]:
@@ -455,17 +449,6 @@ def map_halfspace(
     t_prime = T_prime * math.exp(t / T)
     r_prime = r * math.sqrt(T_prime / T) * math.exp(t / (2.0 * T))
     return (t_prime, r_prime)
-
-
-def invert_halfspace(
-    t_prime: float, r_prime: float, T: float, T_prime: float
-) -> tuple[float, float]:
-    """Algebraic inverse of map_halfspace."""
-    if t_prime <= 0.0:
-        raise InputError("t' must be positive")
-    t = T * math.log(t_prime / T_prime)
-    r = r_prime * math.sqrt(T / t_prime)
-    return (t, r)
 
 
 def halfspace_correlator(

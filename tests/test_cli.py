@@ -171,6 +171,15 @@ def test_phase_overflow_is_a_library_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_an_infinite_jacobian_is_a_blowup_that_names_it(tmp_path, capsys):
+    # J' = J from t = 0 overflows at 128 steps; the message named the
+    # internal state variable: "variable _J[0,0] is infinite"
+    argv = ["flow", "--field", "t", "--vars", "t", "--point", "0", "--rho", "1000"]
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err == "svflow: error: the Jacobian overflowed within 128 steps\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

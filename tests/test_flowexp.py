@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from svflow import fieldcalc as fc
+from svflow import flowexp
 from svflow.fieldcalc import DomainError, Point, scalar_field, vector_field
 from svflow.flowexp import (
     DEFAULT_BLOWUP_BOUND,
@@ -71,7 +73,7 @@ def test_an_overflowing_phase_is_a_blowup():
     C = scalar_field("-1e308", T1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BlowupError, match="phase or Jacobian overflowed"):
+        with pytest.raises(BlowupError, match="^the phase overflowed within 8 steps$"):
             integrate_flow(B, Point(T1, (1.0,)), 0.3, Tolerance(max_steps=64), charge=C)
 
 
@@ -432,7 +434,7 @@ def test_series_expression_size_limit():
 # bitwise the same results, and the same first error, in every mode.
 
 
-def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
+def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords, phase):
     h = rho / n
     y = np.array(y0, dtype=float)
     for k in range(n):
@@ -444,6 +446,10 @@ def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
         except DomainError as err:
             if err.kind == "overflow":
                 raise BlowupError(f"field evaluation overflowed: {err}") from err
+            # _array_deriv refuses a J entry by its position in y, the
+            # coordinates' program refuses a coordinate by its name
+            if isinstance(err, fc.VariableError) and isinstance(err.key, int):
+                raise BlowupError(f"the Jacobian overflowed within {n} steps") from err
             raise
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y[:n_coords])) or np.max(
@@ -452,28 +458,30 @@ def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords):
             raise BlowupError(
                 f"coordinate magnitude exceeded {blowup_bound:g} at step {k + 1}/{n}"
             )
-    if not np.all(np.isfinite(y[n_coords:])):
-        raise BlowupError(f"the phase or Jacobian overflowed within {n} steps")
+    if phase and not np.isfinite(y[n_coords]):
+        raise BlowupError(f"the phase overflowed within {n} steps")
+    if not np.all(np.isfinite(y[n_coords + phase:])):
+        raise BlowupError(f"the Jacobian overflowed within {n} steps")
     return y
 
 
-def _array_integrate(deriv, y0, rho, tol, blowup_bound, n_coords, n_steps=None):
+def _array_integrate(deriv, y0, rho, tol, blowup_bound, n_coords, phase, n_steps=None):
     y0 = np.array(y0, dtype=float)
     if rho == 0.0:
         return y0, 0, 0.0
     if n_steps is not None:
-        coarse = _array_rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords)
-        fine = _array_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords)
+        coarse = _array_rk4_run(deriv, y0, rho, n_steps // 2, blowup_bound, n_coords, phase)
+        fine = _array_rk4_run(deriv, y0, rho, n_steps, blowup_bound, n_coords, phase)
         est = float(np.max(np.abs(fine - coarse))) / 15.0
         return fine, n_steps, est
     n = 8
-    y_coarse = _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords)
+    y_coarse = _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords, phase)
     while True:
         if 2 * n > tol.max_steps:
             raise StepLimitError(
                 f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
             )
-        y_fine = _array_rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords)
+        y_fine = _array_rk4_run(deriv, y0, rho, 2 * n, blowup_bound, n_coords, phase)
         err = np.abs(y_fine - y_coarse) / 15.0
         scale = tol.absolute + tol.relative * np.abs(y_fine)
         if np.all(err <= scale):
@@ -509,8 +517,7 @@ def _array_deriv(B, C, with_jacobian):
             for m in loads:
                 v = y[head + m]
                 if not math.isfinite(v):
-                    kind = "NaN" if v != v else "infinite"
-                    raise DomainError(f"variable {pad}J[{m // d},{m % d}] is {kind}")
+                    raise fc.VariableError(f"{pad}J[{m // d},{m % d}]", head + m, v)
         out = run(env)
         if with_jacobian:
             J = y[head:]
@@ -541,7 +548,7 @@ def array_flow(B, x, rho, tol, charge=None, jacobian=False,
     deriv = _array_deriv(B, charge, jacobian)
     with np.errstate(all="ignore"):  # numpy scalars warn where floats raise
         y, steps, est = _array_integrate(
-            deriv, y0, rho, tol, blowup_bound, d, n_steps=n_steps
+            deriv, y0, rho, tol, blowup_bound, d, charge is not None, n_steps=n_steps
         )
     return (
         tuple(float(v) for v in y[:d]),
@@ -591,26 +598,46 @@ def flow_setups(draw):
     return B, charge, Point(chart, coords), rho
 
 
+@contextlib.contextmanager
+def stepper_hot():
+    """A fresh program memo in which every flow program gets its stepper
+    at its first RK4 run."""
+    saved = fc.STEPPER_AFTER_RUNS
+    fc.STEPPER_AFTER_RUNS = 0
+    try:
+        with fc.derivative_memo():
+            yield
+    finally:
+        fc.STEPPER_AFTER_RUNS = saved
+
+
+# the list loop (a long flow may promote itself mid-flow) and the stepper
+TIERS = (fc.derivative_memo, stepper_hot)
+
+
 def assert_matches_array_reference(B, x, rho, tol, **args):
-    """integrate_flow equals array_flow bitwise, or raises the same error.
-    Returns the reference's error, or None."""
+    """integrate_flow equals array_flow bitwise, or raises the same error,
+    in both tiers.  Returns the reference's error, or None."""
     try:
         expected = array_flow(B, x, rho, tol, **args)
     except (FlowError, DomainError) as err:
-        with pytest.raises(type(err)) as exc:
-            integrate_flow(B, x, rho, tol, **args)
-        assert type(exc.value) is type(err) and str(exc.value) == str(err)
+        for tier in TIERS:
+            with tier(), pytest.raises(type(err)) as exc:
+                integrate_flow(B, x, rho, tol, **args)
+            assert type(exc.value) is type(err) and str(exc.value) == str(err)
         return err
     end, phase, steps, est, jac = expected
-    res = integrate_flow(B, x, rho, tol, **args)
-    assert _bits(res.endpoint.coords) == _bits(end)
-    assert _bits([res.phase, res.estimated_error]) == _bits([phase, est])
-    assert res.steps == steps
-    if args.get("jacobian"):
-        assert isinstance(res.jacobian, np.ndarray)
-        assert res.jacobian.tobytes() == jac.tobytes()
-    else:
-        assert res.jacobian is None
+    for tier in TIERS:
+        with tier():
+            res = integrate_flow(B, x, rho, tol, **args)
+        assert _bits(res.endpoint.coords) == _bits(end)
+        assert _bits([res.phase, res.estimated_error]) == _bits([phase, est])
+        assert res.steps == steps
+        if args.get("jacobian"):
+            assert isinstance(res.jacobian, np.ndarray)
+            assert res.jacobian.tobytes() == jac.tobytes()
+        else:
+            assert res.jacobian is None
     return None
 
 
@@ -657,3 +684,123 @@ def test_float_loop_raises_as_array_reference(field, rho, tol, error, message,
     assert type(err) is error and str(err).startswith(message)
     # at a fixed step count the first error may be another one, but the same
     assert_matches_array_reference(B, x, rho, tol, n_steps=64, **args)
+
+
+def test_an_infinite_jacobian_is_a_blowup_that_names_it():
+    # J' = J from t = 0, where t stays: the 128 RK4 steps of 7.8 take J past
+    # the double range, and the next stage read it.  That ended as
+    # DomainError("variable _J[0,0] is infinite").
+    err = assert_matches_array_reference(
+        vector_field(["t"], T1), Point(T1, (0.0,)), 1000.0, DEFAULT_TOLERANCE, jacobian=True
+    )
+    assert type(err) is BlowupError and str(err) == "the Jacobian overflowed within 128 steps"
+
+
+@pytest.mark.parametrize("n_steps, message", [
+    (None, "coordinate magnitude exceeded 1e+12 at step 6/8"),
+    (64, "coordinate magnitude exceeded 1e+12 at step 17/32"),
+])
+def test_the_coordinate_blowup_names_its_step_in_both_tiers(n_steps, message):
+    err = assert_matches_array_reference(
+        vector_field(["t^2"], T1), Point(T1, (1.0,)), 2.0, DEFAULT_TOLERANCE,
+        charge=scalar_field("t", T1), jacobian=True, n_steps=n_steps,
+    )
+    assert type(err) is BlowupError and str(err) == message
+
+
+def _rk4_outcome(tier, B, C, y0, rho, n):
+    """Bits of the state after n steps of _rk4_run, or its error."""
+    with tier():
+        program = flowexp._field_deriv(B, C, with_jacobian=True)
+        try:
+            y = flowexp._rk4_run(program, y0, rho, n, DEFAULT_BLOWUP_BOUND,
+                                 B.dimension, C is not None)
+        except (FlowError, DomainError) as err:
+            return type(err), str(err)
+        return _bits(y)
+
+
+@pytest.mark.parametrize("position, value, outcome", [
+    (0, math.inf, (fc.VariableError, "variable t is infinite")),
+    (1, math.nan, (fc.VariableError, "variable r is NaN")),
+    (2, -math.inf, (BlowupError, "the phase overflowed within 4 steps")),
+    (3, math.nan, (BlowupError, "the Jacobian overflowed within 4 steps")),
+    (6, math.inf, (BlowupError, "the Jacobian overflowed within 4 steps")),
+])
+def test_a_nan_or_infinite_state_variable_ends_alike_in_both_tiers(position, value, outcome):
+    # state [t, r, T, J00, J01, J10, J11]; a stage reads J[0,0] and J[1,1]
+    B = vector_field(["t*r", "0.5*r"], TR)
+    C = scalar_field("t", TR)
+    y0 = [0.5, 0.75, 0.0, 1.0, 0.0, 0.0, 1.0]
+    y0[position] = value
+    assert [_rk4_outcome(tier, B, C, y0, 0.4, 4) for tier in TIERS] == [outcome, outcome]
+
+
+@pytest.mark.parametrize("rho, stage", [(4e-303, 2), (4e-304, 3), (2e-304, 4)])
+@pytest.mark.parametrize("jacobian", [False, True])
+def test_an_overflow_in_a_later_stage_ends_alike_in_both_tiers(rho, stage, jacobian):
+    # exp(t) at t = 700 is 1.0e304; one step of rho first takes a stage's
+    # input past log(max double) = 709.78 in the given stage
+    B = vector_field(["exp(t)"], T1)
+    x = Point(T1, (700.0,))
+    program = flowexp._field_deriv(B)
+    runs = []
+
+    def counted(y):
+        runs.append(y)
+        return program.run(y)
+
+    with pytest.raises(DomainError):
+        flowexp._rk4_loop(counted, list(x.coords), rho, 1, DEFAULT_BLOWUP_BOUND, 1)
+    assert len(runs) == stage
+    err = assert_matches_array_reference(
+        B, x, rho, DEFAULT_TOLERANCE, charge=scalar_field("t", T1), jacobian=jacobian, n_steps=2
+    )
+    assert type(err) is BlowupError and str(err).startswith("field evaluation overflowed: exp(")
+
+
+@pytest.mark.parametrize("field", [["t"], ["0.7*t + 0.3*r", "0.5*r*t"], ["r", "-t"]])
+def test_a_negative_rho_flows_alike_in_both_tiers(field):
+    chart = T1 if len(field) == 1 else TR
+    B = vector_field(field, chart)
+    x = Point(chart, (0.8,) * len(field))
+    for jacobian in (False, True):
+        assert assert_matches_array_reference(
+            B, x, -0.7, TIGHT, charge=scalar_field("t", chart), jacobian=jacobian
+        ) is None
+
+
+def test_a_long_first_flow_promotes_between_doubling_rounds(monkeypatch):
+    B = vector_field(["t"], T1)
+    C = scalar_field("t^2", T1)
+    x = Point(T1, (2.0,))
+    run = flowexp._rk4_run
+    with fc.derivative_memo():
+        program = flowexp._field_deriv(B, C, with_jacobian=True)
+        fused = []
+
+        def recording(*args):
+            y = run(*args)
+            fused.append(program.stepper is not None)  # promotion is at a run's start
+            return y
+
+        monkeypatch.setattr(flowexp, "_rk4_run", recording)
+        res = integrate_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
+    assert fused[0] is False and fused[-1] is True and fused == sorted(fused)
+    end, phase, steps, est, jac = array_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
+    assert (res.steps, _bits([*res.endpoint.coords, res.phase])) == (steps, _bits([*end, phase]))
+    assert res.jacobian.tobytes() == jac.tobytes()
+
+
+def test_a_program_above_the_stepper_cap_never_gets_a_stepper():
+    terms = " + ".join(f"{(k + 1) * 1e-3!r}*t^{k % 5 + 1}" for k in range(40))
+    B = vector_field([terms], T1)
+    with fc.derivative_memo():
+        program = flowexp._field_deriv(B, None, with_jacobian=True)
+        assert fc.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
+        # 128 + 256 steps: the fine run starts hot
+        integrate_flow(B, Point(T1, (0.5,)), 0.5, jacobian=True, n_steps=256)
+        assert program.stepper is None and program.generated
+    assert assert_matches_array_reference(
+        B, Point(T1, (0.5,)), 0.5, DEFAULT_TOLERANCE, jacobian=True, n_steps=256
+    ) is None

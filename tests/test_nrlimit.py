@@ -141,7 +141,8 @@ def test_defect_ratio_tends_to_one_for_diffusion_solutions():
     psi = heat_kernel(p0)
     for c in (10.0, 100.0):
         out = kg_diffusion_residual(psi, RelParams(1.0, c, 1.0), (0.8, 0.0, 0.4))
-        assert out.total_defect / out.relativistic_term == pytest.approx(1.0, rel=1e-6)
+        total = out.diffusion_term + out.relativistic_term
+        assert total / out.relativistic_term == pytest.approx(1.0, rel=1e-6)
 
 
 # ------------------------------------------------------------ defect scaling
