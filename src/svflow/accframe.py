@@ -61,6 +61,10 @@ class Trajectory:
         fc._check_chart_vars(("t",), [self.f], "f")
         if self.c <= 0:
             raise InputError("c must be positive")
+        # the frame divides by c^2
+        c2 = self.c * self.c
+        if not 0.0 < c2 < math.inf or not math.isfinite(1.0 / c2):
+            raise InputError(f"c = {self.c:g} puts c^2 or 1/c^2 beyond the double range")
 
     # compiled once per trajectory; cached_property writes the instance
     # __dict__ directly, so it works on the frozen dataclass

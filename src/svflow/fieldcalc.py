@@ -33,10 +33,10 @@ Evaluation has one compiler, compile_expressions: a batch of expressions
 becomes one flat register program in which every distinct subexpression
 runs once.  compile_expression and evaluate are single-expression
 shorthands for it.  Programs are memoized by their roots (a bounded LRU
-per derivative_memo() block, else per context), and a memoized program
-that keeps running is generated as straight-line Python; a hot program
-that drives RK4 runs instead gets a stepper that runs all steps of a run
-in one generated function.  Every tier gives bitwise the same values and
+per derivative_memo() block, else per context), and a program that keeps
+running generates itself as straight-line Python; a hot program that
+drives RK4 runs instead gets a stepper that runs all steps of a run in
+one generated function.  Every tier gives bitwise the same values and
 errors.
 
 Power semantics: an exponent that evaluates to an integer is valid for
@@ -53,7 +53,7 @@ import math
 import re
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -93,11 +93,23 @@ class DomainError(ExpressionError):
 
 
 class VariableError(DomainError):
-    """A program read a NaN or infinite variable; key is where env held it."""
+    """A program read the variable name as NaN or infinite; key is where env held it."""
 
     def __init__(self, name: str, key: str | int, v: float):
         super().__init__(f"variable {name} is {'NaN' if v != v else 'infinite'}")
+        self.name = name
         self.key = key
+
+
+@contextlib.contextmanager
+def naming_params(params):
+    """Raise a DomainError of the block again with the fields of params, a
+    dataclass of physical parameters, in front of its message."""
+    try:
+        yield
+    except DomainError as err:
+        at = ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
+        raise DomainError(f"at {at}: {err}", kind=err.kind) from err
 
 
 # --------------------------------------------------------------------------
@@ -568,31 +580,41 @@ def _nodes(e: Expression) -> list[Expression]:
     return out
 
 
-# Programs.  compile_expressions memoizes programs of at most
-# MAX_MEMO_OPS operations, keyed by the ids of their roots and the variable
-# order; hash-consing makes equal batches the same key, and the memo keeps
-# its roots alive, so no id() is reused while an entry lives.  The memo is
-# an LRU of MEMO_PROGRAMS entries; derivative_memo() opens a fresh one.
-# A memoized program is first interpreted (one helper call per operation);
-# requested again after GENERATE_AFTER_RUNS runs, it is generated as one
-# straight-line Python function doing the same operations in the same
-# order.  A program that is the right-hand side of RK4 runs (flowexp's
-# augmented flow program) is instead checked at every run: after
-# STEPPER_AFTER_RUNS runs it gets a stepper, one generated function that
-# does all the steps of a run with the state in local variables.  The
-# constants, measured on 2 cores with Python 3.11.7:
+# Programs.  memoized() keeps programs of at most MAX_MEMO_OPS operations,
+# keyed by the nodes of their roots and the variable order; hash-consing
+# makes equal batches the same key, and the key keeps its nodes alive.
+# The memo is an LRU of MEMO_PROGRAMS entries; derivative_memo() opens a
+# fresh one.  A program is first interpreted (one helper call per
+# operation).  The interpreter counts its runs: its GENERATE_AFTER_RUNS-th
+# run generates the program as one straight-line Python function doing
+# the same operations in the same order, and runs that from then on,
+# whoever holds the interpreter.  A program that is the right-hand side
+# of RK4 runs (flowexp's augmented flow program) never promotes itself;
+# it is checked at every RK4 run instead: after STEPPER_AFTER_RUNS runs it
+# gets a stepper, one generated function that does all the steps of a run
+# with the state in local variables.  The constants, measured on 2 cores
+# with Python 3.11.7:
 # - GENERATE_AFTER_RUNS: for the flow programs of the benchmark's five
 #   cases (1 to 12 operations, with and without the Jacobian), generation
 #   takes 66 to 380 us against 5 to 25 us for the interpreter's compile,
 #   and evaluation gets 2.9 to 4.9 times faster (shear2d with its Jacobian
 #   2.16 -> 0.56 us), so generation pays back after 130 to 260 runs.
-#   series_deep re-requests a program after 1 to 4 runs, so codegen goes
-#   to the programs that keep running.
+#   For the 49 curvature-grid and block-formula programs of the pointwise
+#   benchmark within MAX_MEMO_OPS (0 to 79 operations), generation takes
+#   31 us to 2.0 ms, evaluation gets 2.6 to 7.8 times faster (the 79-op
+#   grid 10.1 -> 2.7 us) and generation pays back after 77 to 330 runs,
+#   about 150 in the median.  A grid runs once per CurvatureBundle.at(),
+#   so in that benchmark each passes 64 runs in its first sweeps and runs
+#   thousands of times more; verify-all, with a fresh memo per criterion,
+#   generates 14 programs (6 under the former rule of generating only
+#   what compile_expressions was asked for again) in 3 to 4 ms in all.
 # - MAX_MEMO_OPS: Python's compile() of generated code peaks at about
 #   9.3 KB per operation (256 ops 2.4 MB, 1,000 ops 9.3 MB), against a
-#   bound of 4 MB on the benchmark's 42 MB peak.
-# - MEMO_PROGRAMS: a pointwise benchmark sweep requests 24 distinct
-#   programs and flow fields, 192 times in all; 32 hold them all.
+#   bound of 4 MB on the benchmark's 42 MB peak.  A larger program is
+#   neither memoized nor generated.
+# - MEMO_PROGRAMS: a pointwise benchmark sweep asks the memo 240 times
+#   for 26 distinct entries (programs, flow fields, eps's generator and
+#   t-field); 32 hold them all, and no sweep after the first misses.
 # - STEPPER_AFTER_RUNS: for the same flow programs with their charge, a
 #   stepper takes 0.76 to 3.6 ms to generate, about 3.5 times a plain
 #   program, and an RK4 step takes 1.0 to 6.4 us against 11 to 27 us for
@@ -611,8 +633,8 @@ MEMO_PROGRAMS = 32
 STEPPER_AFTER_RUNS = 512
 MAX_STEPPER_OPS = 96
 
-# The program memo of the innermost derivative_memo() block, else of the
-# context (each thread has its own), made on first use.
+# The memo of the innermost derivative_memo() block, else of the context
+# (each thread has its own), made on first use.
 _PROGRAMS: contextvars.ContextVar[OrderedDict] = contextvars.ContextVar("svflow_programs")
 
 # the helpers that generated code inlines, with their operator
@@ -639,101 +661,150 @@ def _define(signature: str, lines: list[str], bound: dict[str, object]) -> Calla
     return namespace["make"](**bound)
 
 
-class _Program:
-    """A batch of expressions as a flat register program: registers with
-    the constants preset, variable loads, operations (slot, helper, i, j)
-    in first-occurrence post-order and the slots of the roots."""
+# A program's code: registers with the constants preset, variable loads
+# (slot, name, key into env), operations (slot, helper, i, j) in
+# first-occurrence post-order and the slots of the roots.
+_Code = tuple[list, list, list, list]
 
-    __slots__ = ("exprs", "regs", "loads", "ops", "roots", "runs", "run", "generated",
-                 "stepper")
 
-    def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None):
-        position = None if order is None else {name: i for i, name in enumerate(order)}
-        self.exprs = exprs  # keeps every node, and so every id() below, alive
-        self.regs: list[float | None] = []
-        self.loads: list[tuple[int, str, str | int]] = []  # slot, name, key into env
-        self.ops: list[tuple[int, Callable, int, int | None]] = []
+def _interpreter(code: _Code, runs: list[int], tier: list,
+                 generate_after: float) -> Callable[..., list[float]]:
+    """The code run by one helper call per operation.  From its
+    generate_after-th run on, the generated run, made once into tier[0],
+    runs instead.  The closure holds the code's lists, never its program,
+    so a program that leaves the memo is freed at once."""
+    regs, loads, prog, roots = code
 
-        def number(node: Expression, operands: list[int]) -> int:
-            slot = len(self.regs)
-            self.regs.append(node.value if isinstance(node, Const) else None)
-            if operands:
-                j = operands[1] if len(operands) == 2 else None
-                self.ops.append((slot, _EVAL[type(node)], operands[0], j))
-            elif isinstance(node, Var):
-                name = node.name
-                self.loads.append((slot, name, name if position is None else position[name]))
-            return slot
+    def run(env) -> list[float]:
+        runs[0] += 1
+        if runs[0] >= generate_after:
+            if tier[0] is None:
+                tier[0] = _generate(code)
+            return tier[0](env)
+        reg = regs[:]
+        for slot, name, key in loads:
+            v = reg[slot] = env[key]
+            if v - v != 0.0:  # exactly when v is infinite or NaN
+                raise VariableError(name, key, v)
+        for slot, fn, i, j in prog:
+            reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
+        return [reg[k] for k in roots]
 
-        slots = _fold(exprs, number)
-        self.roots = [slots[id(e)] for e in exprs]
-        self.runs = [0]  # shared with the interpreter, which holds no self
-        self.run = self._interpreter()
-        self.generated = False
-        self.stepper = None
+    return run
 
-    def _interpreter(self) -> Callable[..., list[float]]:
-        regs, loads, prog, roots, runs = self.regs, self.loads, self.ops, self.roots, self.runs
 
-        def run(env) -> list[float]:
-            runs[0] += 1
-            reg = regs[:]
-            for slot, name, key in loads:
-                v = reg[slot] = env[key]
-                if v - v != 0.0:  # exactly when v is infinite or NaN
-                    raise VariableError(name, key, v)
-            for slot, fn, i, j in prog:
-                reg[slot] = fn(reg[i]) if j is None else fn(reg[i], reg[j])
-            return [reg[k] for k in roots]
-
-        return run
-
-    def _emit(self, load: Callable[[str | int], str],
-              bound: dict[str, object]) -> tuple[list[str], list[str]]:
-        """Python lines doing the program's loads and operations in order,
-        with variable k read as the Python expression load(k), and the
-        names holding the roots' values.  + - * / and negation are inline
-        with the helpers' finiteness test; where a test fails, the helper
-        itself runs and raises its DomainError.  Constants, names and
-        helpers are put in bound, so no formula text reaches the source."""
-        src = {}  # slot -> the Python name holding its value
-        bound["VariableError"] = VariableError
-        for slot, v in enumerate(self.regs):
-            if v is not None:
-                src[slot] = f"c{slot}"
-                bound[src[slot]] = v
-        lines = []
-        for slot, name, key in self.loads:
-            r = src[slot] = f"r{slot}"
-            bound[f"n{slot}"] = name
-            k = key if isinstance(key, int) else f"n{slot}"
-            lines += [f"{r} = {load(k)}",
-                      f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})"]
-        for slot, fn, i, j in self.ops:
-            r = src[slot] = f"r{slot}"
-            a = src[i]
-            if fn is _eval_neg:
-                lines.append(f"{r} = -{a}")
-                continue
-            bound[fn.__name__] = fn
-            if j is None:
-                lines.append(f"{r} = {fn.__name__}({a})")
-                continue
-            b = src[j]
-            call = f"{fn.__name__}({a}, {b})"
-            if fn not in _INLINE:
-                lines.append(f"{r} = {call}")
-                continue
+def _emit(code: _Code, load: Callable[[str | int], str],
+          bound: dict[str, object]) -> tuple[list[str], list[str]]:
+    """Python lines doing the code's loads and operations in order, with
+    variable k read as the Python expression load(k), and the names
+    holding the roots' values.  + - * / and negation are inline with the
+    helpers' finiteness test, and so is ^ with a finite constant exponent,
+    after the helper's domain test for that exponent; where a test fails,
+    the helper itself runs and raises its DomainError.  Constants, names
+    and helpers are put in bound, so no formula text reaches the source."""
+    regs, loads, ops, roots = code
+    src = {}  # slot -> the Python name holding its value
+    bound["VariableError"] = VariableError
+    for slot, v in enumerate(regs):
+        if v is not None:
+            src[slot] = f"c{slot}"
+            bound[src[slot]] = v
+    lines = []
+    for slot, name, key in loads:
+        r = src[slot] = f"r{slot}"
+        bound[f"n{slot}"] = name
+        k = key if isinstance(key, int) else f"n{slot}"
+        lines += [f"{r} = {load(k)}",
+                  f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})"]
+    for slot, fn, i, j in ops:
+        r = src[slot] = f"r{slot}"
+        a = src[i]
+        if fn is _eval_neg:
+            lines.append(f"{r} = -{a}")
+            continue
+        bound[fn.__name__] = fn
+        if j is None:
+            lines.append(f"{r} = {fn.__name__}({a})")
+            continue
+        b = src[j]
+        call = f"{fn.__name__}({a}, {b})"
+        if fn in _INLINE:
             if fn is _eval_div:
                 lines.append(f"if {b} == 0.0: {call}")
             lines += [f"{r} = {a} {_INLINE[fn]} {b}", f"if {r} - {r} != 0.0: {call}"]
-        return lines, [src[k] for k in self.roots]
+        elif fn is _eval_pow and regs[j] is not None and math.isfinite(regs[j]):
+            # _eval_pow's tests and operation for this exponent; float()
+            # as in the helper, where an int base stays an int, and Python
+            # raises OverflowError where the helper reads inf
+            e = regs[j]
+            if e == math.floor(e):
+                b = repr(int(e))
+                if e < 0:
+                    lines.append(f"if {a} == 0.0: {call}")
+            else:
+                lines.append(f"if {a} <= 0.0: {call}")
+            bound["inf"] = math.inf
+            lines += [f"try: {r} = float({a} ** {b})", f"except OverflowError: {r} = inf",
+                      f"if {r} - {r} != 0.0: {call}"]
+        else:
+            lines.append(f"{r} = {call}")
+    return lines, [src[k] for k in roots]
+
+
+def _generate(code: _Code) -> Callable[..., list[float]]:
+    """The code as one straight-line Python function of env."""
+    bound: dict[str, object] = {}
+    lines, roots = _emit(code, lambda k: f"env[{k}]", bound)
+    return _define("run(env)", lines + [f"return [{', '.join(roots)}]"], bound)
+
+
+class _Program:
+    """A batch of expressions as a flat register program (see _Code), its
+    run count and its tiers: the interpreter, the generated run once made
+    (tier[0]) and, for a program of RK4 runs, the stepper."""
+
+    __slots__ = ("code", "ops", "runs", "tier", "interpret", "stepper")
+
+    def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None,
+                 rk4: bool = False):
+        position = None if order is None else {name: i for i, name in enumerate(order)}
+        regs: list[float | None] = []
+        loads: list[tuple[int, str, str | int]] = []
+        ops: list[tuple[int, Callable, int, int | None]] = []
+
+        def number(node: Expression, operands: list[int]) -> int:
+            slot = len(regs)
+            regs.append(node.value if isinstance(node, Const) else None)
+            if operands:
+                j = operands[1] if len(operands) == 2 else None
+                ops.append((slot, _EVAL[type(node)], operands[0], j))
+            elif isinstance(node, Var):
+                name = node.name
+                loads.append((slot, name, name if position is None else position[name]))
+            return slot
+
+        slots = _fold(exprs, number)
+        self.code = (regs, loads, ops, [slots[id(e)] for e in exprs])
+        self.ops = ops
+        self.runs = [0]
+        self.tier = [None]
+        hot = not rk4 and len(ops) <= MAX_MEMO_OPS
+        self.interpret = _interpreter(self.code, self.runs, self.tier,
+                                      GENERATE_AFTER_RUNS if hot else math.inf)
+        self.stepper = None
+
+    @property
+    def run(self) -> Callable[..., list[float]]:
+        """The fastest tier made so far."""
+        return self.tier[0] or self.interpret
+
+    @property
+    def generated(self) -> bool:
+        return self.tier[0] is not None
 
     def generate(self) -> Callable[..., list[float]]:
         """The program as one straight-line Python function of env."""
-        bound: dict[str, object] = {}
-        lines, roots = self._emit(lambda k: f"env[{k}]", bound)
-        return _define("run(env)", lines + [f"return [{', '.join(roots)}]"], bound)
+        return _generate(self.code)
 
     def rk4_stepper(self, n_coords: int) -> Callable | None:
         """The stepper of the RK4 runs of y' = program(y), where the
@@ -747,8 +818,7 @@ class _Program:
             if len(self.ops) <= MAX_STEPPER_OPS:
                 self.stepper = self._generate_stepper(n_coords)
             elif len(self.ops) <= MAX_MEMO_OPS:
-                self.run = self.generate()
-                self.generated = True
+                self.tier[0] = self.generate()
         return self.stepper
 
     def _generate_stepper(self, n_coords: int) -> Callable:
@@ -760,8 +830,9 @@ class _Program:
         n_coords components is infinite, NaN or above bound in magnitude."""
         bound: dict[str, object] = {}
         loop = []
+        n_state = len(self.code[3])
         for stage, load in enumerate(_STAGE_LOADS, start=1):
-            lines, roots = self._emit(load, bound)
+            lines, roots = _emit(self.code, load, bound)
             loop += lines
             if stage < 4:
                 loop += [f"k{stage}_{p} = {r}" for p, r in enumerate(roots)]
@@ -769,32 +840,32 @@ class _Program:
                  for p, r in enumerate(roots)]
         loop += [f"if y{p} - y{p} != 0.0 or abs(y{p}) > bound: return None, k + 1"
                  for p in range(n_coords)]
-        state = ", ".join(f"y{p}" for p in range(len(self.roots)))
+        state = ", ".join(f"y{p}" for p in range(n_state))
         lines = [f"{state}, = state", "h = rho / n", "half = 0.5 * h", "sixth = h / 6.0",
                  "for k in range(n):", *(f"    {line}" for line in loop),
                  f"return [{state}], 0"]
         return _define("step(state, rho, n, bound)", lines, bound)
 
 
-def memoized_program(key: tuple, build: Callable[[], tuple]) -> _Program:
-    """The program memoized under key; else the program of the batch and
-    variable order that build() returns, memoized under key unless it has
-    more than MAX_MEMO_OPS operations.  key holds nodes, or the ids of
-    nodes, that the program keeps alive."""
+def memoized(key: tuple, build: Callable[[], object]) -> object:
+    """The value memoized under key in the current memo; else build()'s,
+    memoized under key unless it is a program of more than MAX_MEMO_OPS
+    operations.  key holds what the value is built from: nodes, which it
+    keeps alive while the entry lives, or values that determine them."""
     memo = _PROGRAMS.get(None)
     if memo is None:
         memo = OrderedDict()
         _PROGRAMS.set(memo)
-    program = memo.get(key)
-    if program is None:
-        program = _Program(*build())
-        if len(program.ops) <= MAX_MEMO_OPS:
-            memo[key] = program
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        if not isinstance(value, _Program) or len(value.ops) <= MAX_MEMO_OPS:
+            memo[key] = value
             if len(memo) > MEMO_PROGRAMS:
                 memo.popitem(last=False)
     else:
         memo.move_to_end(key)
-    return program
+    return value
 
 
 def compile_expressions(exprs: Iterable[Expression],
@@ -814,11 +885,7 @@ def compile_expressions(exprs: Iterable[Expression],
     """
     exprs = list(exprs)
     order = None if order is None else tuple(order)
-    program = memoized_program((*map(id, exprs), order), lambda: (exprs, order))
-    if not program.generated and program.runs[0] >= GENERATE_AFTER_RUNS:
-        program.run = program.generate()
-        program.generated = True
-    return program.run
+    return memoized((*exprs, order), lambda: _Program(exprs, order)).run
 
 
 def compile_expression(e: Expression) -> Callable[[Mapping[str, float] | Point], float]:

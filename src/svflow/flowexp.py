@@ -147,10 +147,17 @@ def _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase):
     except DomainError as err:
         if err.kind == "overflow":
             raise BlowupError(f"field evaluation overflowed: {err}") from err
-        # a stage read a Jacobian entry that an update made infinite or
-        # NaN; the program never reads the phase
-        if isinstance(err, fc.VariableError) and err.key >= n_coords:
-            raise BlowupError(f"the Jacobian overflowed within {n} steps") from err
+        # a stage read a Jacobian entry, or a coordinate it had just
+        # stepped, that came out infinite or NaN; the program never reads
+        # the phase, and a coordinate infinite from the start stays a
+        # VariableError
+        if isinstance(err, fc.VariableError):
+            if err.key >= n_coords:
+                raise BlowupError(f"the Jacobian overflowed within {n} steps") from err
+            if math.isfinite(y0[err.key]):
+                raise BlowupError(
+                    f"coordinate {err.name} overflowed within {n} steps"
+                ) from err
         raise
     if failed:
         raise BlowupError(
@@ -204,7 +211,8 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
     dB^i/dx^k * J_kj over ascending k; the smart constructors drop the
     terms whose derivative is the constant zero.  The program is memoized
     with fieldcalc's programs, keyed on the field's nodes, so B is
-    differentiated once per memo scope."""
+    differentiated once per memo scope; it never promotes itself, its RK4
+    runs do (fieldcalc._Program.rk4_stepper)."""
 
     def build():
         d = B.dimension
@@ -229,7 +237,7 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
         return exprs, tuple(order)
 
     key = (B.chart, B.components, None if C is None else C.expression, with_jacobian)
-    return fc.memoized_program(key, build)
+    return fc.memoized(key, lambda: fc._Program(*build(), rk4=True))
 
 
 # --------------------------------------------------------------------------

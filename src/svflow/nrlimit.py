@@ -48,6 +48,14 @@ class RelParams:
     def __post_init__(self):
         if self.m <= 0 or self.c <= 0 or self.h <= 0:
             raise InputError("m, c, h must all be positive")
+        # the identities divide by c^2 and multiply by (2 pi m c / h)^2 and
+        # 2 pi m c^2 / h
+        a, c2 = self.lift_rate, self.c * self.c
+        if not 0.0 < c2 < math.inf or not all(map(math.isfinite, (1.0 / c2, a * a, a * self.c))):
+            raise InputError(
+                f"m = {self.m:g}, c = {self.c:g}, h = {self.h:g} put c^2, 1/c^2, "
+                "(2 pi m c/h)^2 or 2 pi m c^2/h beyond the double range"
+            )
 
     @property
     def lift_rate(self) -> float:
@@ -94,7 +102,8 @@ def contraction_residual(
         fc.differentiate(E, "x0"),
         fc.add(fc.mul(Const(p.lift_rate), E), fc.div(fc.differentiate(E, "t"), Const(p.c))),
     )
-    return abs(fc.evaluate(residual, {"t": t, "x0": x0, "x": x}))
+    with fc.naming_params(p):
+        return abs(fc.evaluate(residual, {"t": t, "x0": x0, "x": x}))
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,8 @@ def kg_diffusion_residual(
     rhs = fc.add(diffusion, relativistic)
 
     run = fc.compile_expressions([fc.sub(lhs, rhs), diffusion, relativistic])
-    return KGResidual(*(abs(v) for v in run({"t": t, "x0": x0, "x": x})))
+    with fc.naming_params(p):
+        return KGResidual(*(abs(v) for v in run({"t": t, "x0": x0, "x": x})))
 
 
 def check_c_values(c_values: list[float]) -> list[float]:

@@ -223,6 +223,11 @@ class SVParams:
     def __post_init__(self):
         if self.N == 0:
             raise InputError("N must be nonzero")
+        # the exponents of r and of eps(t')/eps(t) in the law
+        if not math.isfinite(self.r_exponent) or not math.isfinite(self.N * self.chi / 2.0):
+            raise InputError(
+                f"N = {self.N:g}, chi = {self.chi:g} put 2/N or N chi/2 beyond the double range"
+            )
 
     @property
     def r_exponent(self) -> float:
@@ -244,7 +249,13 @@ class PrimaryTransform:
 def build_generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
     """(B, C) on the (t, r) chart with -X_eps = B + C as a first-order
     operator: B = eps d_t + (N/2) eps' r d_r and
-    C = (N/2) eps' chi + (m r^{2/N}/4) eps''."""
+    C = (N/2) eps' chi + (m r^{2/N}/4) eps''.  Built once per eps and p
+    in the program memo (fieldcalc.memoized): that of the innermost
+    derivative_memo() block, else the context's."""
+    return fc.memoized((build_generator, eps, p), lambda: _generator(eps, p))
+
+
+def _generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
     e0 = eps.expression("t", 0)
     e1 = eps.expression("t", 1)
     e2 = eps.expression("t", 2)
@@ -289,7 +300,8 @@ def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
                 raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
             residuals.append(residual)
     run = fc.compile_expressions(residuals)
-    rows = [[abs(v) for v in run(pt)] for pt in points]
+    with fc.naming_params(p):
+        rows = [[abs(v) for v in run(pt)] for pt in points]
     k = len(tests)
     return [max(max(row[i:i + k]) for row in rows) for i in range(0, len(residuals), k)]
 
@@ -327,7 +339,7 @@ def _solve_tprime(eps, t, rho, tol):
     eps_t = run([float(t)])
     if eps_t[0] == 0.0:
         raise EpsilonRootError(f"eps vanishes at the start point t = {t}")
-    B = VectorField(("t",), (eps.expression("t", 0),))
+    B = fc.memoized((_solve_tprime, eps), lambda: VectorField(("t",), eps._roots[:1]))
     res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol, jacobian=True)
     t_prime = res.endpoint.coords[0]
 
@@ -366,14 +378,15 @@ def primary_transform(
     ratio = e_tp / e_t
     if ratio <= 0.0:
         raise NegativeScaleRatioError(f"eps(t')/eps(t) = {ratio:.3e} is not positive")
-    r_prime = r * fc._eval_pow(ratio, p.N / 2.0)
-    k = p.r_exponent
-    weight = fc._eval_pow(ratio, p.N * p.chi / 2.0)
-    arg = (p.m / 4.0) * (
-        fc._eval_pow(r_prime, k) * d_tp / e_tp - fc._eval_pow(r, k) * d_t / e_t
-    )
-    return PrimaryTransform(t_prime, r_prime, weight * fc._eval_exp(arg), dtprime_dt,
-                            (e_t, d_t), (e_tp, d_tp))
+    with fc.naming_params(p):
+        r_prime = fc._eval_mul(r, fc._eval_pow(ratio, p.N / 2.0))
+        k = p.r_exponent
+        weight = fc._eval_pow(ratio, p.N * p.chi / 2.0)
+        arg = (p.m / 4.0) * (
+            fc._eval_pow(r_prime, k) * d_tp / e_tp - fc._eval_pow(r, k) * d_t / e_t
+        )
+        prefactor = fc._eval_mul(weight, fc._eval_exp(arg))
+    return PrimaryTransform(t_prime, r_prime, prefactor, dtprime_dt, (e_t, d_t), (e_tp, d_tp))
 
 
 def primary_vs_flow_residual(
@@ -419,10 +432,13 @@ def _weight_form_terms(tr: PrimaryTransform, p, r) -> tuple[float, float]:
     if e_t <= 0.0 or e_tp <= 0.0:
         raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
     k = p.r_exponent
-    lhs = tr.prefactor * fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * (d_t / e_t))
-    rhs = fc._eval_pow(jac, p.N * p.chi / 2.0) * fc._eval_exp(
-        (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * (d_tp / e_tp)
-    )
+    with fc.naming_params(p):
+        lhs = fc._eval_mul(
+            tr.prefactor, fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * (d_t / e_t))
+        )
+        rhs = fc._eval_mul(fc._eval_pow(jac, p.N * p.chi / 2.0), fc._eval_exp(
+            (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * (d_tp / e_tp)
+        ))
     return abs(jac - e_tp / e_t), abs(lhs - rhs)
 
 

@@ -133,13 +133,10 @@ def test_quadrature_budget_is_a_library_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["flow", "--field", "0", "--vars", "t", "--point", "1", "--rho", "1e200",
-         "--charge", "0", "--psi", "1"],
-        ["frame", "--c", "1e308"],
-        ["frame", "--grid=0,1e-320,-1e308,0,3,3"],
-        ["nrlimit", "--c-values", "1,1,1e308"],
-        ["nrlimit", "--c-values", "1,1,1e-320"],
-        ["curvature", "--metric", "{huge}"],
+        pytest.param(["flow", "--field", "0", "--vars", "t", "--point", "1", "--rho", "1e200",
+                      "--charge", "0", "--psi", "1"], id="argv0"),
+        pytest.param(["frame", "--grid=0,1e-320,-1e308,0,3,3"], id="argv2"),
+        pytest.param(["curvature", "--metric", "{huge}"], id="argv5"),
     ],
 )
 def test_overflow_is_one_library_error_line(argv, tmp_path, capsys):
@@ -152,6 +149,55 @@ def test_overflow_is_one_library_error_line(argv, tmp_path, capsys):
         code = run(argv + ["--output", str(tmp_path / "r")])
     assert code == 1
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame", "--c", "1e308"],
+        ["nrlimit", "--c-values", "1,1,1e308"],
+        ["nrlimit", "--c-values", "1,1,1e-320"],
+        ["frame", "--f", "0", "--c", "1e-200"],
+        ["nrlimit", "--c", "1e-200"],
+        ["nrlimit", "--c", "1e200"],
+        ["nrlimit", "--m", "1e308"],
+        ["primary", "--N", "1e-308"],
+    ],
+)
+def test_a_parameter_beyond_its_formula_bound_is_refused(argv, tmp_path, capsys):
+    # c^2, 1/c^2, (2 pi m c/h)^2 or 2/N beyond the double range: the first
+    # three ended as a library overflow, the next two as "division by zero"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv + ["--output", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("svflow: config error:") and err.count("\n") == 1
+    assert "beyond the double range" in err and f"{argv[-2][2]} = " in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["primary", "--m", "1e308"],
+     "at m = 1e+308, chi = 0.7, N = 1: exp(7.2e+307) overflows"),
+    (["primary", "--chi", "1e308"],
+     "at m = 1.3, chi = 1e+308, N = 1: pow overflowed the double range"),
+    (["nrlimit", "--c", "1e150"],
+     "at m = 1, c = 1e+150, h = 1: exp(1.5707963267948965e+150) overflows"),
+    (["virasoro", "--N", "1e-300", "--max-index", "1", "--points", "2"],
+     "at m = 1.3, chi = 0.7, N = 1e-300: pow overflowed the double range"),
+])
+def test_a_physical_overflow_names_the_parameters(argv, message, tmp_path, capsys):
+    # the closed forms overflow at the point, not for every point
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"svflow: error: {message}\n"
+
+
+def test_a_coordinate_overflow_inside_a_step_is_a_blowup_that_names_it(tmp_path, capsys):
+    # stage 4 of the first step reads 0 + 1.25 * 1.7e308; that ended as
+    # "variable t is infinite"
+    argv = ["flow", "--field", "1.7e308 + 0*t", "--vars", "t", "--point", "0", "--rho", "10"]
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "svflow: error: coordinate t overflowed within 8 steps\n"
 
 
 def test_phase_overflow_is_a_library_error(tmp_path, capsys):

@@ -680,6 +680,96 @@ def test_hot_program_is_generated_on_the_next_request():
         assert program.generated and program.run is generated
 
 
+def test_a_held_program_generates_itself_after_its_runs():
+    e = [parse_expression("exp(-r^2/t) * sin(t) - 0.5/r", ["t", "r"])]
+    env = {"t": 0.5, "r": 2.0}
+    with fc.derivative_memo():
+        run = compile_expressions(e)  # requested once, then only held
+        (program,) = fc._PROGRAMS.get().values()
+        expected = bits(run(env))
+        _hot(run, fc.GENERATE_AFTER_RUNS - 2)
+        assert not program.generated and program.run is run
+        assert bits(run(env)) == expected  # the GENERATE_AFTER_RUNS-th run
+        assert program.generated and program.run is not run
+        assert bits(program.run(env)) == expected
+        assert bits(run(env)) == expected  # the held interpreter runs it too
+
+
+def test_a_program_above_the_cap_never_generates(monkeypatch):
+    made = []
+    define = fc._define
+    monkeypatch.setattr(fc, "_define", lambda *args: made.append(args[0]) or define(*args))
+    with fc.derivative_memo():
+        big = compile_expressions(_chain(fc.MAX_MEMO_OPS + 1))
+        for _ in range(3):
+            _hot(big)
+        assert made == []
+        _hot(compile_expressions(_chain(fc.MAX_MEMO_OPS)))
+        assert made == ["run(env)"]
+
+
+_EXPONENTS = [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 1 / 3,
+              40.0, -40.0, 1e300, -1e300]
+
+
+def _power_program(base, exponent):
+    # the power, and a sum reading it, so a later operation sees its value
+    power = Pow(base, exponent)
+    return fc._Program([power, Add(power, Var("r"))], None)
+
+
+@pytest.mark.parametrize("exponent", [1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.5, -2.5])
+@pytest.mark.parametrize("t", [-1.5, 0.7, 3.0, 0.0, -0.0, 1e-200, 1e200])
+def test_a_constant_power_is_generated_inline(exponent, t):
+    program = _power_program(Var("t"), Const(exponent))
+    env = {"t": t, "r": 0.25}
+    assert _outcome(program.generate(), env) == _outcome(program.interpret, env)
+    lines, _ = fc._emit(program.code, lambda k: f"env[{k}]", {})
+    assert sum(line.startswith("try: ") and " ** " in line for line in lines) == 1
+    assert not any(" = _eval_pow(" in line for line in lines)
+
+
+@pytest.mark.parametrize("exponent, t, outcome", [
+    (-1.0, 0.0, ("domain", "zero base raised to a negative power")),
+    (-3.0, -0.0, ("domain", "zero base raised to a negative power")),
+    (0.5, -2.0, ("domain", "non-integer power 0.5 of non-positive base -2.0")),
+    (-2.5, 0.0, ("domain", "non-integer power -2.5 of non-positive base 0.0")),
+    (2.0, 1e200, ("overflow", "pow overflowed the double range")),
+    (-2.0, 1e-200, ("overflow", "pow overflowed the double range")),
+    (1.5, 1e300, ("overflow", "pow overflowed the double range")),
+    (2.0, -1.5, bits([2.25, 2.5])),
+    (2.0, 10**200, ("overflow", "pow overflowed the double range")),  # an int base
+    (3.0, -3, bits([-27.0, -26.75])),
+])
+def test_a_generated_constant_power_ends_as_the_helper(exponent, t, outcome):
+    program = _power_program(Var("t"), Const(exponent))
+    env = {"t": t, "r": 0.25}
+    assert _outcome(program.generate(), env) == _outcome(program.interpret, env) == outcome
+    if not isinstance(outcome[0], str):
+        assert all(type(v) is float for v in program.generate()(env))
+
+
+def test_a_power_with_a_variable_exponent_keeps_the_helper_call():
+    program = _power_program(Var("t"), Var("r"))
+    lines, _ = fc._emit(program.code, lambda k: f"env[{k}]", {})
+    assert sum(" = _eval_pow(" in line for line in lines) == 1
+    for env in ({"t": 2.0, "r": 0.5}, {"t": -2.0, "r": 0.5}, {"t": 0.0, "r": -1.0}):
+        assert _outcome(program.generate(), env) == _outcome(program.interpret, env)
+
+
+_BASES = [Var("t"), fc.Neg(Var("t")), Mul(Var("t"), Var("r")), Add(Var("t"), Const(1e308)),
+          fc.Exp(Var("t")), fc.Sub(Var("r"), Var("t"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BASES), st.sampled_from(_EXPONENTS) | st.floats(-50, 50),
+       _EDGE_VALUES, _EDGE_VALUES)
+def test_generated_constant_powers_match_the_interpreter(base, exponent, tv, rv):
+    program = _power_program(base, Const(exponent))
+    env = {"t": tv, "r": rv}
+    assert _outcome(program.generate(), env) == _outcome(program.interpret, env)
+
+
 def test_same_roots_in_another_order_are_another_program():
     e = [fc.Sub(Var("a"), Var("b"))]
     with fc.derivative_memo():

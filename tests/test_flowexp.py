@@ -450,6 +450,8 @@ def _array_rk4_run(deriv, y0, rho, n, blowup_bound, n_coords, phase):
             # coordinates' program refuses a coordinate by its name
             if isinstance(err, fc.VariableError) and isinstance(err.key, int):
                 raise BlowupError(f"the Jacobian overflowed within {n} steps") from err
+            if isinstance(err, fc.VariableError) and np.all(np.isfinite(y0[:n_coords])):
+                raise BlowupError(f"coordinate {err.name} overflowed within {n} steps") from err
             raise
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y[:n_coords])) or np.max(
@@ -696,6 +698,18 @@ def test_an_infinite_jacobian_is_a_blowup_that_names_it():
     assert type(err) is BlowupError and str(err) == "the Jacobian overflowed within 128 steps"
 
 
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("n_steps, steps", [(None, 8), (64, 32)])
+def test_a_coordinate_overflow_inside_a_step_is_a_blowup_in_both_tiers(jacobian, n_steps, steps):
+    # stage 4 of the first step reads 0 + h * 1.7e308 with h >= 1.25, past
+    # the double range; that ended as DomainError("variable t is infinite")
+    err = assert_matches_array_reference(
+        vector_field(["1.7e308 + 0*t"], T1), Point(T1, (0.0,)), 10.0 * (steps / 8),
+        DEFAULT_TOLERANCE, jacobian=jacobian, n_steps=n_steps,
+    )
+    assert type(err) is BlowupError and str(err) == f"coordinate t overflowed within {steps} steps"
+
+
 @pytest.mark.parametrize("n_steps, message", [
     (None, "coordinate magnitude exceeded 1e+12 at step 6/8"),
     (64, "coordinate magnitude exceeded 1e+12 at step 17/32"),
@@ -734,6 +748,55 @@ def test_a_nan_or_infinite_state_variable_ends_alike_in_both_tiers(position, val
     y0 = [0.5, 0.75, 0.0, 1.0, 0.0, 0.0, 1.0]
     y0[position] = value
     assert [_rk4_outcome(tier, B, C, y0, 0.4, 4) for tier in TIERS] == [outcome, outcome]
+
+
+def _power_field(exponent):
+    # 0.5 * t^exponent + 0.1 with the exponent a constant node, as the
+    # derivative of a power builds it
+    return fc.VectorField(T1, (fc.add(fc.mul(fc.Const(0.5), fc.Pow(fc.Var("t"), exponent)),
+                                      fc.Const(0.1)),))
+
+
+@pytest.mark.parametrize("exponent, t0, outcome", [
+    (1.0, 0.7, None), (-1.0, 0.9, None), (2.0, -0.7, None), (-2.0, 1.3, None),
+    (3.0, 0.4, None), (-3.0, -1.3, None), (0.5, 0.6, None), (-1.5, 1.2, None),
+    (-1.0, 0.0, (DomainError, "zero base raised to a negative power")),
+    (0.5, -2.0, (DomainError, "non-integer power 0.5 of non-positive base -2.0")),
+    (2.0, 1e200, (BlowupError, "field evaluation overflowed: pow overflowed the double range")),
+])
+def test_a_constant_power_steps_alike_in_both_tiers(exponent, t0, outcome):
+    B = _power_field(fc.Const(exponent))
+    got = [_rk4_outcome(tier, B, None, [t0, 1.0], 0.3, 4) for tier in TIERS]
+    assert got[0] == got[1]
+    if outcome is not None:
+        assert got[0] == outcome
+    else:
+        assert len(got[0]) == 2  # the bits of x and J
+
+
+def test_a_power_with_a_variable_exponent_steps_alike_in_both_tiers():
+    B = _power_field(fc.Var("t"))
+    for t0 in (0.8, -0.5):
+        got = [_rk4_outcome(tier, B, None, [t0, 1.0], 0.3, 4) for tier in TIERS]
+        assert got[0] == got[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 0.0, 0.5, -0.5, 2.5, 40.0, -40.0])
+       | st.floats(-8, 8), st.floats(-3, 3) | st.sampled_from([0.0, -0.0, 1e150, 1e-150]),
+       st.sampled_from([0.3, -1.0, 6.0]))
+def test_constant_powers_step_alike_in_both_tiers(exponent, t0, rho):
+    B = _power_field(fc.Const(exponent))
+    got = [_rk4_outcome(tier, B, None, [t0, 1.0], rho, 4) for tier in TIERS]
+    assert got[0] == got[1]
+
+
+def test_a_flow_program_never_generates_itself():
+    with fc.derivative_memo():
+        program = flowexp._field_deriv(vector_field(["t^2"], T1), None, with_jacobian=True)
+        for _ in range(2 * fc.GENERATE_AFTER_RUNS):
+            program.run([0.5, 1.0])
+        assert not program.generated and program.stepper is None
 
 
 @pytest.mark.parametrize("rho, stage", [(4e-303, 2), (4e-304, 3), (2e-304, 4)])

@@ -388,3 +388,29 @@ def test_mixed_block_scalar_factor_case_vs_direct():
     assert any(
         np.max(np.abs(direct.at(env).riemann)) > 1e-4 for env in envs
     )
+
+
+# ------------------------------------------------------------ program tiers
+
+
+def test_bundle_grids_switch_tier_by_their_own_run_count(monkeypatch):
+    # at() holds its grid programs and never requests them again; each
+    # generates itself on its GENERATE_AFTER_RUNS-th run
+    from svflow import fieldcalc as fc
+
+    s = METRIC_SUITE["warped_exp"]
+    env = s.sample_envs(1)[0]
+    with fc.derivative_memo():
+        bundle = CurvatureBundle(s.metric)
+        programs = [p for p in fc._PROGRAMS.get().values() if isinstance(p, fc._Program)]
+        monkeypatch.setattr(fc, "compile_expressions", None)
+        assert len(programs) == 2 and all(len(p.ops) <= fc.MAX_MEMO_OPS for p in programs)
+        values = [bundle.at(env) for _ in range(fc.GENERATE_AFTER_RUNS - 1)]
+        assert not any(p.generated for p in programs)
+        values.append(bundle.at(env))
+        assert all(p.generated for p in programs)
+        values.append(bundle.at(env))
+    for v in values[-2:]:
+        for name in ("metric", "inverse", "christoffel", "riemann", "ricci"):
+            assert getattr(v, name).tobytes() == getattr(values[0], name).tobytes()
+        assert v.scalar.hex() == values[0].scalar.hex()

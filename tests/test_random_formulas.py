@@ -79,6 +79,7 @@ def _assert_clean_exit(argv, tmp_path_factory, capsys):
     if code:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("svflow:"), err
+    return err
 
 
 @_CLI_EXAMPLES
@@ -174,3 +175,27 @@ def test_grid_lists_end_cleanly(tmp_path_factory, capsys, ranges, counts):
 @given(_number_lists(_NUMBERS + ["10", "100", "1000", "1e-10", "1e10"] * 3, 3))
 def test_c_value_lists_end_cleanly(tmp_path_factory, capsys, c_values):
     _assert_clean_exit(["nrlimit", f"--c-values={c_values}"], tmp_path_factory, capsys)
+
+
+# physical parameters: ordinary, near and beyond the edges of the double
+# range, and not valid at all
+_PARAMETERS = ["1", "0.5", "2", "-1", "0", "1e-320", "1e-200", "1e-160", "1e-100", "1e100",
+               "1e154", "1e200", "1e308", "inf", "nan"]
+
+
+@_CLI_EXAMPLES
+@given(st.sampled_from([
+    (["nrlimit"], ("m", "c", "h")),
+    (["frame", "--f=0.2*t", "--grid", "0,0.5,-0.3,0.35,7,7", "--max-iter", "5",
+      "--max-steps", "2048"], ("c",)),
+    (["primary", "--max-steps", "2048"], ("m", "chi", "N")),
+    (["virasoro", "--max-index", "1", "--points", "2"], ("m", "chi", "N")),
+]).flatmap(lambda cmd: st.tuples(st.just(cmd[0]), st.lists(
+    st.tuples(st.sampled_from(cmd[1]), st.sampled_from(_PARAMETERS)),
+    min_size=1, max_size=3, unique_by=lambda flag: flag[0]))))
+def test_physical_parameters_end_cleanly(tmp_path_factory, capsys, argv_flags):
+    argv, flags = argv_flags
+    err = _assert_clean_exit(argv + [f"--{name}={value}" for name, value in flags],
+                             tmp_path_factory, capsys)
+    # a parameter whose formula bound fails is refused by name
+    assert "division by zero" not in err, err

@@ -564,3 +564,22 @@ def test_long_laurent_formula_parses():
     eps = EpsilonFn.from_formula(" + ".join(["t"] * 3000))
     assert eps.terms == ((0, 3000.0),)
     assert eps.value(0.5) == 1500.0
+
+
+def test_the_generator_memo_ends_with_its_derivative_memo_block():
+    import gc
+    import weakref
+
+    eps, p = EpsilonFn.from_formula("1 + 0.1*t + 0.05*t^2"), SVParams(m=1.3, chi=0.7)
+    with fc.derivative_memo():
+        B, C = build_generator(eps, p)
+        assert build_generator(eps, p) == (B, C) and build_generator(eps, p)[0] is B
+        with fc.derivative_memo():
+            assert build_generator(eps, p)[0] is not B  # an inner block builds its own
+        assert build_generator(eps, p)[0] is B
+        gone = weakref.ref(B)
+        del B, C
+        gc.collect()
+        assert gone() is not None  # the block's memo holds it
+    gc.collect()
+    assert gone() is None
