@@ -70,7 +70,6 @@ from .accframe import (
     FrameMap,
     GridSpec,
     Trajectory,
-    local_frame_differentials,
     proper_time,
     solve_frame_map,
 )

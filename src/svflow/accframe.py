@@ -113,14 +113,6 @@ def proper_time(
     )
 
 
-def local_frame_differentials(v: float, c: float) -> np.ndarray:
-    """Matrix sending (dx, dt) to (dx', dt') at local speed v."""
-    if abs(v) >= c:
-        raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
-    gamma = 1.0 / math.sqrt(1.0 - (v / c) ** 2)
-    return np.array([[gamma, -gamma * v], [-gamma * v / c**2, gamma]])
-
-
 @dataclass(frozen=True)
 class GridSpec:
     t_min: float

@@ -34,10 +34,9 @@ becomes one flat register program in which every distinct subexpression
 runs once.  compile_expression and evaluate are single-expression
 shorthands for it.  Programs are memoized by their roots (a bounded LRU
 per derivative_memo() block, else per context), and a program that keeps
-running generates itself as straight-line Python; a hot program that
-drives RK4 runs instead gets a stepper that runs all steps of a run in
-one generated function.  Every tier gives bitwise the same values and
-errors.
+running generates itself as straight-line Python; a program that drives
+RK4 runs gets a stepper that runs all steps of a run in one generated
+function.  Every tier gives bitwise the same values and errors.
 
 Power semantics: an exponent that evaluates to an integer is valid for
 any base (0 excluded for negative exponents); a non-integer exponent
@@ -589,9 +588,8 @@ def _nodes(e: Expression) -> list[Expression]:
 # run generates the program as one straight-line Python function doing
 # the same operations in the same order, and runs that from then on,
 # whoever holds the interpreter.  A program that is the right-hand side
-# of RK4 runs (flowexp's augmented flow program) never promotes itself;
-# it is checked at every RK4 run instead: after STEPPER_AFTER_RUNS runs it
-# gets a stepper, one generated function that does all the steps of a run
+# of RK4 runs (flowexp's augmented flow program) gets a stepper at its
+# first RK4 run: one generated function that does all the steps of a run
 # with the state in local variables.  The constants, measured on 2 cores
 # with Python 3.11.7:
 # - GENERATE_AFTER_RUNS: for the flow programs of the benchmark's five
@@ -615,22 +613,20 @@ def _nodes(e: Expression) -> list[Expression]:
 # - MEMO_PROGRAMS: a pointwise benchmark sweep asks the memo 240 times
 #   for 26 distinct entries (programs, flow fields, eps's generator and
 #   t-field); 32 hold them all, and no sweep after the first misses.
-# - STEPPER_AFTER_RUNS: for the same flow programs with their charge, a
-#   stepper takes 0.76 to 3.6 ms to generate, about 3.5 times a plain
-#   program, and an RK4 step takes 1.0 to 6.4 us against 11 to 27 us for
-#   the list loop around the interpreter (6.6 to 13 us around a generated
-#   program), so it pays back after 74 to 146 steps (335 for mix3d with
-#   its Jacobian).  Step doubling runs as many steps in its next round as
-#   in all rounds before it, so a program that has run 512 times (128
-#   steps) gets its stepper when the coming round alone pays for it; a
-#   one-off flow that converges within 128 steps never generates one.
 # - MAX_STEPPER_OPS: a stepper holds the program four times, and its
 #   compile() peaks at about 36 KB per operation (96 ops 3.4 MB), against
-#   the same 4 MB bound as MAX_MEMO_OPS.
+#   the same 4 MB bound as MAX_MEMO_OPS.  A flow program above it runs
+#   the list loop over its plain run, which promotes itself as any other.
+#   A stepper takes 0.76 to 3.6 ms to generate and an RK4 step 1.0 to
+#   6.4 us against 11 to 27 us in the list loop, so it pays back after 74
+#   to 146 steps.  The 34 flow programs of run_all (0 to 13 operations)
+#   run 48 to 1,264 steps each, median 248, so each gets its stepper at
+#   its first run: 41 ms of generation in all.  A former rule of 512 runs
+#   first made 22 steppers and left 12 programs in the list loop, and
+#   gained nothing (run_all 0.47 s either way, median of 10 processes).
 GENERATE_AFTER_RUNS = 64
 MAX_MEMO_OPS = 256
 MEMO_PROGRAMS = 32
-STEPPER_AFTER_RUNS = 512
 MAX_STEPPER_OPS = 96
 
 # The memo of the innermost derivative_memo() block, else of the context
@@ -667,13 +663,13 @@ def _define(signature: str, lines: list[str], bound: dict[str, object]) -> Calla
 _Code = tuple[list, list, list, list]
 
 
-def _interpreter(code: _Code, runs: list[int], tier: list,
-                 generate_after: float) -> Callable[..., list[float]]:
-    """The code run by one helper call per operation.  From its
-    generate_after-th run on, the generated run, made once into tier[0],
-    runs instead.  The closure holds the code's lists, never its program,
-    so a program that leaves the memo is freed at once."""
+def _interpreter(code: _Code, tier: list, generate_after: float) -> Callable[..., list[float]]:
+    """The code run by one helper call per operation, counting its runs.
+    From its generate_after-th run on, the generated run, made once into
+    tier[0], runs instead.  The closure holds the code's lists, never its
+    program, so a program that leaves the memo is freed at once."""
     regs, loads, prog, roots = code
+    runs = [0]
 
     def run(env) -> list[float]:
         runs[0] += 1
@@ -683,7 +679,10 @@ def _interpreter(code: _Code, runs: list[int], tier: list,
             return tier[0](env)
         reg = regs[:]
         for slot, name, key in loads:
-            v = reg[slot] = env[key]
+            try:
+                v = reg[slot] = float(env[key])
+            except OverflowError:  # an int beyond the double range
+                raise VariableError(name, key, math.inf) from None
             if v - v != 0.0:  # exactly when v is infinite or NaN
                 raise VariableError(name, key, v)
         for slot, fn, i, j in prog:
@@ -693,15 +692,16 @@ def _interpreter(code: _Code, runs: list[int], tier: list,
     return run
 
 
-def _emit(code: _Code, load: Callable[[str | int], str],
-          bound: dict[str, object]) -> tuple[list[str], list[str]]:
+def _emit(code: _Code, load: Callable[[str | int], str], bound: dict[str, object],
+          convert: bool = False) -> tuple[list[str], list[str]]:
     """Python lines doing the code's loads and operations in order, with
-    variable k read as the Python expression load(k), and the names
-    holding the roots' values.  + - * / and negation are inline with the
-    helpers' finiteness test, and so is ^ with a finite constant exponent,
-    after the helper's domain test for that exponent; where a test fails,
-    the helper itself runs and raises its DomainError.  Constants, names
-    and helpers are put in bound, so no formula text reaches the source."""
+    variable k read as the Python expression load(k), through float() as
+    the interpreter reads it if convert is set, and the names holding the
+    roots' values.  + - * / and negation are inline with the helpers'
+    finiteness test, and so is ^ with a finite constant exponent, after
+    the helper's domain test for that exponent; where a test fails, the
+    helper itself runs and raises its DomainError.  Constants, names and
+    helpers are put in bound, so no formula text reaches the source."""
     regs, loads, ops, roots = code
     src = {}  # slot -> the Python name holding its value
     bound["VariableError"] = VariableError
@@ -710,12 +710,17 @@ def _emit(code: _Code, load: Callable[[str | int], str],
             src[slot] = f"c{slot}"
             bound[src[slot]] = v
     lines = []
+    bound["inf"] = math.inf
     for slot, name, key in loads:
         r = src[slot] = f"r{slot}"
         bound[f"n{slot}"] = name
         k = key if isinstance(key, int) else f"n{slot}"
-        lines += [f"{r} = {load(k)}",
-                  f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})"]
+        if convert:
+            lines += [f"try: {r} = float({load(k)})",
+                      f"except OverflowError: raise VariableError(n{slot}, {k}, inf) from None"]
+        else:
+            lines.append(f"{r} = {load(k)}")
+        lines.append(f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})")
     for slot, fn, i, j in ops:
         r = src[slot] = f"r{slot}"
         a = src[i]
@@ -743,7 +748,6 @@ def _emit(code: _Code, load: Callable[[str | int], str],
                     lines.append(f"if {a} == 0.0: {call}")
             else:
                 lines.append(f"if {a} <= 0.0: {call}")
-            bound["inf"] = math.inf
             lines += [f"try: {r} = float({a} ** {b})", f"except OverflowError: {r} = inf",
                       f"if {r} - {r} != 0.0: {call}"]
         else:
@@ -754,19 +758,18 @@ def _emit(code: _Code, load: Callable[[str | int], str],
 def _generate(code: _Code) -> Callable[..., list[float]]:
     """The code as one straight-line Python function of env."""
     bound: dict[str, object] = {}
-    lines, roots = _emit(code, lambda k: f"env[{k}]", bound)
+    lines, roots = _emit(code, lambda k: f"env[{k}]", bound, convert=True)
     return _define("run(env)", lines + [f"return [{', '.join(roots)}]"], bound)
 
 
 class _Program:
-    """A batch of expressions as a flat register program (see _Code), its
-    run count and its tiers: the interpreter, the generated run once made
-    (tier[0]) and, for a program of RK4 runs, the stepper."""
+    """A batch of expressions as a flat register program (see _Code) and
+    its tiers: the interpreter, the generated run once made (tier[0]) and,
+    for a program of RK4 runs, the stepper."""
 
-    __slots__ = ("code", "ops", "runs", "tier", "interpret", "stepper")
+    __slots__ = ("code", "ops", "tier", "interpret", "stepper")
 
-    def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None,
-                 rk4: bool = False):
+    def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None):
         position = None if order is None else {name: i for i, name in enumerate(order)}
         regs: list[float | None] = []
         loads: list[tuple[int, str, str | int]] = []
@@ -786,11 +789,9 @@ class _Program:
         slots = _fold(exprs, number)
         self.code = (regs, loads, ops, [slots[id(e)] for e in exprs])
         self.ops = ops
-        self.runs = [0]
         self.tier = [None]
-        hot = not rk4 and len(ops) <= MAX_MEMO_OPS
-        self.interpret = _interpreter(self.code, self.runs, self.tier,
-                                      GENERATE_AFTER_RUNS if hot else math.inf)
+        generate_after = GENERATE_AFTER_RUNS if len(ops) <= MAX_MEMO_OPS else math.inf
+        self.interpret = _interpreter(self.code, self.tier, generate_after)
         self.stepper = None
 
     @property
@@ -810,15 +811,10 @@ class _Program:
         """The stepper of the RK4 runs of y' = program(y), where the
         program reads state variable k from env[k] and its root k is the
         derivative of y[k], and the first n_coords components (the same
-        for every run) are bounded; None until the program has run
-        STEPPER_AFTER_RUNS times.  A hot program above MAX_STEPPER_OPS
-        operations (but within MAX_MEMO_OPS) gets its plain run generated
-        instead, and never a stepper."""
-        if self.stepper is None and not self.generated and self.runs[0] >= STEPPER_AFTER_RUNS:
-            if len(self.ops) <= MAX_STEPPER_OPS:
-                self.stepper = self._generate_stepper(n_coords)
-            elif len(self.ops) <= MAX_MEMO_OPS:
-                self.tier[0] = self.generate()
+        for every run) are bounded; made at the first call, and None for
+        a program above MAX_STEPPER_OPS operations."""
+        if self.stepper is None and len(self.ops) <= MAX_STEPPER_OPS:
+            self.stepper = self._generate_stepper(n_coords)
         return self.stepper
 
     def _generate_stepper(self, n_coords: int) -> Callable:
@@ -879,7 +875,9 @@ def compile_expressions(exprs: Iterable[Expression],
     the batch, that is each distinct node, runs once.  Operations run in
     first-occurrence post-order through the _eval_* helpers, so the values
     and the first DomainError are those of evaluating each expression
-    alone, in order.  A NaN or infinite variable is a VariableError.
+    alone, in order.  Each variable is read as float() gives it, and a
+    NaN or infinite one (or an int beyond the double range) is a
+    VariableError.
     Programs are memoized and hot ones generated as Python (see above);
     both tiers give bitwise the same values and errors.
     """

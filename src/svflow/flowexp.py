@@ -17,9 +17,11 @@ state, which keeps the flow endpoint bitwise independent of C.
 The derivative of the state, the variational product (dB/dx) J included,
 is one compiled program over the state list, built once per field and memo
 scope: RK4 runs on Python floats, the Jacobian rounds alike on every host,
-and numpy only estimates the error.  Once the program is hot, each RK4 run
-is one call of its generated stepper (fieldcalc), with bitwise the same
-results and errors as the list loop.
+and numpy only estimates the error.  Each RK4 run is one call of the
+program's generated stepper (fieldcalc), made at its first run, with
+bitwise the same results and errors as the list loop; only a program
+above fieldcalc.MAX_STEPPER_OPS operations runs the list loop.  A
+coordinate above BLOWUP_BOUND in magnitude ends the flow.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .fieldcalc import (
     evaluate,
 )
 
-DEFAULT_BLOWUP_BOUND = 1e12
+BLOWUP_BOUND = 1e12
 DEFAULT_MAX_ORDER = 8
 # Budget on the distinct nodes (fieldcalc.node_count) of one expanded term.
 DEFAULT_MAX_NODES = 2_000_000
@@ -57,7 +59,7 @@ class StepLimitError(FlowError):
 
 
 class BlowupError(FlowError):
-    """A coordinate left the configured bound (or overflowed) during the flow."""
+    """A coordinate left BLOWUP_BOUND (or overflowed) during the flow."""
 
 
 class SeriesOrderError(FlowError, InputError):
@@ -108,11 +110,12 @@ def _require_same_chart(*objs):
 # Core integrator
 
 
-def _rk4_loop(run, y0, h, n, blowup_bound, n_coords):
-    """The interpreter tier of _rk4_run: n RK4 steps of size h on lists of
-    floats, each component seeing the operations, in order, of
-    y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Returns (state, 0), or (None, k)
-    when a coordinate is infinite, NaN or above the bound after step k."""
+def _rk4_loop(run, y0, h, n, bound, n_coords):
+    """The list loop of _rk4_run, for a program without a stepper: n RK4
+    steps of size h on lists of floats, each component seeing the
+    operations, in order, of y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Returns
+    (state, 0), or (None, k) when a coordinate is infinite, NaN or above
+    the bound after step k."""
     half = 0.5 * h
     sixth = h / 6.0
     y = list(y0)
@@ -126,24 +129,24 @@ def _rk4_loop(run, y0, h, n, blowup_bound, n_coords):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
         for v in y[:n_coords]:
-            if not math.isfinite(v) or abs(v) > blowup_bound:
+            if not math.isfinite(v) or abs(v) > bound:
                 return None, k + 1
     return y, 0
 
 
-def _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase):
+def _rk4_run(program, y0, rho, n, n_coords, phase):
     """n fixed RK4 steps from 0 to rho of y' = program(y), the state being
     [x (n_coords), T if phase, J...].  Runs the program's generated
-    stepper once it has one (a hot program gets it at the start of any
-    run, so a long first flow promotes between its doubling rounds), else
-    the list loop; both give bitwise the same state and error."""
+    stepper, else (a program above fieldcalc.MAX_STEPPER_OPS operations)
+    the list loop over its run; both give bitwise the same state and
+    error."""
     rho = float(rho)
     try:
         stepper = program.rk4_stepper(n_coords)
         if stepper is not None:
-            y, failed = stepper(y0, rho, n, blowup_bound)
+            y, failed = stepper(y0, rho, n, BLOWUP_BOUND)
         else:
-            y, failed = _rk4_loop(program.run, y0, rho / n, n, blowup_bound, n_coords)
+            y, failed = _rk4_loop(program.run, y0, rho / n, n, BLOWUP_BOUND, n_coords)
     except DomainError as err:
         if err.kind == "overflow":
             raise BlowupError(f"field evaluation overflowed: {err}") from err
@@ -161,7 +164,7 @@ def _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase):
         raise
     if failed:
         raise BlowupError(
-            f"coordinate magnitude exceeded {blowup_bound:g} at step {failed}/{n}"
+            f"coordinate magnitude exceeded {BLOWUP_BOUND:g} at step {failed}/{n}"
         )
     # the phase and Jacobian have no bound, and once infinite they stay so
     if phase and not math.isfinite(y[n_coords]):
@@ -171,14 +174,14 @@ def _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase):
     return y
 
 
-def _integrate(program, y0, rho, tol, blowup_bound, n_coords, phase, n_steps=None):
+def _integrate(program, y0, rho, tol, n_coords, phase, n_steps=None):
     """Step doubling over _rk4_run.  Returns (state, steps, est_error);
     the error estimate compares whole runs, once per round, on arrays."""
     if rho == 0.0:
         return np.array(y0, dtype=float), 0, 0.0
 
     def run(n):
-        return _rk4_run(program, y0, rho, n, blowup_bound, n_coords, phase)
+        return _rk4_run(program, y0, rho, n, n_coords, phase)
 
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
@@ -211,8 +214,8 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
     dB^i/dx^k * J_kj over ascending k; the smart constructors drop the
     terms whose derivative is the constant zero.  The program is memoized
     with fieldcalc's programs, keyed on the field's nodes, so B is
-    differentiated once per memo scope; it never promotes itself, its RK4
-    runs do (fieldcalc._Program.rk4_stepper)."""
+    differentiated once per memo scope; its RK4 runs call its stepper
+    (fieldcalc._Program.rk4_stepper)."""
 
     def build():
         d = B.dimension
@@ -237,7 +240,7 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
         return exprs, tuple(order)
 
     key = (B.chart, B.components, None if C is None else C.expression, with_jacobian)
-    return fc.memoized(key, lambda: fc._Program(*build(), rk4=True))
+    return fc.memoized(key, lambda: fc._Program(*build()))
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +255,6 @@ def integrate_flow(
     *,
     charge: ScalarField | None = None,
     jacobian: bool = False,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
     n_steps: int | None = None,
 ) -> FlowResult:
     """Solve dx'/drho = B(x') from x over [0, rho] in one augmented run.
@@ -275,7 +277,7 @@ def integrate_flow(
         y0.extend(float(i == j) for i in range(d) for j in range(d))
     program = _field_deriv(B, charge, with_jacobian=jacobian)
     y, steps, est = _integrate(
-        program, y0, rho, tol, blowup_bound, d, charge is not None, n_steps=n_steps
+        program, y0, rho, tol, d, charge is not None, n_steps=n_steps
     )
     return FlowResult(
         endpoint=Point(B.chart, tuple(y[:d])),
@@ -293,12 +295,10 @@ def apply_exponential(
     x: Point,
     rho: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> float:
     """exp(T(x, rho)) * psi(x'(x, rho)): the factorized exponential."""
     _require_same_chart(B, C, psi)
-    return integrate_flow(B, x, rho, tol, charge=C, blowup_bound=blowup_bound).factorized(psi)
+    return integrate_flow(B, x, rho, tol, charge=C).factorized(psi)
 
 
 def apply_operator(B: VectorField, C: ScalarField | None,
@@ -408,13 +408,11 @@ def pushforward_residual(
     x: Point,
     rho: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
 ) -> float:
     """The pushforward defect of the flow over [0, rho].
 
     Zero (to integrator accuracy) exactly when the flow pushes B forward
     onto itself, which is the lemma underlying the factorization.
     """
-    flow = integrate_flow(B, x, rho, tol, jacobian=True, blowup_bound=blowup_bound)
+    flow = integrate_flow(B, x, rho, tol, jacobian=True)
     return pushforward_defect(B, x, flow)

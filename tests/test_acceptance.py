@@ -287,6 +287,23 @@ def test_c01_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     assert verification.render_csv(result.columns, result.rows) == golden.read_bytes()
 
 
+@pytest.mark.parametrize("criterion", [
+    verification.criterion_flow_factorization, verification.criterion_key_lemma,
+    verification.criterion_primary, verification.criterion_scale_form,
+    verification.criterion_barut,
+], ids=lambda fn: fn.__name__)
+def test_flow_criteria_match_golden_on_the_list_loop(criterion, monkeypatch):
+    # every flow of verify-all runs an RK4 stepper; the list loop, which a
+    # program above MAX_STEPPER_OPS runs, must give the same golden bytes
+    loops = []
+    rk4_loop = flowexp._rk4_loop
+    monkeypatch.setattr(flowexp, "_rk4_loop", lambda *args: loops.append(1) or rk4_loop(*args))
+    monkeypatch.setattr(fieldcalc, "MAX_STEPPER_OPS", -1)
+    result = verification._run_criterion(criterion, DEFAULT_SEED)
+    golden = Path(__file__).parent / "golden" / f"{result.key}.csv"
+    assert loops and verification.render_csv(result.columns, result.rows) == golden.read_bytes()
+
+
 def test_csv_floats_do_not_depend_on_numpy():
     # numpy 2 writes the repr of a float64 as np.float64(...), numpy 1 as 0.1
     assert verification.render_csv(("v",), [(np.float64(0.1),)]) == b"v\n0.1\n"

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from svflow.accframe import (
     MAX_GRID_POINTS,
@@ -12,7 +10,6 @@ from svflow.accframe import (
     SuperluminalError,
     Trajectory,
     WorldlineOutsideGridError,
-    local_frame_differentials,
     proper_time,
     solve_frame_map,
 )
@@ -94,40 +91,6 @@ def test_trajectory_compiles_f_and_its_derivative_once(monkeypatch):
     assert calls == {"compile": 2, "differentiate": 1}
     with pytest.raises(SuperluminalError):
         Trajectory.from_formula("t^2", c=1.0).speed(0.8)
-
-
-# ------------------------------------------------------------ differentials
-
-
-def test_differentials_at_rest():
-    assert np.array_equal(local_frame_differentials(0.0, 1.0), np.eye(2))
-
-
-def test_differentials_standard_boost():
-    M = local_frame_differentials(0.6, 1.0)
-    assert np.allclose(M[0], [1.25, -0.75], atol=1e-12)
-    assert np.allclose(M[1], [-0.75, 1.25], atol=1e-12)
-
-
-def test_differentials_reject_superluminal():
-    with pytest.raises(SuperluminalError):
-        local_frame_differentials(1.0, 1.0)
-    with pytest.raises(SuperluminalError):
-        local_frame_differentials(-3.0, 2.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-0.99, 0.99))
-def test_differentials_unit_determinant(v):
-    M = local_frame_differentials(v, 1.0)
-    assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_differentials_compose_to_identity():
-    for v in (-0.7, 0.2, 0.55):
-        M = local_frame_differentials(v, 1.0)
-        Minv = local_frame_differentials(-v, 1.0)
-        assert np.max(np.abs(Minv @ M - np.eye(2))) <= 1e-12
 
 
 # ------------------------------------------------------------ frame solver

@@ -749,6 +749,44 @@ def test_a_generated_constant_power_ends_as_the_helper(exponent, t, outcome):
         assert all(type(v) is float for v in program.generate()(env))
 
 
+@pytest.mark.parametrize("value, expected", [
+    (3, [9.0, 3.0]), (-2, [4.0, -2.0]), (0, [0.0, 0.0]), (True, [1.0, 1.0]),
+    (-0.0, [0.0, -0.0]), (1e-200, [0.0, 1e-200]), (10**15 + 1, [1.000000000000002e30, 1e15 + 1]),
+])
+def test_a_variable_reads_as_its_float_in_both_tiers(value, expected):
+    # an int variable stayed an int, so t*t of 3 was 9, not 9.0
+    program = fc._Program([Mul(Var("t"), Var("t")), Var("t")], None)
+    for run in (program.interpret, program.generate()):
+        got = run({"t": value})
+        assert all(type(v) is float for v in got) and bits(got) == bits(expected)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, 2**1024],
+                         ids=["1e400", "-1e400", "2^1024"])
+def test_an_int_beyond_the_double_range_is_a_variable_error_in_both_tiers(value):
+    # t*t of 10**400 was an 801-digit int, where a float would raise
+    program = fc._Program([Mul(Var("t"), Var("t"))], ("t",))
+    for run in (program.interpret, program.generate()):
+        with pytest.raises(fc.VariableError) as exc:
+            run([value])
+        assert (exc.value.name, exc.value.key, str(exc.value)) == ("t", 0, "variable t is infinite")
+
+
+def test_an_int_variable_is_a_float_before_and_after_promotion():
+    e = parse_expression("t*t", ["t"])
+    assert evaluate(e, {"t": 3}) == 9.0 and type(evaluate(e, {"t": 3})) is float
+    with pytest.raises(fc.VariableError, match="^variable t is infinite$"):
+        evaluate(e, {"t": 10**400})
+    with fc.derivative_memo():
+        run = compile_expressions([e])
+        outs = [run({"t": 3}) for _ in range(fc.GENERATE_AFTER_RUNS + 6)]
+        (program,) = fc._PROGRAMS.get().values()
+        assert program.generated
+        assert all(type(out[0]) is float and out == [9.0] for out in outs)
+        with pytest.raises(fc.VariableError, match="^variable t is infinite$"):
+            run({"t": 10**400})
+
+
 def test_a_power_with_a_variable_exponent_keeps_the_helper_call():
     program = _power_program(Var("t"), Var("r"))
     lines, _ = fc._emit(program.code, lambda k: f"env[{k}]", {})

@@ -2,6 +2,7 @@ import contextlib
 import math
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from svflow import fieldcalc as fc
 from svflow import flowexp
 from svflow.fieldcalc import DomainError, Point, scalar_field, vector_field
 from svflow.flowexp import (
-    DEFAULT_BLOWUP_BOUND,
     DEFAULT_TOLERANCE,
     BlowupError,
     FlowError,
@@ -538,9 +538,9 @@ def _array_deriv(B, C, with_jacobian):
     return deriv
 
 
-def array_flow(B, x, rho, tol, charge=None, jacobian=False,
-               blowup_bound=DEFAULT_BLOWUP_BOUND, n_steps=None):
-    """(endpoint coords, phase, steps, estimated error, jacobian)."""
+def array_flow(B, x, rho, tol, charge=None, jacobian=False, n_steps=None):
+    """(endpoint coords, phase, steps, estimated error, jacobian), with the
+    coordinates bounded by flowexp.BLOWUP_BOUND."""
     d = B.dimension
     y0 = list(x.coords)
     if charge is not None:
@@ -550,7 +550,7 @@ def array_flow(B, x, rho, tol, charge=None, jacobian=False,
     deriv = _array_deriv(B, charge, jacobian)
     with np.errstate(all="ignore"):  # numpy scalars warn where floats raise
         y, steps, est = _array_integrate(
-            deriv, y0, rho, tol, blowup_bound, d, charge is not None, n_steps=n_steps
+            deriv, y0, rho, tol, flowexp.BLOWUP_BOUND, d, charge is not None, n_steps=n_steps
         )
     return (
         tuple(float(v) for v in y[:d]),
@@ -601,20 +601,15 @@ def flow_setups(draw):
 
 
 @contextlib.contextmanager
-def stepper_hot():
-    """A fresh program memo in which every flow program gets its stepper
-    at its first RK4 run."""
-    saved = fc.STEPPER_AFTER_RUNS
-    fc.STEPPER_AFTER_RUNS = 0
-    try:
-        with fc.derivative_memo():
-            yield
-    finally:
-        fc.STEPPER_AFTER_RUNS = saved
+def list_loop():
+    """A fresh program memo in which no flow program gets a stepper, so
+    every RK4 run takes the list loop."""
+    with mock.patch.object(fc, "MAX_STEPPER_OPS", -1), fc.derivative_memo():
+        yield
 
 
-# the list loop (a long flow may promote itself mid-flow) and the stepper
-TIERS = (fc.derivative_memo, stepper_hot)
+# the list loop (whose program may generate itself mid-flow) and the stepper
+TIERS = (list_loop, fc.derivative_memo)
 
 
 def assert_matches_array_reference(B, x, rho, tol, **args):
@@ -655,10 +650,10 @@ def test_float_loop_matches_array_reference_bitwise(setup, jacobian, n_steps,
                                                     max_steps, blowup_bound):
     B, charge, x, rho = setup
     tol = Tolerance(absolute=1e-9, relative=1e-9, max_steps=max_steps)
-    err = assert_matches_array_reference(
-        B, x, rho, tol, charge=charge, jacobian=jacobian,
-        blowup_bound=blowup_bound, n_steps=n_steps,
-    )
+    with mock.patch.object(flowexp, "BLOWUP_BOUND", blowup_bound):
+        err = assert_matches_array_reference(
+            B, x, rho, tol, charge=charge, jacobian=jacobian, n_steps=n_steps,
+        )
     event("endpoint" if err is None
           else f"{type(err).__name__}: {' '.join(str(err).split()[:3])}")
 
@@ -681,7 +676,7 @@ def test_float_loop_raises_as_array_reference(field, rho, tol, error, message,
     B = vector_field(field, T1)
     C = scalar_field(charge, T1) if charge else None
     x = Point(T1, (1.0,))
-    args = dict(charge=C, jacobian=jacobian, blowup_bound=DEFAULT_BLOWUP_BOUND)
+    args = dict(charge=C, jacobian=jacobian)
     err = assert_matches_array_reference(B, x, rho, tol, **args)
     assert type(err) is error and str(err).startswith(message)
     # at a fixed step count the first error may be another one, but the same
@@ -727,8 +722,7 @@ def _rk4_outcome(tier, B, C, y0, rho, n):
     with tier():
         program = flowexp._field_deriv(B, C, with_jacobian=True)
         try:
-            y = flowexp._rk4_run(program, y0, rho, n, DEFAULT_BLOWUP_BOUND,
-                                 B.dimension, C is not None)
+            y = flowexp._rk4_run(program, y0, rho, n, B.dimension, C is not None)
         except (FlowError, DomainError) as err:
             return type(err), str(err)
         return _bits(y)
@@ -791,14 +785,6 @@ def test_constant_powers_step_alike_in_both_tiers(exponent, t0, rho):
     assert got[0] == got[1]
 
 
-def test_a_flow_program_never_generates_itself():
-    with fc.derivative_memo():
-        program = flowexp._field_deriv(vector_field(["t^2"], T1), None, with_jacobian=True)
-        for _ in range(2 * fc.GENERATE_AFTER_RUNS):
-            program.run([0.5, 1.0])
-        assert not program.generated and program.stepper is None
-
-
 @pytest.mark.parametrize("rho, stage", [(4e-303, 2), (4e-304, 3), (2e-304, 4)])
 @pytest.mark.parametrize("jacobian", [False, True])
 def test_an_overflow_in_a_later_stage_ends_alike_in_both_tiers(rho, stage, jacobian):
@@ -814,7 +800,7 @@ def test_an_overflow_in_a_later_stage_ends_alike_in_both_tiers(rho, stage, jacob
         return program.run(y)
 
     with pytest.raises(DomainError):
-        flowexp._rk4_loop(counted, list(x.coords), rho, 1, DEFAULT_BLOWUP_BOUND, 1)
+        flowexp._rk4_loop(counted, list(x.coords), rho, 1, flowexp.BLOWUP_BOUND, 1)
     assert len(runs) == stage
     err = assert_matches_array_reference(
         B, x, rho, DEFAULT_TOLERANCE, charge=scalar_field("t", T1), jacobian=jacobian, n_steps=2
@@ -833,35 +819,54 @@ def test_a_negative_rho_flows_alike_in_both_tiers(field):
         ) is None
 
 
-def test_a_long_first_flow_promotes_between_doubling_rounds(monkeypatch):
+def test_a_flow_program_has_its_stepper_from_its_first_flow(monkeypatch):
     B = vector_field(["t"], T1)
     C = scalar_field("t^2", T1)
     x = Point(T1, (2.0,))
-    run = flowexp._rk4_run
+
+    def no_list_loop(*args):
+        raise AssertionError("a flow program within the cap ran the list loop")
+
+    monkeypatch.setattr(flowexp, "_rk4_loop", no_list_loop)
     with fc.derivative_memo():
         program = flowexp._field_deriv(B, C, with_jacobian=True)
-        fused = []
-
-        def recording(*args):
-            y = run(*args)
-            fused.append(program.stepper is not None)  # promotion is at a run's start
-            return y
-
-        monkeypatch.setattr(flowexp, "_rk4_run", recording)
+        assert program.stepper is None
         res = integrate_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
-    assert fused[0] is False and fused[-1] is True and fused == sorted(fused)
+        assert program.stepper is not None and not program.generated
     end, phase, steps, est, jac = array_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
-    assert (res.steps, _bits([*res.endpoint.coords, res.phase])) == (steps, _bits([*end, phase]))
+    assert res.steps == steps and _bits([res.estimated_error]) == _bits([est])
+    assert _bits([*res.endpoint.coords, res.phase]) == _bits([*end, phase])
     assert res.jacobian.tobytes() == jac.tobytes()
 
 
-def test_a_program_above_the_stepper_cap_never_gets_a_stepper():
+def _above_the_stepper_cap():
     terms = " + ".join(f"{(k + 1) * 1e-3!r}*t^{k % 5 + 1}" for k in range(40))
-    B = vector_field([terms], T1)
+    return vector_field([terms], T1)
+
+
+def test_a_flow_program_above_the_cap_generates_itself_after_its_runs():
+    B = _above_the_stepper_cap()
+    y0, rho, n = [0.5, 1.0], 0.5, fc.GENERATE_AFTER_RUNS // 4 - 1
+    deriv = _array_deriv(B, None, with_jacobian=True)
+    with np.errstate(all="ignore"):
+        expected = [_array_rk4_run(deriv, y0, rho, k, flowexp.BLOWUP_BOUND, 1, False)
+                    for k in (n, 1)]
     with fc.derivative_memo():
         program = flowexp._field_deriv(B, None, with_jacobian=True)
         assert fc.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
-        # 128 + 256 steps: the fine run starts hot
+        interpreted = flowexp._rk4_run(program, y0, rho, n, 1, False)
+        assert not program.generated  # 4 n runs, four short of the count
+        switched = flowexp._rk4_run(program, y0, rho, 1, 1, False)  # its last run generates
+        assert program.generated and program.stepper is None
+    assert [_bits(interpreted), _bits(switched)] == [_bits(y) for y in expected]
+
+
+def test_a_program_above_the_stepper_cap_never_gets_a_stepper():
+    B = _above_the_stepper_cap()
+    with fc.derivative_memo():
+        program = flowexp._field_deriv(B, None, with_jacobian=True)
+        assert fc.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
+        # 128 + 256 steps: the program generates itself in the coarse run
         integrate_flow(B, Point(T1, (0.5,)), 0.5, jacobian=True, n_steps=256)
         assert program.stepper is None and program.generated
     assert assert_matches_array_reference(
