@@ -59,8 +59,8 @@ class Trajectory:
 
     def __post_init__(self):
         fc._check_chart_vars(("t",), [self.f], "f")
-        if self.c <= 0:
-            raise InputError("c must be positive")
+        if not self.c > 0:
+            raise InputError(f"c must be positive, got {self.c:g}")
         # the frame divides by c^2
         c2 = self.c * self.c
         if not 0.0 < c2 < math.inf or not math.isfinite(1.0 / c2):

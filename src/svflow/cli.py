@@ -88,18 +88,14 @@ _CONVERTERS = {
     "c_values": lambda raw: nrlimit.check_c_values(_floats_csv(raw)),
 }
 # the least value of each integer key; the seed feeds numpy's generator
-_INT_MINIMUM = {
-    "seed": 0, "max_index": 0, "order": 0, "points": 1, "max_steps": 1, "max_iter": 1,
-}
-# tolerances, and the speed of light and Planck constant of nrlimit/frame
-_POSITIVE = {"abs_tol", "rel_tol", "c", "h"}
+_INT_MINIMUM = {"seed": 0, "max_index": 0, "order": 0, "points": 1, "max_iter": 1}
 
 
 def _checked(source: str, key: str, value: str):
     """The value of one flag or config field, read from its text and
     checked: floats finite, alone or in a list, integers at least their
-    minimum, the _POSITIVE keys above zero.  Anything else is a
-    ConfigError naming the key."""
+    minimum.  Anything else is a ConfigError naming the key; the library
+    refuses a tolerance, c or h that is not positive."""
     try:
         value = _CONVERTERS.get(key, str)(value)
         for v in value if isinstance(value, list) else [value]:
@@ -108,8 +104,6 @@ def _checked(source: str, key: str, value: str):
         minimum = _INT_MINIMUM.get(key)
         if minimum is not None and value < minimum:
             raise ValueError(f"must be at least {minimum}, got {value}")
-        if key in _POSITIVE and value <= 0:
-            raise ValueError(f"must be positive, got {value}")
     except ValueError as err:
         raise ConfigError(f"{source} {key!r}: {err}") from err
     return value

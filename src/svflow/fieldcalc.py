@@ -34,9 +34,8 @@ becomes one flat register program in which every distinct subexpression
 runs once.  compile_expression and evaluate are single-expression
 shorthands for it.  Programs are memoized by their roots (a bounded LRU
 per derivative_memo() block, else per context), and a program that keeps
-running generates itself as straight-line Python; a program that drives
-RK4 runs gets a stepper that runs all steps of a run in one generated
-function.  Every tier gives bitwise the same values and errors.
+running generates itself as straight-line Python.  Both tiers give
+bitwise the same values and errors.
 
 Power semantics: an exponent that evaluates to an integer is valid for
 any base (0 excluded for negative exponents); a non-integer exponent
@@ -98,6 +97,11 @@ class VariableError(DomainError):
         super().__init__(f"variable {name} is {'NaN' if v != v else 'infinite'}")
         self.name = name
         self.key = key
+
+
+def _not_a_number(name: str, value: object) -> InputError:
+    """The refusal of a variable that float() cannot read."""
+    return InputError(f"variable {name} is not a number: {value!r}")
 
 
 @contextlib.contextmanager
@@ -587,11 +591,8 @@ def _nodes(e: Expression) -> list[Expression]:
 # operation).  The interpreter counts its runs: its GENERATE_AFTER_RUNS-th
 # run generates the program as one straight-line Python function doing
 # the same operations in the same order, and runs that from then on,
-# whoever holds the interpreter.  A program that is the right-hand side
-# of RK4 runs (flowexp's augmented flow program) gets a stepper at its
-# first RK4 run: one generated function that does all the steps of a run
-# with the state in local variables.  The constants, measured on 2 cores
-# with Python 3.11.7:
+# whoever holds the interpreter.  The constants, measured on 2 cores with
+# Python 3.11.7:
 # - GENERATE_AFTER_RUNS: for the flow programs of the benchmark's five
 #   cases (1 to 12 operations, with and without the Jacobian), generation
 #   takes 66 to 380 us against 5 to 25 us for the interpreter's compile,
@@ -613,21 +614,9 @@ def _nodes(e: Expression) -> list[Expression]:
 # - MEMO_PROGRAMS: a pointwise benchmark sweep asks the memo 240 times
 #   for 26 distinct entries (programs, flow fields, eps's generator and
 #   t-field); 32 hold them all, and no sweep after the first misses.
-# - MAX_STEPPER_OPS: a stepper holds the program four times, and its
-#   compile() peaks at about 36 KB per operation (96 ops 3.4 MB), against
-#   the same 4 MB bound as MAX_MEMO_OPS.  A flow program above it runs
-#   the list loop over its plain run, which promotes itself as any other.
-#   A stepper takes 0.76 to 3.6 ms to generate and an RK4 step 1.0 to
-#   6.4 us against 11 to 27 us in the list loop, so it pays back after 74
-#   to 146 steps.  The 34 flow programs of run_all (0 to 13 operations)
-#   run 48 to 1,264 steps each, median 248, so each gets its stepper at
-#   its first run: 41 ms of generation in all.  A former rule of 512 runs
-#   first made 22 steppers and left 12 programs in the list loop, and
-#   gained nothing (run_all 0.47 s either way, median of 10 processes).
 GENERATE_AFTER_RUNS = 64
 MAX_MEMO_OPS = 256
 MEMO_PROGRAMS = 32
-MAX_STEPPER_OPS = 96
 
 # The memo of the innermost derivative_memo() block, else of the context
 # (each thread has its own), made on first use.
@@ -635,15 +624,6 @@ _PROGRAMS: contextvars.ContextVar[OrderedDict] = contextvars.ContextVar("svflow_
 
 # the helpers that generated code inlines, with their operator
 _INLINE = {_eval_add: "+", _eval_sub: "-", _eval_mul: "*", _eval_div: "/"}
-
-# How each RK4 stage reads state variable k: the state, then the state
-# plus a multiple of the previous stage's value, as flowexp's list loop.
-_STAGE_LOADS = (
-    lambda k: f"y{k}",
-    lambda k: f"y{k} + half * k1_{k}",
-    lambda k: f"y{k} + half * k2_{k}",
-    lambda k: f"y{k} + h * k3_{k}",
-)
 
 
 def _define(signature: str, lines: list[str], bound: dict[str, object]) -> Callable:
@@ -683,6 +663,8 @@ def _interpreter(code: _Code, tier: list, generate_after: float) -> Callable[...
                 v = reg[slot] = float(env[key])
             except OverflowError:  # an int beyond the double range
                 raise VariableError(name, key, math.inf) from None
+            except (TypeError, ValueError):
+                raise _not_a_number(name, env[key]) from None
             if v - v != 0.0:  # exactly when v is infinite or NaN
                 raise VariableError(name, key, v)
         for slot, fn, i, j in prog:
@@ -705,6 +687,7 @@ def _emit(code: _Code, load: Callable[[str | int], str], bound: dict[str, object
     regs, loads, ops, roots = code
     src = {}  # slot -> the Python name holding its value
     bound["VariableError"] = VariableError
+    bound["_not_a_number"] = _not_a_number
     for slot, v in enumerate(regs):
         if v is not None:
             src[slot] = f"c{slot}"
@@ -717,7 +700,9 @@ def _emit(code: _Code, load: Callable[[str | int], str], bound: dict[str, object
         k = key if isinstance(key, int) else f"n{slot}"
         if convert:
             lines += [f"try: {r} = float({load(k)})",
-                      f"except OverflowError: raise VariableError(n{slot}, {k}, inf) from None"]
+                      f"except OverflowError: raise VariableError(n{slot}, {k}, inf) from None",
+                      f"except (TypeError, ValueError): "
+                      f"raise _not_a_number(n{slot}, {load(k)}) from None"]
         else:
             lines.append(f"{r} = {load(k)}")
         lines.append(f"if {r} - {r} != 0.0: raise VariableError(n{slot}, {k}, {r})")
@@ -764,10 +749,9 @@ def _generate(code: _Code) -> Callable[..., list[float]]:
 
 class _Program:
     """A batch of expressions as a flat register program (see _Code) and
-    its tiers: the interpreter, the generated run once made (tier[0]) and,
-    for a program of RK4 runs, the stepper."""
+    its tiers: the interpreter and the generated run once made (tier[0])."""
 
-    __slots__ = ("code", "ops", "tier", "interpret", "stepper")
+    __slots__ = ("code", "ops", "tier", "interpret")
 
     def __init__(self, exprs: list[Expression], order: tuple[str, ...] | None):
         position = None if order is None else {name: i for i, name in enumerate(order)}
@@ -792,7 +776,6 @@ class _Program:
         self.tier = [None]
         generate_after = GENERATE_AFTER_RUNS if len(ops) <= MAX_MEMO_OPS else math.inf
         self.interpret = _interpreter(self.code, self.tier, generate_after)
-        self.stepper = None
 
     @property
     def run(self) -> Callable[..., list[float]]:
@@ -806,41 +789,6 @@ class _Program:
     def generate(self) -> Callable[..., list[float]]:
         """The program as one straight-line Python function of env."""
         return _generate(self.code)
-
-    def rk4_stepper(self, n_coords: int) -> Callable | None:
-        """The stepper of the RK4 runs of y' = program(y), where the
-        program reads state variable k from env[k] and its root k is the
-        derivative of y[k], and the first n_coords components (the same
-        for every run) are bounded; made at the first call, and None for
-        a program above MAX_STEPPER_OPS operations."""
-        if self.stepper is None and len(self.ops) <= MAX_STEPPER_OPS:
-            self.stepper = self._generate_stepper(n_coords)
-        return self.stepper
-
-    def _generate_stepper(self, n_coords: int) -> Callable:
-        """step(state, rho, n, bound): n RK4 steps from 0 to rho, each
-        running the program four times with the state in local variables.
-        Every component sees the operations, in order, of flowexp's list
-        loop, so values and the first error are bitwise the same.  Returns
-        (state, 0), or (None, k) when after step k one of the first
-        n_coords components is infinite, NaN or above bound in magnitude."""
-        bound: dict[str, object] = {}
-        loop = []
-        n_state = len(self.code[3])
-        for stage, load in enumerate(_STAGE_LOADS, start=1):
-            lines, roots = _emit(self.code, load, bound)
-            loop += lines
-            if stage < 4:
-                loop += [f"k{stage}_{p} = {r}" for p, r in enumerate(roots)]
-        loop += [f"y{p} = y{p} + sixth * (((k1_{p} + 2.0 * k2_{p}) + 2.0 * k3_{p}) + {r})"
-                 for p, r in enumerate(roots)]
-        loop += [f"if y{p} - y{p} != 0.0 or abs(y{p}) > bound: return None, k + 1"
-                 for p in range(n_coords)]
-        state = ", ".join(f"y{p}" for p in range(n_state))
-        lines = [f"{state}, = state", "h = rho / n", "half = 0.5 * h", "sixth = h / 6.0",
-                 "for k in range(n):", *(f"    {line}" for line in loop),
-                 f"return [{state}], 0"]
-        return _define("step(state, rho, n, bound)", lines, bound)
 
 
 def memoized(key: tuple, build: Callable[[], object]) -> object:
@@ -875,9 +823,9 @@ def compile_expressions(exprs: Iterable[Expression],
     the batch, that is each distinct node, runs once.  Operations run in
     first-occurrence post-order through the _eval_* helpers, so the values
     and the first DomainError are those of evaluating each expression
-    alone, in order.  Each variable is read as float() gives it, and a
-    NaN or infinite one (or an int beyond the double range) is a
-    VariableError.
+    alone, in order.  Each variable is read as float() gives it: a NaN
+    or infinite one (or an int beyond the double range) is a
+    VariableError, and one that float() refuses an InputError.
     Programs are memoized and hot ones generated as Python (see above);
     both tiers give bitwise the same values and errors.
     """

@@ -16,18 +16,17 @@ state, which keeps the flow endpoint bitwise independent of C.
 
 The derivative of the state, the variational product (dB/dx) J included,
 is one compiled program over the state list, built once per field and memo
-scope: RK4 runs on Python floats, the Jacobian rounds alike on every host,
-and numpy only estimates the error.  Each RK4 run is one call of the
-program's generated stepper (fieldcalc), made at its first run, with
-bitwise the same results and errors as the list loop; only a program
-above fieldcalc.MAX_STEPPER_OPS operations runs the list loop.  A
-coordinate above BLOWUP_BOUND in magnitude ends the flow.
+scope together with its RK4 stepper: one generated function that runs all
+steps of a run with the state in local variables.  RK4 runs on Python
+floats, the Jacobian rounds alike on every host, and numpy only estimates
+the error.  A coordinate above BLOWUP_BOUND in magnitude ends the flow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -77,8 +76,10 @@ class Tolerance:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        if self.absolute <= 0 or self.relative <= 0 or self.max_steps <= 0:
-            raise InputError("tolerance fields must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value > 0:
+                raise InputError(f"tolerance {f.name} must be positive, got {value:g}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -110,43 +111,67 @@ def _require_same_chart(*objs):
 # Core integrator
 
 
-def _rk4_loop(run, y0, h, n, bound, n_coords):
-    """The list loop of _rk4_run, for a program without a stepper: n RK4
-    steps of size h on lists of floats, each component seeing the
-    operations, in order, of y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  Returns
-    (state, 0), or (None, k) when a coordinate is infinite, NaN or above
-    the bound after step k."""
-    half = 0.5 * h
-    sixth = h / 6.0
-    y = list(y0)
-    for k in range(n):
-        k1 = run(y)
-        k2 = run([a + half * b for a, b in zip(y, k1)])
-        k3 = run([a + half * b for a, b in zip(y, k2)])
-        k4 = run([a + h * b for a, b in zip(y, k3)])
-        y = [
-            a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        for v in y[:n_coords]:
-            if not math.isfinite(v) or abs(v) > bound:
-                return None, k + 1
-    return y, 0
+# MAX_STEPPER_OPS: a stepper that writes out the program's operations holds
+# them four times, and its compile() peaks at about 36 KB per operation
+# (96 ops 3.4 MB), against the 4 MB bound of fieldcalc.MAX_MEMO_OPS.  A
+# larger program gets one call of its interpreter per stage instead, which
+# generates itself as any other program does.  Measured on 2 cores with
+# Python 3.11.7, a written-out stepper takes 0.76 to 3.6 ms to generate and
+# an RK4 step 1.0 to 6.4 us against 11 to 27 us through four calls, so it
+# pays back after 74 to 146 steps.  The 34 flow programs of run_all (0 to
+# 13 operations) run 48 to 1,264 steps each, median 248: 41 ms of
+# generation in all.
+MAX_STEPPER_OPS = 96
+
+# How each RK4 stage reads state variable k: the state, then the state
+# plus a multiple of the previous stage's value.
+_STAGE_LOADS = (
+    lambda k: f"y{k}",
+    lambda k: f"y{k} + half * k1_{k}",
+    lambda k: f"y{k} + half * k2_{k}",
+    lambda k: f"y{k} + h * k3_{k}",
+)
 
 
-def _rk4_run(program, y0, rho, n, n_coords, phase):
-    """n fixed RK4 steps from 0 to rho of y' = program(y), the state being
-    [x (n_coords), T if phase, J...].  Runs the program's generated
-    stepper, else (a program above fieldcalc.MAX_STEPPER_OPS operations)
-    the list loop over its run; both give bitwise the same state and
-    error."""
-    rho = float(rho)
-    try:
-        stepper = program.rk4_stepper(n_coords)
-        if stepper is not None:
-            y, failed = stepper(y0, rho, n, BLOWUP_BOUND)
+def _stepper(program: fc._Program, n_coords: int) -> Callable:
+    """step(state, rho, n, bound): n RK4 steps of y' = program(y) from 0 to
+    rho with the state in local variables, where the program reads state
+    variable k from env[k] and its root k is the derivative of y[k].  A
+    stage writes out the program's operations, or for a program above
+    MAX_STEPPER_OPS operations calls program.interpret on the stage's
+    state.  Every component sees the operations, in order, of
+    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), so both kinds give bitwise the
+    same values and first error.  Returns (state, 0), or (None, k) when
+    after step k one of the first n_coords components is infinite, NaN or
+    above bound in magnitude."""
+    bound: dict[str, object] = {"run": program.interpret}
+    n_state = len(program.code[3])
+    loop = []
+    for stage, load in enumerate(_STAGE_LOADS, start=1):
+        if len(program.ops) <= MAX_STEPPER_OPS:
+            lines, roots = fc._emit(program.code, load, bound)
         else:
-            y, failed = _rk4_loop(program.run, y0, rho / n, n, BLOWUP_BOUND, n_coords)
+            roots = [f"v{p}" for p in range(n_state)]
+            lines = [f"{', '.join(roots)}, = run([{', '.join(map(load, range(n_state)))}])"]
+        loop += lines
+        if stage < 4:
+            loop += [f"k{stage}_{p} = {r}" for p, r in enumerate(roots)]
+    loop += [f"y{p} = y{p} + sixth * (((k1_{p} + 2.0 * k2_{p}) + 2.0 * k3_{p}) + {r})"
+             for p, r in enumerate(roots)]
+    loop += [f"if y{p} - y{p} != 0.0 or abs(y{p}) > bound: return None, k + 1"
+             for p in range(n_coords)]
+    state = ", ".join(f"y{p}" for p in range(n_state))
+    lines = [f"{state}, = state", "h = rho / n", "half = 0.5 * h", "sixth = h / 6.0",
+             "for k in range(n):", *(f"    {line}" for line in loop),
+             f"return [{state}], 0"]
+    return fc._define("step(state, rho, n, bound)", lines, bound)
+
+
+def _rk4_run(step, y0, rho, n, n_coords, phase):
+    """n fixed RK4 steps from 0 to rho by step (a _stepper), the state
+    being [x (n_coords), T if phase, J...]."""
+    try:
+        y, failed = step(y0, float(rho), n, BLOWUP_BOUND)
     except DomainError as err:
         if err.kind == "overflow":
             raise BlowupError(f"field evaluation overflowed: {err}") from err
@@ -174,14 +199,14 @@ def _rk4_run(program, y0, rho, n, n_coords, phase):
     return y
 
 
-def _integrate(program, y0, rho, tol, n_coords, phase, n_steps=None):
+def _integrate(step, y0, rho, tol, n_coords, phase, n_steps=None):
     """Step doubling over _rk4_run.  Returns (state, steps, est_error);
     the error estimate compares whole runs, once per round, on arrays."""
     if rho == 0.0:
         return np.array(y0, dtype=float), 0, 0.0
 
     def run(n):
-        return _rk4_run(program, y0, rho, n, n_coords, phase)
+        return _rk4_run(step, y0, rho, n, n_coords, phase)
 
     if n_steps is not None:
         if n_steps < 2 or n_steps % 2 != 0:
@@ -207,15 +232,14 @@ def _integrate(program, y0, rho, tol, n_coords, phase, n_steps=None):
 
 
 def _field_deriv(B: VectorField, C: ScalarField | None = None,
-                 with_jacobian=False) -> fc._Program:
+                 with_jacobian=False) -> tuple[fc._Program, Callable]:
     """Derivative of the stacked state [x, T?, J?] of the augmented system:
     one program over [B..., C?, (dB/dx) J...] that reads the state list by
-    position.  Entry (i, j) of the variational product sums
-    dB^i/dx^k * J_kj over ascending k; the smart constructors drop the
-    terms whose derivative is the constant zero.  The program is memoized
+    position, and its _stepper.  Entry (i, j) of the variational product
+    sums dB^i/dx^k * J_kj over ascending k; the smart constructors drop
+    the terms whose derivative is the constant zero.  The pair is memoized
     with fieldcalc's programs, keyed on the field's nodes, so B is
-    differentiated once per memo scope; its RK4 runs call its stepper
-    (fieldcalc._Program.rk4_stepper)."""
+    differentiated once per memo scope."""
 
     def build():
         d = B.dimension
@@ -237,10 +261,11 @@ def _field_deriv(B: VectorField, C: ScalarField | None = None,
                     for k in range(d):
                         entry = fc.add(entry, fc.mul(grad[k], fc.Var(names[k * d + j])))
                     exprs.append(entry)
-        return exprs, tuple(order)
+        program = fc._Program(exprs, tuple(order))
+        return program, _stepper(program, d)
 
     key = (B.chart, B.components, None if C is None else C.expression, with_jacobian)
-    return fc.memoized(key, lambda: fc._Program(*build()))
+    return fc.memoized(key, build)
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +300,9 @@ def integrate_flow(
         y0.append(0.0)
     if jacobian:
         y0.extend(float(i == j) for i in range(d) for j in range(d))
-    program = _field_deriv(B, charge, with_jacobian=jacobian)
+    _, step = _field_deriv(B, charge, with_jacobian=jacobian)
     y, steps, est = _integrate(
-        program, y0, rho, tol, d, charge is not None, n_steps=n_steps
+        step, y0, rho, tol, d, charge is not None, n_steps=n_steps
     )
     return FlowResult(
         endpoint=Point(B.chart, tuple(y[:d])),

@@ -46,8 +46,9 @@ class RelParams:
     h: float
 
     def __post_init__(self):
-        if self.m <= 0 or self.c <= 0 or self.h <= 0:
-            raise InputError("m, c, h must all be positive")
+        for name, value in (("m", self.m), ("c", self.c), ("h", self.h)):
+            if not value > 0:
+                raise InputError(f"{name} must be positive, got {value:g}")
         # the identities divide by c^2 and multiply by (2 pi m c / h)^2 and
         # 2 pi m c^2 / h
         a, c2 = self.lift_rate, self.c * self.c

@@ -293,15 +293,18 @@ def test_c01_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     verification.criterion_barut,
 ], ids=lambda fn: fn.__name__)
 def test_flow_criteria_match_golden_on_the_list_loop(criterion, monkeypatch):
-    # every flow of verify-all runs an RK4 stepper; the list loop, which a
-    # program above MAX_STEPPER_OPS runs, must give the same golden bytes
-    loops = []
-    rk4_loop = flowexp._rk4_loop
-    monkeypatch.setattr(flowexp, "_rk4_loop", lambda *args: loops.append(1) or rk4_loop(*args))
-    monkeypatch.setattr(fieldcalc, "MAX_STEPPER_OPS", -1)
+    # every flow program of verify-all is within MAX_STEPPER_OPS, so its
+    # stepper writes out the operations; the stepper of a larger program,
+    # whose stages hand the program their state as a list, must give the
+    # same golden bytes
+    steppers = []
+    stepper = flowexp._stepper
+    monkeypatch.setattr(flowexp, "_stepper",
+                        lambda *args: steppers.append(1) or stepper(*args))
+    monkeypatch.setattr(flowexp, "MAX_STEPPER_OPS", -1)
     result = verification._run_criterion(criterion, DEFAULT_SEED)
     golden = Path(__file__).parent / "golden" / f"{result.key}.csv"
-    assert loops and verification.render_csv(result.columns, result.rows) == golden.read_bytes()
+    assert steppers and verification.render_csv(result.columns, result.rows) == golden.read_bytes()
 
 
 def test_csv_floats_do_not_depend_on_numpy():

@@ -350,12 +350,15 @@ def test_flag_overrides_config(tmp_path):
     assert (out_a / "correlator.csv").read_bytes() != (out_c / "correlator.csv").read_bytes()
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors(tmp_path, capsys):
+    # a tolerance that is not positive is refused once, by the library
     bad_tol = tmp_path / "bad.ini"
-    bad_tol.write_text("[run]\ncommand = flow\nabs_tol = -1e-9\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config(bad_tol)
-    assert "abs_tol" in str(exc.value)
+    bad_tol.write_text("[run]\ncommand = flow\nfield = t\nvars = t\npoint = 1\n"
+                       "abs_tol = -1e-9\n")
+    assert run(["flow", "--config", str(bad_tol), "--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        "svflow: config error: tolerance absolute must be positive, got -1e-09\n"
+    )
 
     missing = tmp_path / "nope.ini"
     with pytest.raises(ConfigError):
@@ -414,7 +417,7 @@ _FLOW = ["flow", "--field", "t;-r", "--vars", "t,r"]
         (["nrlimit", "--c-values", "10,inf,1000"], "c_values"),
         (["virasoro", "--points", "0"], "points"),
         (["virasoro", "--max-index", "-2"], "max_index"),
-        (_FLOW + ["--point", "1,0.5", "--max-steps", "-3"], "max_steps"),
+        (_FLOW + ["--point", "1,0.5", "--max-steps", "1.5"], "max_steps"),
     ],
 )
 def test_bad_numeric_flag_is_a_config_error(argv, key, tmp_path, capsys):
@@ -423,6 +426,20 @@ def test_bad_numeric_flag_is_a_config_error(argv, key, tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"svflow: config error: flag {key!r}:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_FLOW + ["--point", "1,0.5", "--max-steps", "-3"],
+     "tolerance max_steps must be positive, got -3"),
+    (_FLOW + ["--point", "1,0.5", "--rel-tol", "0"],
+     "tolerance relative must be positive, got 0"),
+    (["frame", "--abs-tol=-1e-9"], "tolerance absolute must be positive, got -1e-09"),
+    (["nrlimit", "--h", "-1"], "h must be positive, got -1"),
+    (["frame", "--c", "0"], "c must be positive, got 0"),
+])
+def test_a_value_the_library_refuses_has_one_message(argv, message, tmp_path, capsys):
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"svflow: config error: {message}\n"
 
 
 @pytest.mark.parametrize(

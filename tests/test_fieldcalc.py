@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import struct
 import threading
 
@@ -770,6 +771,19 @@ def test_an_int_beyond_the_double_range_is_a_variable_error_in_both_tiers(value)
         with pytest.raises(fc.VariableError) as exc:
             run([value])
         assert (exc.value.name, exc.value.key, str(exc.value)) == ("t", 0, "variable t is infinite")
+
+
+@pytest.mark.parametrize("value, shown", [("abc", "'abc'"), (None, "None"), ([1.0], "[1.0]")])
+def test_a_variable_that_is_not_a_number_is_an_input_error_in_both_tiers(value, shown):
+    # float() of it raised a bare ValueError or TypeError
+    message = f"^variable t is not a number: {re.escape(shown)}$"
+    with pytest.raises(fc.InputError, match=message):
+        evaluate(parse_expression("t*t", ["t"]), {"t": value})
+    for order, env in ((None, {"t": value}), (("t",), [value])):
+        program = fc._Program([Mul(Var("t"), Var("t"))], order)
+        for run in (program.interpret, program.generate()):
+            with pytest.raises(fc.InputError, match=message):
+                run(env)
 
 
 def test_an_int_variable_is_a_float_before_and_after_promotion():

@@ -601,15 +601,16 @@ def flow_setups(draw):
 
 
 @contextlib.contextmanager
-def list_loop():
-    """A fresh program memo in which no flow program gets a stepper, so
-    every RK4 run takes the list loop."""
-    with mock.patch.object(fc, "MAX_STEPPER_OPS", -1), fc.derivative_memo():
+def call_stages():
+    """A fresh program memo in which every flow program's stepper calls
+    the program's interpreter in each RK4 stage."""
+    with mock.patch.object(flowexp, "MAX_STEPPER_OPS", -1), fc.derivative_memo():
         yield
 
 
-# the list loop (whose program may generate itself mid-flow) and the stepper
-TIERS = (list_loop, fc.derivative_memo)
+# steppers that call the program (which may generate itself mid-flow) and
+# steppers that write out its operations
+TIERS = (call_stages, fc.derivative_memo)
 
 
 def assert_matches_array_reference(B, x, rho, tol, **args):
@@ -720,9 +721,9 @@ def test_the_coordinate_blowup_names_its_step_in_both_tiers(n_steps, message):
 def _rk4_outcome(tier, B, C, y0, rho, n):
     """Bits of the state after n steps of _rk4_run, or its error."""
     with tier():
-        program = flowexp._field_deriv(B, C, with_jacobian=True)
+        _, step = flowexp._field_deriv(B, C, with_jacobian=True)
         try:
-            y = flowexp._rk4_run(program, y0, rho, n, B.dimension, C is not None)
+            y = flowexp._rk4_run(step, y0, rho, n, B.dimension, C is not None)
         except (FlowError, DomainError) as err:
             return type(err), str(err)
         return _bits(y)
@@ -792,15 +793,19 @@ def test_an_overflow_in_a_later_stage_ends_alike_in_both_tiers(rho, stage, jacob
     # input past log(max double) = 709.78 in the given stage
     B = vector_field(["exp(t)"], T1)
     x = Point(T1, (700.0,))
-    program = flowexp._field_deriv(B)
+    program = fc._Program(list(B.components), B.chart)  # as _field_deriv(B) builds it
     runs = []
+    interpret = program.interpret
 
     def counted(y):
         runs.append(y)
-        return program.run(y)
+        return interpret(y)
 
+    program.interpret = counted
+    with mock.patch.object(flowexp, "MAX_STEPPER_OPS", -1):
+        step = flowexp._stepper(program, 1)
     with pytest.raises(DomainError):
-        flowexp._rk4_loop(counted, list(x.coords), rho, 1, flowexp.BLOWUP_BOUND, 1)
+        step(list(x.coords), rho, 1, flowexp.BLOWUP_BOUND)
     assert len(runs) == stage
     err = assert_matches_array_reference(
         B, x, rho, DEFAULT_TOLERANCE, charge=scalar_field("t", T1), jacobian=jacobian, n_steps=2
@@ -824,51 +829,72 @@ def test_a_flow_program_has_its_stepper_from_its_first_flow(monkeypatch):
     C = scalar_field("t^2", T1)
     x = Point(T1, (2.0,))
 
-    def no_list_loop(*args):
-        raise AssertionError("a flow program within the cap ran the list loop")
-
-    monkeypatch.setattr(flowexp, "_rk4_loop", no_list_loop)
+    built = []
+    stepper = flowexp._stepper
+    monkeypatch.setattr(flowexp, "_stepper",
+                        lambda program, n: built.append(program) or stepper(program, n))
     with fc.derivative_memo():
-        program = flowexp._field_deriv(B, C, with_jacobian=True)
-        assert program.stepper is None
         res = integrate_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
-        assert program.stepper is not None and not program.generated
+        program, step = flowexp._field_deriv(B, C, with_jacobian=True)
+        # made with the program, its stages write out the operations
+        assert built == [program] and "run" not in step.__code__.co_freevars
+        assert not program.generated
     end, phase, steps, est, jac = array_flow(B, x, 1.0, TIGHT, charge=C, jacobian=True)
     assert res.steps == steps and _bits([res.estimated_error]) == _bits([est])
     assert _bits([*res.endpoint.coords, res.phase]) == _bits([*end, phase])
     assert res.jacobian.tobytes() == jac.tobytes()
 
 
-def _above_the_stepper_cap():
-    terms = " + ".join(f"{(k + 1) * 1e-3!r}*t^{k % 5 + 1}" for k in range(40))
+def _sum_of_powers(n_terms):
+    terms = " + ".join(f"{(k + 1) * 1e-3!r}*t^{k % 5 + 1}" for k in range(n_terms))
     return vector_field([terms], T1)
 
 
 def test_a_flow_program_above_the_cap_generates_itself_after_its_runs():
-    B = _above_the_stepper_cap()
+    B = _sum_of_powers(40)  # above the stepper cap
     y0, rho, n = [0.5, 1.0], 0.5, fc.GENERATE_AFTER_RUNS // 4 - 1
     deriv = _array_deriv(B, None, with_jacobian=True)
     with np.errstate(all="ignore"):
         expected = [_array_rk4_run(deriv, y0, rho, k, flowexp.BLOWUP_BOUND, 1, False)
                     for k in (n, 1)]
     with fc.derivative_memo():
-        program = flowexp._field_deriv(B, None, with_jacobian=True)
-        assert fc.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
-        interpreted = flowexp._rk4_run(program, y0, rho, n, 1, False)
+        program, step = flowexp._field_deriv(B, None, with_jacobian=True)
+        assert flowexp.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
+        interpreted = flowexp._rk4_run(step, y0, rho, n, 1, False)
         assert not program.generated  # 4 n runs, four short of the count
-        switched = flowexp._rk4_run(program, y0, rho, 1, 1, False)  # its last run generates
-        assert program.generated and program.stepper is None
+        switched = flowexp._rk4_run(step, y0, rho, 1, 1, False)  # its last run generates
+        assert program.generated
     assert [_bits(interpreted), _bits(switched)] == [_bits(y) for y in expected]
 
 
-def test_a_program_above_the_stepper_cap_never_gets_a_stepper():
-    B = _above_the_stepper_cap()
+def test_a_program_above_the_stepper_cap_calls_its_run_and_generates_it():
+    B = _sum_of_powers(40)  # above the stepper cap
     with fc.derivative_memo():
-        program = flowexp._field_deriv(B, None, with_jacobian=True)
-        assert fc.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
+        program, step = flowexp._field_deriv(B, None, with_jacobian=True)
+        assert flowexp.MAX_STEPPER_OPS < len(program.ops) <= fc.MAX_MEMO_OPS
+        assert "run" in step.__code__.co_freevars
         # 128 + 256 steps: the program generates itself in the coarse run
         integrate_flow(B, Point(T1, (0.5,)), 0.5, jacobian=True, n_steps=256)
-        assert program.stepper is None and program.generated
+        assert program.generated
     assert assert_matches_array_reference(
         B, Point(T1, (0.5,)), 0.5, DEFAULT_TOLERANCE, jacobian=True, n_steps=256
     ) is None
+
+
+def test_a_flow_program_above_the_memo_cap_is_built_once_and_never_generates(monkeypatch):
+    B = _sum_of_powers(70)
+    x = Point(T1, (0.5,))
+    with fc.derivative_memo():
+        program, step = flowexp._field_deriv(B, None, with_jacobian=True)
+        assert len(program.ops) > fc.MAX_MEMO_OPS
+        integrate_flow(B, x, 0.5, jacobian=True, n_steps=256)  # 1,536 runs
+        differentiated = []
+        monkeypatch.setattr(fc, "differentiate", lambda *args: differentiated.append(args))
+        integrate_flow(B, x, 0.5, jacobian=True)
+        assert flowexp._field_deriv(B, None, with_jacobian=True) == (program, step)
+        assert not differentiated and not program.generated
+    monkeypatch.undo()
+    for n_steps in (None, 256):
+        assert assert_matches_array_reference(
+            B, x, 0.5, DEFAULT_TOLERANCE, jacobian=True, n_steps=n_steps
+        ) is None
