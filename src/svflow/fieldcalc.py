@@ -571,10 +571,13 @@ def _fold(
     return done
 
 
-def _nodes(e: Expression) -> list[Expression]:
-    """The distinct nodes of e, in no particular order."""
-    seen = {id(e)}
-    out = [e]
+def _nodes(e: Expression, seen: set[int] | None = None) -> list[Expression]:
+    """The distinct nodes of e whose ids are not in seen, in no particular
+    order; their ids are added to seen.  A seen filled by earlier calls
+    holds the nodes of each node in it, so their walk stops there."""
+    seen = set() if seen is None else seen
+    out = [] if id(e) in seen else [e]
+    seen.add(id(e))
     for node in out:
         for o in node._ops:
             if id(o) not in seen:

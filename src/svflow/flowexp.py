@@ -39,13 +39,15 @@ from .fieldcalc import (
     ScalarField,
     SvflowError,
     VectorField,
-    compile_expression,  # unused here; perfbench/tests asserts the tracer rebinds it
+    # neither is used here; perfbench/tests asserts the tracer rebinds both
+    compile_expression,
     evaluate,
 )
 
 BLOWUP_BOUND = 1e12
 DEFAULT_MAX_ORDER = 8
-# Budget on the distinct nodes (fieldcalc.node_count) of one expanded term.
+# Budget on the distinct nodes of all the expressions one series or bracket
+# call builds, which is what its one program holds.
 DEFAULT_MAX_NODES = 2_000_000
 
 
@@ -80,6 +82,8 @@ class Tolerance:
             value = getattr(self, f.name)
             if not value > 0:
                 raise InputError(f"tolerance {f.name} must be positive, got {value:g}")
+            if value == math.inf:
+                raise InputError(f"tolerance {f.name} must be finite, got inf")
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -98,7 +102,7 @@ class FlowResult:
 
     def factorized(self, psi: ScalarField) -> float:
         """exp(T) * psi(x'): the factorized exponential applied to psi."""
-        return fc._eval_exp(self.phase) * psi.eval_at(self.endpoint)
+        return fc._eval_mul(fc._eval_exp(self.phase), psi.eval_at(self.endpoint))
 
 
 def _require_same_chart(*objs):
@@ -338,49 +342,50 @@ def apply_operator(B: VectorField, C: ScalarField | None,
     return total
 
 
-def series_terms(
-    B: VectorField,
-    C: ScalarField | None,
-    psi: ScalarField,
-    x: Point,
-    order: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> list[float]:
+def _within_budget(e: Expression, seen: set[int], what: str) -> None:
+    """Add the ids of e's nodes to seen, the nodes one call has built so
+    far; ExpressionSizeError once they pass DEFAULT_MAX_NODES.  The caller
+    keeps e alive, so no id is reused."""
+    fc._nodes(e, seen)
+    if len(seen) > DEFAULT_MAX_NODES:
+        raise ExpressionSizeError(f"{what} exceeded {DEFAULT_MAX_NODES} distinct nodes")
+
+
+def _expand(B: VectorField, C: ScalarField | None, roots, order: int) -> list[Expression]:
+    """(B.d + C)^n u for each root u and n = 0..order, root after root.
+    The node budget counts all terms built so far and is checked after
+    each, so no term past it is built."""
+    seen: set[int] = set()
+    terms = []
+    for u in roots:
+        for n in range(order + 1):
+            if n:
+                u = apply_operator(B, C, u)
+            _within_budget(u, seen, "series expansion")
+            terms.append(u)
+    return terms
+
+
+def _check_order(order: int, least: int) -> None:
+    if order < least:
+        raise InputError(f"order must be at least {least}")
+    if order > DEFAULT_MAX_ORDER:
+        raise SeriesOrderError(f"order {order} above configured maximum {DEFAULT_MAX_ORDER}")
+
+
+def series_terms(B: VectorField, C: ScalarField | None, psi: ScalarField, x: Point,
+                 order: int) -> list[float]:
     """Values ((B.d + C)^n psi)(x) for n = 0..order, by repeated exact
-    symbolic application."""
-    _require_same_chart(B, C, psi)
-    if order < 0:
-        raise InputError("order must be non-negative")
-    if order > max_order:
-        raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
-    u = psi.expression
-    values = [evaluate(u, x)]
-    for _ in range(order):
-        u = apply_operator(B, C, u)
-        if fc.node_count(u) > max_nodes:
-            raise ExpressionSizeError(
-                f"series expansion exceeded {max_nodes} distinct nodes"
-            )
-        values.append(evaluate(u, x))
-    return values
+    symbolic application; all terms run as one program."""
+    _require_same_chart(B, C, psi, x)
+    _check_order(order, 0)
+    return fc.compile_expressions(_expand(B, C, [psi.expression], order))(x)
 
 
-def series_oracle(
-    B: VectorField,
-    C: ScalarField | None,
-    psi: ScalarField,
-    x: Point,
-    rho: float,
-    order: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> float:
+def series_oracle(B: VectorField, C: ScalarField | None, psi: ScalarField, x: Point,
+                  rho: float, order: int) -> float:
     """Truncated sum over rho^n / n! ((B.d + C)^n psi)(x)."""
-    terms = series_terms(B, C, psi, x, order, max_order=max_order, max_nodes=max_nodes)
-    return taylor_sum(terms, rho)
+    return taylor_sum(series_terms(B, C, psi, x, order), rho)
 
 
 def taylor_sum(terms: list[float], rho: float) -> float:
@@ -394,29 +399,17 @@ def taylor_sum(terms: list[float], rho: float) -> float:
     return total
 
 
-def displacement_series(
-    B: VectorField,
-    x: Point,
-    rho: float,
-    order: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> tuple[float, ...]:
+def displacement_series(B: VectorField, x: Point, rho: float, order: int) -> tuple[float, ...]:
     """Truncated displacement A^mu(x) = sum_{n>=1} rho^n/n! ((B.d)^{n-1} B^mu)(x).
 
-    Approximates (flow endpoint - x) to order rho^{order+1}.
+    Approximates (flow endpoint - x) to order rho^{order+1}.  The terms of
+    all components run as one program.
     """
-    if order < 1:
-        raise InputError("order must be at least 1")
-    if order > max_order:
-        raise SeriesOrderError(f"order {order} above configured maximum {max_order}")
-    offsets = []
-    for comp in B.components:
-        values = series_terms(B, None, ScalarField(B.chart, comp), x, order - 1,
-                              max_order=max_order, max_nodes=max_nodes)
-        offsets.append(taylor_sum([0.0, *values], rho))
-    return tuple(offsets)
+    _require_same_chart(B, x)
+    _check_order(order, 1)
+    values = fc.compile_expressions(_expand(B, None, B.components, order - 1))(x)
+    return tuple(taylor_sum([0.0, *values[k:k + order]], rho)
+                 for k in range(0, len(values), order))
 
 
 def pushforward_defect(B: VectorField, x: Point, flow: FlowResult) -> float:

@@ -272,12 +272,12 @@ def _generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
 
 
 def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
-                      tests: Sequence[ScalarField], points: list[Point], *,
-                      max_nodes: int = flowexp.DEFAULT_MAX_NODES) -> list[float]:
+                      tests: Sequence[ScalarField], points: list[Point]) -> list[float]:
     """Per (eps, eta) pair, the max over tests psi and points of
     |([X_eps, X_eta] - X_{eps' eta - eps eta'}) psi|, all exact-symbolic;
-    max_nodes bounds the distinct nodes of each residual.  Each generator
-    is built once and all residuals run as one program, so a DomainError
+    flowexp.DEFAULT_MAX_NODES bounds the distinct nodes of all residuals
+    together, which is what the one program holds.  Each generator is
+    built once and all residuals run as that one program, so a DomainError
     is that of the first failing point."""
     if any(test.chart != CHART for test in tests):
         raise InputError(f"test function must live on chart {CHART}")
@@ -289,6 +289,7 @@ def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
         return fc.neg(flowexp.apply_operator(*generators[eps], u))
 
     residuals = []
+    seen: set[int] = set()
     for eps, eta in pairs:
         coeffs = bracket_eps(eps, eta)
         target = EpsilonFn.from_coefficients(coeffs) if coeffs else None
@@ -296,8 +297,7 @@ def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
             u = test.expression
             lhs = fc.sub(X(eps, X(eta, u)), X(eta, X(eps, u)))
             residual = fc.sub(lhs, X(target, u) if target else fc.ZERO)
-            if fc.node_count(residual) > max_nodes:
-                raise flowexp.ExpressionSizeError("bracket expression exceeded node budget")
+            flowexp._within_budget(residual, seen, "bracket residuals")
             residuals.append(residual)
     run = fc.compile_expressions(residuals)
     with fc.naming_params(p):
@@ -307,10 +307,9 @@ def bracket_residuals(pairs: Sequence[tuple[EpsilonFn, EpsilonFn]], p: SVParams,
 
 
 def bracket_residual(eps: EpsilonFn, eta: EpsilonFn, p: SVParams, test: ScalarField,
-                     points: list[Point], *,
-                     max_nodes: int = flowexp.DEFAULT_MAX_NODES) -> float:
+                     points: list[Point]) -> float:
     """bracket_residuals for one pair and one test function."""
-    return bracket_residuals([(eps, eta)], p, [test], points, max_nodes=max_nodes)[0]
+    return bracket_residuals([(eps, eta)], p, [test], points)[0]
 
 
 def monomial_bracket(m_idx: int, n_idx: int) -> tuple[float, int]:

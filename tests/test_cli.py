@@ -217,6 +217,16 @@ def test_phase_overflow_is_a_library_error(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_factorized_product_overflow_is_a_library_error(tmp_path, capsys):
+    # exp(T) * psi(x') overflowed to inf, and flow.csv held
+    # apply_exponential,,inf and difference,,inf under exit 0
+    argv = ["flow", "--field", "0*t", "--vars", "t", "--point", "1", "--rho", "1",
+            "--charge", "700 + 0*t", "--psi", "1e10 + 0*t"]
+    assert run(argv + ["--output", str(tmp_path / "r")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "r" / "flow.csv").exists()
+
+
 def test_an_infinite_jacobian_is_a_blowup_that_names_it(tmp_path, capsys):
     # J' = J from t = 0 overflows at 128 steps; the message named the
     # internal state variable: "variable _J[0,0] is infinite"

@@ -5,6 +5,7 @@ import pickle
 import re
 import struct
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1039,9 +1040,11 @@ def test_node_count_counts_distinct_nodes():
 def test_series_budget_counts_distinct_nodes():
     (B, C, psi), _ = _shear2d_series(0)
     x = Point(("t", "r"), (0.6, 0.9))
-    flowexp.series_oracle(B, C, psi, x, 0.1, 6, max_nodes=716)
-    with pytest.raises(flowexp.ExpressionSizeError):
-        flowexp.series_oracle(B, C, psi, x, 0.1, 6, max_nodes=715)
+    with mock.patch.object(flowexp, "DEFAULT_MAX_NODES", 716):
+        flowexp.series_oracle(B, C, psi, x, 0.1, 6)
+    with mock.patch.object(flowexp, "DEFAULT_MAX_NODES", 715):
+        with pytest.raises(flowexp.ExpressionSizeError):
+            flowexp.series_oracle(B, C, psi, x, 0.1, 6)
 
 
 def test_walks_handle_a_5000_term_sum():

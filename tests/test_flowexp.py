@@ -98,6 +98,14 @@ def test_chart_mismatch_rejected():
         integrate_flow(B, Point(TR, (1.0, 2.0)), 0.1, jacobian=True)
     with pytest.raises(ValueError):
         integrate_flow(B, x, 0.1, charge=scalar_field("r", TR))
+    # the series read the point by name: one on ("s",) raised a bare
+    # KeyError, and one on ("t", "r") was read as if it were on ("t",)
+    psi = scalar_field("t^2", T1)
+    for y in (Point(("s",), (1.0,)), Point(TR, (1.0, 2.0))):
+        with pytest.raises(fc.InputError, match="chart mismatch"):
+            series_terms(B, None, psi, y, 2)
+        with pytest.raises(fc.InputError, match="chart mismatch"):
+            displacement_series(B, y, 0.1, 2)
     for rho in (math.nan, math.inf):
         with pytest.raises(ValueError):
             integrate_flow(B, x, rho, jacobian=True)
@@ -112,6 +120,14 @@ def test_tolerance_validation():
         Tolerance(absolute=-1e-10)
     with pytest.raises(ValueError):
         Tolerance(max_steps=0)
+
+
+@pytest.mark.parametrize("field", ["absolute", "relative", "max_steps"])
+def test_tolerance_refuses_an_infinite_field(field):
+    # an infinite absolute tolerance passed every round: the flow of t^2
+    # from 1 to rho = 0.9 stopped at 9.9896 after 16 steps, short of 10
+    with pytest.raises(fc.InputError, match=f"^tolerance {field} must be finite, got inf$"):
+        Tolerance(**{field: math.inf})
 
 
 # ------------------------------------------------------------ flow_jacobian
@@ -180,6 +196,17 @@ def test_apply_exponential_translation_constant_charge():
     assert out == pytest.approx(math.exp(0.5 * c0) * 2.25, rel=1e-11)
 
 
+def test_factorized_product_overflow_is_a_domain_error():
+    # exp(700) and psi = 1e10 are finite, their product is not; it came
+    # back as inf
+    B = vector_field(["0*t"], T1)
+    C = scalar_field("700 + 0*t", T1)
+    psi = scalar_field("1e10 + 0*t", T1)
+    with pytest.raises(DomainError) as err:
+        apply_exponential(B, C, psi, Point(T1, (1.0,)), 1.0)
+    assert err.value.kind == "overflow"
+
+
 def test_apply_exponential_agrees_with_series_at_small_rho():
     B = vector_field(["0.5*t + 0.2*r", "0.3*r"], TR)
     C = scalar_field("0.4*t", TR)
@@ -228,8 +255,9 @@ def test_series_order_cap():
     psi = scalar_field("t", T1)
     with pytest.raises(SeriesOrderError):
         series_oracle(B, None, psi, Point(T1, (1.0,)), 0.1, 9)
-    # and the cap is configurable
-    series_oracle(B, None, psi, Point(T1, (1.0,)), 0.1, 9, max_order=12)
+    # the cap is read at each call
+    with mock.patch.object(flowexp, "DEFAULT_MAX_ORDER", 12):
+        series_oracle(B, None, psi, Point(T1, (1.0,)), 0.1, 9)
 
 
 # ------------------------------------------------------------ displacement
@@ -246,7 +274,7 @@ def test_displacement_closed_form_series():
     B = vector_field(["t"], T1)
     rho = 0.45
     for order in (1, 4, 7):
-        A = displacement_series(B, Point(T1, (1.0,)), rho, order, max_order=8)
+        A = displacement_series(B, Point(T1, (1.0,)), rho, order)
         expected = sum(rho**n / math.factorial(n) for n in range(1, order + 1))
         assert A[0] == pytest.approx(expected, rel=1e-14)
 
@@ -424,8 +452,9 @@ def test_series_expression_size_limit():
     B = vector_field(["0.5*t + 0.2*r", "0.3*r"], TR)
     C = scalar_field("0.4*t", TR)
     psi = scalar_field("exp(-r^2/(1 + t^2))", TR)
-    with pytest.raises(ExpressionSizeError):
-        series_oracle(B, C, psi, Point(TR, (0.5, 0.5)), 0.1, 8, max_nodes=2000)
+    with mock.patch.object(flowexp, "DEFAULT_MAX_NODES", 2000):
+        with pytest.raises(ExpressionSizeError):
+            series_oracle(B, C, psi, Point(TR, (0.5, 0.5)), 0.1, 8)
 
 
 # ------------------------------------------- array-based reference integrator

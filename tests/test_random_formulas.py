@@ -6,7 +6,8 @@ operator and function, constants up to 1e308 and down to subnormals) with
 token soup that rarely parses.  Whatever they are, evaluation ends in a
 finite float or a DomainError, and every subcommand, fed them through
 each formula flag, metric-file entry and number list, in 0, 1 or 2 with
-one svflow: line and no traceback.
+one svflow: line and no traceback.  Series and displacement terms, which
+run as one program, match the per-term path they replaced.
 """
 
 import math
@@ -15,8 +16,16 @@ import warnings
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from svflow import flowexp
 from svflow.cli import run
-from svflow.fieldcalc import DomainError, evaluate, parse_expression
+from svflow.fieldcalc import (
+    DomainError,
+    Point,
+    ScalarField,
+    VectorField,
+    evaluate,
+    parse_expression,
+)
 
 _CONSTANTS = ["pi", "0", "1", "2", "0.5", "3", "40", "1e308", "1e-320"]
 _FUNCTIONS = ["exp", "log", "sqrt", "sin", "cos"]
@@ -59,6 +68,49 @@ def test_evaluation_is_finite_or_a_domain_error(text, t, r):
     except DomainError:
         return
     assert isinstance(v, float) and math.isfinite(v)
+
+
+# The series as it ran before its terms became one program: each term
+# built by one more application of B.d + C and evaluated alone, in turn.
+def _per_term_series(B, C, psi, x, order):
+    u = psi.expression
+    values = [evaluate(u, x)]
+    for _ in range(order):
+        u = flowexp.apply_operator(B, C, u)
+        values.append(evaluate(u, x))
+    return values
+
+
+def _per_component_displacement(B, x, rho, order):
+    return tuple(
+        flowexp.taylor_sum([0.0, *_per_term_series(B, None, ScalarField(B.chart, comp), x,
+                                                   order - 1)], rho)
+        for comp in B.components
+    )
+
+
+def _outcome(fn, *args):
+    """The values of fn(*args) bit for bit, or the class of its error."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except DomainError as err:
+        return type(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(WELL_FORMED, min_size=4, max_size=4), VALUES, VALUES, VALUES,
+       st.integers(0, 4))
+def test_series_batch_matches_the_per_term_path(texts, t, r, rho, order):
+    chart = ("t", "r")
+    b_t, b_r, charge, psi = (parse_expression(s, chart) for s in texts)
+    B = VectorField(chart, (b_t, b_r))
+    C, psi = ScalarField(chart, charge), ScalarField(chart, psi)
+    x = Point(chart, (t, r))
+    assert _outcome(flowexp.series_terms, B, C, psi, x, order) == _outcome(
+        _per_term_series, B, C, psi, x, order)
+    # displacement orders 1 to 5: 0 to 4 applications of B.d per component
+    assert _outcome(flowexp.displacement_series, B, x, rho, order + 1) == _outcome(
+        _per_component_displacement, B, x, rho, order + 1)
 
 
 # capsys is read and so emptied in every example

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svflow import fieldcalc as fc
+from svflow import flowexp
 from svflow.fieldcalc import DomainError, Point, scalar_field
 from svflow.flowexp import (
     BlowupError,
@@ -281,20 +283,24 @@ def test_bracket_batch_domain_error_keeps_class_and_kind():
     assert batch.value.kind == per_pair.value.kind
 
 
-def test_bracket_batch_keeps_the_node_budget_per_residual():
-    # the budget bounds each residual, not the batch
+def test_bracket_batch_node_budget_bounds_the_union_of_its_residuals():
+    # the budget bounds the distinct nodes of all residuals together,
+    # which is what the batch's one program holds
     p = SVParams(m=1.1, chi=0.6)
     tests = [scalar_field(s, CHART) for s in VIRASORO_TEST_FUNCTIONS]
     pairs = [(EPS_ONE, EPS_T), (EPS_T, EPS_T2), (EPS_POLY, EPS_T)]
-    largest = max(
-        fc.node_count(_pair_expression(eps, eta, p, test))
-        for eps, eta in pairs
-        for test in tests
-    )
+    residuals = [_pair_expression(eps, eta, p, test) for eps, eta in pairs for test in tests]
+    seen = set()
+    for residual in residuals:
+        fc._nodes(residual, seen)
+    union = len(seen)
+    assert union < sum(map(fc.node_count, residuals))
     pts = rand_points(2, seed=6)
-    bracket_residuals(pairs, p, tests, pts, max_nodes=largest)
-    with pytest.raises(ExpressionSizeError):
-        bracket_residuals(pairs, p, tests, pts, max_nodes=largest - 1)
+    with mock.patch.object(flowexp, "DEFAULT_MAX_NODES", union):
+        bracket_residuals(pairs, p, tests, pts)
+    with mock.patch.object(flowexp, "DEFAULT_MAX_NODES", union - 1):
+        with pytest.raises(ExpressionSizeError):
+            bracket_residuals(pairs, p, tests, pts)
 
 
 def test_jacobi_identity():
