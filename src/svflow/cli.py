@@ -254,8 +254,8 @@ def _run_primary(args, cfg):
     tol = _tolerance(args, cfg)
     psi = scalar_field(verification.PRIMARY_PSI, svgen.CHART)
     tr = svgen.primary_transform(eps, p, t, r, rho, tol)
-    flow_res = svgen._law_vs_flow(tr, eps, p, psi, t, r, rho, tol)
-    jac_res, defect = svgen._weight_form_terms(tr, p, r)
+    flow_res = tr.flow_residual(psi)
+    jac_res, defect = tr.weight_form_terms()
     form_res = jac_res + defect
     rows = [
         ("t_prime", tr.t_prime),

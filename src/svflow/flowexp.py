@@ -17,9 +17,9 @@ state, which keeps the flow endpoint bitwise independent of C.
 The derivative of the state, the variational product (dB/dx) J included,
 is one compiled program over the state list, built once per field and memo
 scope together with its RK4 stepper: one generated function that runs all
-steps of a run with the state in local variables.  RK4 runs on Python
-floats, the Jacobian rounds alike on every host, and numpy only estimates
-the error.  A coordinate above BLOWUP_BOUND in magnitude ends the flow.
+steps of a run with the state in local variables.  RK4 and step doubling
+run on Python floats, so the Jacobian rounds alike on every host.  A
+coordinate above BLOWUP_BOUND in magnitude ends the flow.
 """
 
 from __future__ import annotations
@@ -103,6 +103,11 @@ class FlowResult:
     def factorized(self, psi: ScalarField) -> float:
         """exp(T) * psi(x'): the factorized exponential applied to psi."""
         return fc._eval_mul(fc._eval_exp(self.phase), psi.eval_at(self.endpoint))
+
+
+def _check_rho(rho: float) -> None:
+    if not math.isfinite(rho):
+        raise InputError("rho must be finite")
 
 
 def _require_same_chart(*objs):
@@ -204,35 +209,26 @@ def _rk4_run(step, y0, rho, n, n_coords, phase):
 
 
 def _integrate(step, y0, rho, tol, n_coords, phase, n_steps=None):
-    """Step doubling over _rk4_run.  Returns (state, steps, est_error);
-    the error estimate compares whole runs, once per round, on arrays."""
+    """Step doubling on _rk4_run's lists of floats.  Each round compares a
+    run of 2n steps with one of n, from n = 8 doubling until every
+    component's |fine - coarse| / 15 is within tol; a fixed n_steps run is
+    the single round, from n = n_steps / 2.  Returns (state, steps, est_error)."""
     if rho == 0.0:
-        return np.array(y0, dtype=float), 0, 0.0
-
-    def run(n):
-        return _rk4_run(step, y0, rho, n, n_coords, phase)
-
-    if n_steps is not None:
-        if n_steps < 2 or n_steps % 2 != 0:
-            raise InputError("n_steps must be a positive even integer")
-        coarse = run(n_steps // 2)
-        fine = np.array(run(n_steps))
-        est = float(np.max(np.abs(fine - coarse))) / 15.0
-        return fine, n_steps, est
-    n = 8
-    y_coarse = np.array(run(n))
+        return list(y0), 0, 0.0
+    if n_steps is not None and (n_steps < 2 or n_steps % 2 != 0):
+        raise InputError("n_steps must be a positive even integer")
+    n = 8 if n_steps is None else n_steps // 2
+    coarse = _rk4_run(step, y0, rho, n, n_coords, phase)
     while True:
-        if 2 * n > tol.max_steps:
-            raise StepLimitError(
-                f"error estimate above tolerance at {n} steps (max {tol.max_steps})"
-            )
-        y_fine = np.array(run(2 * n))
-        err = np.abs(y_fine - y_coarse) / 15.0
-        scale = tol.absolute + tol.relative * np.abs(y_fine)
-        if np.all(err <= scale):
-            return y_fine, 2 * n, float(np.max(err))
-        n *= 2
-        y_coarse = y_fine
+        if n_steps is None and 2 * n > tol.max_steps:
+            raise StepLimitError(f"error estimate above tolerance at {n} steps"
+                                 f" (max {tol.max_steps})")
+        fine = _rk4_run(step, y0, rho, 2 * n, n_coords, phase)
+        err = [abs(f - c) / 15.0 for f, c in zip(fine, coarse)]
+        if n_steps is not None or all(
+                e <= tol.absolute + tol.relative * abs(f) for e, f in zip(err, fine)):
+            return fine, 2 * n, max(err)
+        n, coarse = 2 * n, fine
 
 
 def _field_deriv(B: VectorField, C: ScalarField | None = None,
@@ -296,8 +292,7 @@ def integrate_flow(
     n_steps the endpoint is bitwise the same in every mode.
     """
     _require_same_chart(B, charge, x)
-    if not math.isfinite(rho):
-        raise InputError("rho must be finite")
+    _check_rho(rho)
     d = B.dimension
     y0 = list(x.coords)
     if charge is not None:
@@ -310,10 +305,10 @@ def integrate_flow(
     )
     return FlowResult(
         endpoint=Point(B.chart, tuple(y[:d])),
-        phase=float(y[d]) if charge is not None else 0.0,
+        phase=y[d] if charge is not None else 0.0,
         steps=steps,
         estimated_error=est,
-        jacobian=y[-d * d:].reshape(d, d) if jacobian else None,
+        jacobian=np.array(y[-d * d:]).reshape(d, d) if jacobian else None,
     )
 
 
@@ -367,6 +362,8 @@ def _expand(B: VectorField, C: ScalarField | None, roots, order: int) -> list[Ex
 
 
 def _check_order(order: int, least: int) -> None:
+    if isinstance(order, bool) or not isinstance(order, int):
+        raise InputError(f"order must be an integer, got {order!r}")
     if order < least:
         raise InputError(f"order must be at least {least}")
     if order > DEFAULT_MAX_ORDER:
@@ -385,6 +382,7 @@ def series_terms(B: VectorField, C: ScalarField | None, psi: ScalarField, x: Poi
 def series_oracle(B: VectorField, C: ScalarField | None, psi: ScalarField, x: Point,
                   rho: float, order: int) -> float:
     """Truncated sum over rho^n / n! ((B.d + C)^n psi)(x)."""
+    _check_rho(rho)
     return taylor_sum(series_terms(B, C, psi, x, order), rho)
 
 
@@ -407,6 +405,7 @@ def displacement_series(B: VectorField, x: Point, rho: float, order: int) -> tup
     """
     _require_same_chart(B, x)
     _check_order(order, 1)
+    _check_rho(rho)
     values = fc.compile_expressions(_expand(B, None, B.components, order - 1))(x)
     return tuple(taylor_sum([0.0, *values[k:k + order]], rho)
                  for k in range(0, len(values), order))

@@ -236,14 +236,51 @@ class SVParams:
 
 @dataclass(frozen=True)
 class PrimaryTransform:
-    """primary_transform's result, with dt'/dt and [eps, eps'] at t and t' from its t' run."""
+    """primary_transform's arguments and result, with dt'/dt and [eps, eps']
+    at t and t' from its t' run; its methods check the law without solving
+    for t' again."""
 
+    eps: EpsilonFn
+    p: SVParams
+    t: float
+    r: float
+    rho: float
+    tol: Tolerance
     t_prime: float
     r_prime: float
     prefactor: float
     dtprime_dt: float
     eps_t: tuple[float, float]
     eps_tp: tuple[float, float]
+
+    def flow_residual(self, psi: ScalarField) -> float:
+        """|exp(rho (B + C)) psi  -  prefactor * psi(t', r')|: the flow route
+        and the closed-form transformation law must agree."""
+        B, C = build_generator(self.eps, self.p)
+        lhs = flowexp.apply_exponential(B, C, psi, Point(CHART, (self.t, self.r)),
+                                        self.rho, self.tol)
+        return abs(lhs - self.prefactor * psi.eval_at(Point(CHART, (self.t_prime, self.r_prime))))
+
+    def weight_form_terms(self) -> tuple[float, float]:
+        """Check the time-dependent-scale form of the transformation law.
+
+        With sigma = log eps, the law says the combination
+        phi * (dt)^{N chi/2} * exp((m r^{2/N}/4) sigma'(t)) is invariant.
+        Returns (|dt'/dt - eps(t')/eps(t)|, invariance defect), with dt'/dt
+        computed independently through the variational equation.
+        """
+        (e_t, d_t), (e_tp, d_tp), jac, p = self.eps_t, self.eps_tp, self.dtprime_dt, self.p
+        if e_t <= 0.0 or e_tp <= 0.0:
+            raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
+        k = p.r_exponent
+        with fc.naming_params(p):
+            lhs = fc._eval_mul(
+                self.prefactor, fc._eval_exp((p.m / 4.0) * fc._eval_pow(self.r, k) * (d_t / e_t))
+            )
+            rhs = fc._eval_mul(fc._eval_pow(jac, p.N * p.chi / 2.0), fc._eval_exp(
+                (p.m / 4.0) * fc._eval_pow(self.r_prime, k) * (d_tp / e_tp)
+            ))
+        return abs(jac - e_tp / e_t), abs(lhs - rhs)
 
 
 def build_generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
@@ -385,7 +422,8 @@ def primary_transform(
             fc._eval_pow(r_prime, k) * d_tp / e_tp - fc._eval_pow(r, k) * d_t / e_t
         )
         prefactor = fc._eval_mul(weight, fc._eval_exp(arg))
-    return PrimaryTransform(t_prime, r_prime, prefactor, dtprime_dt, (e_t, d_t), (e_tp, d_tp))
+    return PrimaryTransform(eps, p, t, r, rho, tol, t_prime, r_prime, prefactor, dtprime_dt,
+                            (e_t, d_t), (e_tp, d_tp))
 
 
 def primary_vs_flow_residual(
@@ -397,48 +435,8 @@ def primary_vs_flow_residual(
     rho: float = 1.0,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
-    """|exp(rho (B + C)) psi  -  prefactor * psi(t', r')|: the flow route
-    and the closed-form transformation law must agree."""
-    return _law_vs_flow(primary_transform(eps, p, t, r, rho, tol), eps, p, psi, t, r, rho, tol)
-
-
-def _law_vs_flow(tr: PrimaryTransform, eps, p, psi, t, r, rho, tol) -> float:
-    B, C = build_generator(eps, p)
-    lhs = flowexp.apply_exponential(B, C, psi, Point(CHART, (t, r)), rho, tol)
-    return abs(lhs - tr.prefactor * psi.eval_at(Point(CHART, (tr.t_prime, tr.r_prime))))
-
-
-def weight_form_terms(
-    eps: EpsilonFn,
-    p: SVParams,
-    t: float,
-    r: float,
-    rho: float = 1.0,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[float, float]:
-    """Check the time-dependent-scale form of the transformation law.
-
-    With sigma = log eps, the law says the combination
-    phi * (dt)^{N chi/2} * exp((m r^{2/N}/4) sigma'(t)) is invariant.
-    Returns (|dt'/dt - eps(t')/eps(t)|, invariance defect), with dt'/dt
-    computed independently through the variational equation.
-    """
-    return _weight_form_terms(primary_transform(eps, p, t, r, rho, tol), p, r)
-
-
-def _weight_form_terms(tr: PrimaryTransform, p, r) -> tuple[float, float]:
-    (e_t, d_t), (e_tp, d_tp), jac = tr.eps_t, tr.eps_tp, tr.dtprime_dt
-    if e_t <= 0.0 or e_tp <= 0.0:
-        raise DomainError("sigma = log(eps) needs eps > 0 at t and t'")
-    k = p.r_exponent
-    with fc.naming_params(p):
-        lhs = fc._eval_mul(
-            tr.prefactor, fc._eval_exp((p.m / 4.0) * fc._eval_pow(r, k) * (d_t / e_t))
-        )
-        rhs = fc._eval_mul(fc._eval_pow(jac, p.N * p.chi / 2.0), fc._eval_exp(
-            (p.m / 4.0) * fc._eval_pow(tr.r_prime, k) * (d_tp / e_tp)
-        ))
-    return abs(jac - e_tp / e_t), abs(lhs - rhs)
+    """PrimaryTransform.flow_residual of primary_transform(eps, p, t, r, rho, tol)."""
+    return primary_transform(eps, p, t, r, rho, tol).flow_residual(psi)
 
 
 def weight_form_residual(
@@ -449,8 +447,8 @@ def weight_form_residual(
     rho: float = 1.0,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
-    """The sum of the two weight_form_terms."""
-    jac_res, defect = weight_form_terms(eps, p, t, r, rho, tol)
+    """The sum of PrimaryTransform.weight_form_terms."""
+    jac_res, defect = primary_transform(eps, p, t, r, rho, tol).weight_form_terms()
     return jac_res + defect
 
 

@@ -353,7 +353,8 @@ def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst_form = worst_jac = 0.0
     for t in PRIMARY_GRID_T:
         for r in PRIMARY_GRID_R:
-            jac_res, defect = svgen.weight_form_terms(PRIMARY_EPS, PRIMARY_PARAMS, t, r)
+            jac_res, defect = svgen.primary_transform(
+                PRIMARY_EPS, PRIMARY_PARAMS, t, r).weight_form_terms()
             form_res = jac_res + defect
             worst_form = max(worst_form, form_res)
             worst_jac = max(worst_jac, jac_res)

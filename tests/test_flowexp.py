@@ -260,6 +260,31 @@ def test_series_order_cap():
         series_oracle(B, None, psi, Point(T1, (1.0,)), 0.1, 9)
 
 
+@pytest.mark.parametrize("order", [2.0, True, "2", None])
+def test_series_refuses_an_order_that_is_not_an_int(order):
+    # order=2.0 raised a bare TypeError from range(); True ran as order 1
+    B = vector_field(["t"], T1)
+    psi = scalar_field("t", T1)
+    x = Point(T1, (1.0,))
+    for call in (lambda: series_terms(B, None, psi, x, order),
+                 lambda: series_oracle(B, None, psi, x, 0.1, order),
+                 lambda: displacement_series(B, x, 0.1, order)):
+        with pytest.raises(fc.InputError, match=f"^order must be an integer, got {order!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+def test_series_refuses_a_rho_that_is_not_finite(rho):
+    # both raised DomainError("pow overflowed the double range"/"pow is
+    # NaN") where integrate_flow refuses the same rho as input
+    B = vector_field(["t"], T1)
+    x = Point(T1, (1.0,))
+    with pytest.raises(fc.InputError, match="^rho must be finite$"):
+        series_oracle(B, None, scalar_field("t", T1), x, rho, 3)
+    with pytest.raises(fc.InputError, match="^rho must be finite$"):
+        displacement_series(B, x, rho, 3)
+
+
 # ------------------------------------------------------------ displacement
 
 

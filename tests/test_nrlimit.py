@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from svflow import fieldcalc as fc
+from svflow import verification
 from svflow.fieldcalc import DomainError, Point, ScalarField, Var, scalar_field
 from svflow.flowexp import Tolerance, apply_exponential, series_oracle
 from svflow.nrlimit import (
@@ -143,6 +144,18 @@ def test_defect_ratio_tends_to_one_for_diffusion_solutions():
         out = kg_diffusion_residual(psi, RelParams(1.0, c, 1.0), (0.8, 0.0, 0.4))
         total = out.diffusion_term + out.relativistic_term
         assert total / out.relativistic_term == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("m, h", [(1.0, 2.0), (2.0, 0.3)])
+def test_nr_identity_gates_hold_off_h_one(m, h):
+    # c06 and c07 run at h = 1, where 2 pi m c / h equals 2 pi m c h; this
+    # runs nrlimit's gates on its default heat kernel and point elsewhere
+    p = RelParams(m=m, c=2.0, h=h)
+    psi, point = heat_kernel(p), (0.5, 0.25, 0.8)
+    kg = kg_diffusion_residual(psi, p, point)
+    gates = verification.nr_identity_gates(contraction_residual(psi, p, *point),
+                                           kg.identity_residual)
+    assert all(gate.passed for gate in gates), gates
 
 
 # ------------------------------------------------------------ defect scaling

@@ -35,8 +35,8 @@ from svflow.svgen import (
     primary_vs_flow_residual,
     solve_tprime,
     weight_form_residual,
-    weight_form_terms,
 )
+from svflow import verification
 from svflow.verification import VIRASORO_TEST_FUNCTIONS
 
 TIGHT = Tolerance(absolute=1e-12, relative=1e-12)
@@ -464,6 +464,34 @@ def test_primary_composition():
     assert leg1.prefactor * leg2.prefactor == pytest.approx(one.prefactor, abs=1e-8)
 
 
+# ------------------------------------------------------------ off N = 1
+#
+# At N = 1, N/2 = 1/2, N chi/2 = chi/2 and 2/N = 2, so a law or generator
+# that drops N passes every criterion, all of which run at N = 1.  These
+# run the claims' gates at other (N, chi, m); at N = 0.8, 2/N = 2.5 is not
+# an integer, so r stays positive.
+
+OFF_N_ONE = [(2.0, 0.7, 1.3), (0.5, 0.7, 1.3), (0.8, 1.3, 0.4)]
+
+
+@pytest.mark.parametrize("N, chi, m", OFF_N_ONE)
+@pytest.mark.parametrize("eps", [EPS_T, EPS_POLY], ids=["t", "poly"])
+def test_primary_law_gates_hold_off_n_one(eps, N, chi, m):
+    tr = primary_transform(eps, SVParams(m=m, chi=chi, N=N), t=0.5, r=1.2)
+    psi = scalar_field(verification.PRIMARY_PSI, CHART)
+    assert verification.primary_flow_gate(tr.flow_residual(psi)).passed
+    jac_res, defect = tr.weight_form_terms()
+    gates = verification.weight_form_gates(jac_res + defect, jac_res)
+    assert all(gate.passed for gate in gates), gates
+
+
+@pytest.mark.parametrize("N", [2.0, 0.5, 0.8])
+def test_bracket_gate_holds_off_n_one(N):
+    table = verification.virasoro_residuals(SVParams(m=1.3, chi=0.7, N=N),
+                                            verification.DEFAULT_SEED)
+    assert verification.bracket_gate(max(res for _, _, res in table)).passed
+
+
 # ------------------------------------------------------------ scale form
 
 
@@ -487,7 +515,7 @@ def test_weight_form_generic_positive_eps():
 
 def test_weight_form_terms_sum_to_residual():
     p = SVParams(m=1.3, chi=0.7, N=1.0)
-    jac_res, defect = weight_form_terms(EPS_POLY, p, 0.6, 1.1)
+    jac_res, defect = primary_transform(EPS_POLY, p, 0.6, 1.1).weight_form_terms()
     assert 0.0 <= jac_res <= 1e-8 and 0.0 <= defect <= 1e-8
     assert weight_form_residual(EPS_POLY, p, 0.6, 1.1) == jac_res + defect
 
