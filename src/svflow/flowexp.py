@@ -213,10 +213,10 @@ def _integrate(step, y0, rho, tol, n_coords, phase, n_steps=None):
     run of 2n steps with one of n, from n = 8 doubling until every
     component's |fine - coarse| / 15 is within tol; a fixed n_steps run is
     the single round, from n = n_steps / 2.  Returns (state, steps, est_error)."""
-    if rho == 0.0:
-        return list(y0), 0, 0.0
     if n_steps is not None and (n_steps < 2 or n_steps % 2 != 0):
         raise InputError("n_steps must be a positive even integer")
+    if rho == 0.0:
+        return list(y0), 0, 0.0
     n = 8 if n_steps is None else n_steps // 2
     coarse = _rk4_run(step, y0, rho, n, n_coords, phase)
     while True:

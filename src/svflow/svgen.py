@@ -452,44 +452,41 @@ def weight_form_residual(
     return jac_res + defect
 
 
+def _check_halfspace(args: dict[str, float]) -> None:
+    for name, v in args.items():
+        if not math.isfinite(v):
+            raise InputError(f"{name} must be finite, got {v}")
+    if args["T"] <= 0.0 or args["T'"] <= 0.0:
+        raise InputError("T and T' must be positive")
+
+
 def map_halfspace(
     t: float, r: float, T: float, T_prime: float
 ) -> tuple[float, float]:
     """Exponential map from the flat (t, r) plane to the half-space
     0 < t' < infinity."""
-    if T <= 0.0 or T_prime <= 0.0:
-        raise InputError("T and T' must be positive")
-    t_prime = T_prime * math.exp(t / T)
-    r_prime = r * math.sqrt(T_prime / T) * math.exp(t / (2.0 * T))
+    _check_halfspace({"t": t, "r": r, "T": T, "T'": T_prime})
+    t_prime = fc._eval_mul(T_prime, fc._eval_exp(t / T))
+    r_prime = fc._eval_mul(fc._eval_mul(r, fc._eval_sqrt(T_prime / T)),
+                           fc._eval_exp(t / (2.0 * T)))
     return (t_prime, r_prime)
 
 
 def halfspace_correlator(
-    t_prime: float,
-    r_prime: float,
-    p: SVParams,
-    T: float,
-    T_prime: float,
-    d: int,
+    t_prime: float, r_prime: float, T: float, T_prime: float, d: int
 ) -> float:
-    """Two-point function predicted on the half-space image.
-
-    The power-law factor is the flat massless propagator of dimension
-    (d-2)/2 composed with the inverse map; the remaining factor carries
-    the scaling weight and the mass-dependent exponential.
-    """
-    if T <= 0.0 or T_prime <= 0.0:
-        raise InputError("T and T' must be positive")
+    """The flat massless propagator of dimension (d-2)/2 composed with the
+    inverse of map_halfspace: base^(-(d-2)/2) with
+    base = (T/t') r'^2 + T^2 log(t'/T')^2."""
+    _check_halfspace({"t'": t_prime, "r'": r_prime, "T": T, "T'": T_prime, "d": d})
     if t_prime <= 0.0:
         raise InputError("t' must lie in (0, infinity)")
-    r2 = fc._eval_pow(r_prime, 2)
-    base = (T / t_prime) * r2 + fc._eval_pow(T, 2) * fc._eval_pow(
-        math.log(t_prime / T_prime), 2
+    base = fc._eval_add(
+        fc._eval_mul(T / t_prime, fc._eval_pow(r_prime, 2)),
+        fc._eval_mul(fc._eval_pow(T, 2), fc._eval_pow(fc._eval_log(t_prime / T_prime), 2)),
     )
     if base == 0.0:
         raise CorrelatorSingularityError(
             "r' = 0 and t' = T' make both denominator terms vanish"
         )
-    power = fc._eval_pow(base, -(d - 2) / 2.0)
-    weight = fc._eval_pow(T / t_prime, p.chi / 2.0)
-    return power * weight * fc._eval_exp(-p.m * r2 / (4.0 * t_prime))
+    return fc._eval_pow(base, -(d - 2) / 2.0)

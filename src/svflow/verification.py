@@ -526,7 +526,6 @@ def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
     rng = np.random.default_rng(seed)
-    pure = svgen.SVParams(m=0.0, chi=0.0)
     rows = []
     worst = 0.0
     for k in range(100):
@@ -536,14 +535,12 @@ def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
         r = float(rng.uniform(0.1, 2.0))
         d = int(rng.integers(3, 6))
         tp, rp = svgen.map_halfspace(t, r, T, Tp)
-        corr = svgen.halfspace_correlator(tp, rp, pure, T, Tp, d)
+        corr = svgen.halfspace_correlator(tp, rp, T, Tp, d)
         flat = (r**2 + t**2) ** (-(d - 2) / 2.0)
         err = abs(corr - flat) / abs(flat)
         worst = max(worst, err)
         rows.append((k, T, Tp, t, r, d, err, seed))
-    special = svgen.halfspace_correlator(
-        math.e, 0.0, svgen.SVParams(m=1.0, chi=0.0), 1.0, 1.0, 4
-    )
+    special = svgen.halfspace_correlator(math.e, 0.0, 1.0, 1.0, 4)
     special_err = abs(special - 1.0)
     rows.append(("special_case", 1.0, 1.0, "", 0.0, 4, special_err, seed))
     composition = Gate("composition error", worst, CORRELATOR_BOUND)

@@ -285,6 +285,15 @@ def test_series_refuses_a_rho_that_is_not_finite(rho):
         displacement_series(B, x, rho, 3)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+@pytest.mark.parametrize("n_steps", [0, 3, -2])
+def test_a_bad_n_steps_is_refused_at_every_rho(rho, n_steps):
+    # at rho = 0 the early return came first, and n_steps=3 ran as 0 steps
+    B = vector_field(["t"], T1)
+    with pytest.raises(fc.InputError, match="^n_steps must be a positive even integer$"):
+        integrate_flow(B, Point(T1, (1.0,)), rho, n_steps=n_steps)
+
+
 # ------------------------------------------------------------ displacement
 
 

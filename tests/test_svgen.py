@@ -536,40 +536,71 @@ def test_map_halfspace_direct_substitution():
 
 
 def test_correlator_reduces_at_origin():
-    p = SVParams(m=1.0, chi=0.0)
-    val = halfspace_correlator(math.e, 0.0, p, T=1.0, T_prime=1.0, d=4)
+    val = halfspace_correlator(math.e, 0.0, T=1.0, T_prime=1.0, d=4)
     assert val == pytest.approx(1.0, rel=1e-14)
 
 
 def test_correlator_power_law_composition():
-    # power-law factor equals the flat propagator at the preimage
-    p = SVParams(m=0.0, chi=0.0)
+    # the correlator equals the flat propagator at the preimage
     rng = np.random.default_rng(8)
     for _ in range(50):
         T, Tp = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
         t, r = float(rng.uniform(-1, 1)), float(rng.uniform(0.1, 2))
         d = int(rng.integers(3, 6))
         tp, rp = map_halfspace(t, r, T, Tp)
-        corr = halfspace_correlator(tp, rp, p, T, Tp, d)
+        corr = halfspace_correlator(tp, rp, T, Tp, d)
         flat = (r**2 + t**2) ** (-(d - 2) / 2.0)
         assert corr == pytest.approx(flat, rel=1e-10)
 
 
 def test_correlator_singular_point():
-    p = SVParams(m=1.0, chi=0.3)
     with pytest.raises(CorrelatorSingularityError):
-        halfspace_correlator(1.0, 0.0, p, T=1.0, T_prime=1.0, d=4)
+        halfspace_correlator(1.0, 0.0, T=1.0, T_prime=1.0, d=4)
 
 
-def test_correlator_mass_factor_underflows_to_zero():
-    # exp(-m r'^2 / (4 t')) = exp(-900) underflows: a zero, not an overflow
-    p = SVParams(m=1.0, chi=0.0)
-    assert halfspace_correlator(1.0, 60.0, p, T=1.0, T_prime=1.0, d=4) == 0.0
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 1.0, 1.0, 1.0), "t"),
+    ((0.5, math.inf, 1.0, 1.0), "r"),
+    ((0.5, 1.0, math.inf, 1.0), "T"),
+    ((0.5, 1.0, 1.0, -math.inf), "T'"),
+])
+def test_map_halfspace_refuses_a_value_that_is_not_finite(args, name):
+    # these returned (nan, nan), r' = inf and (1.0, 0.0)
+    with pytest.raises(fc.InputError, match=f"^{name} must be finite, got "):
+        map_halfspace(*args)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((math.inf, 0.5, 1.0, 1.0, 4), "t'"),
+    ((1.0, math.nan, 1.0, 1.0, 4), "r'"),
+    ((1.0, 0.5, math.nan, 1.0, 4), "T"),
+    ((1.0, 0.5, 1.0, math.inf, 4), "T'"),
+    ((1.0, 0.5, 1.0, 1.0, math.inf), "d"),
+])
+def test_correlator_refuses_a_value_that_is_not_finite(args, name):
+    with pytest.raises(fc.InputError, match=f"^{name} must be finite, got "):
+        halfspace_correlator(*args)
+
+
+def test_map_halfspace_overflow_is_a_domain_error():
+    # math.exp(1000) raised a bare OverflowError
+    with pytest.raises(DomainError) as exc:
+        map_halfspace(1000.0, 1.0, 1.0, 1.0)
+    assert exc.value.kind == "overflow"
+    with pytest.raises(DomainError) as exc:
+        map_halfspace(0.0, 1.0, 1e-300, 1e300)  # sqrt(T'/T) is infinite
+    assert exc.value.kind == "overflow"
+
+
+def test_correlator_log_of_an_underflowed_ratio_is_a_domain_error():
+    # t'/T' = 1e-600 rounds to 0, and math.log(0.0) raised a bare ValueError
+    with pytest.raises(DomainError, match="^log of non-positive value 0.0$"):
+        halfspace_correlator(1e-300, 0.5, 1.0, 1e300, 4)
 
 
 def test_power_overflow_is_a_domain_error():
     with pytest.raises(DomainError) as exc:
-        halfspace_correlator(1.0, 1e-160, SVParams(m=0, chi=0), 1.0, 1.0, 5)
+        halfspace_correlator(1.0, 1e-160, 1.0, 1.0, 5)
     assert exc.value.kind == "overflow"
     with pytest.raises(DomainError):
         EpsilonFn.from_formula("1 + t^6").value(1e100)
