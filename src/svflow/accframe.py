@@ -151,8 +151,8 @@ class FrameMap:
     converged: bool
 
     def boundary_residuals(self) -> tuple[float, float]:
-        """max |x'(t, f(t))| and max |t'(t, f(t)) - tau(t)|, evaluated by
-        the same per-slice linear interpolation the solver uses."""
+        """max |x'(t, f(t))| and max |t'(t, f(t)) - tau(t)|, each slice read at
+        f(t) by np.interp: an independent route, not the solver's _interp_row."""
         bx, bt = 0.0, 0.0
         for i, f_i in enumerate(self.worldline):
             xp = float(np.interp(f_i, self.x_grid, self.x_prime[i]))

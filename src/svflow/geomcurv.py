@@ -214,6 +214,16 @@ def _compile_grids(*grids) -> Callable[[Mapping[str, float] | Point], list[np.nd
     return at
 
 
+def _derivative_grid(entries, wrt_names):
+    """d[k][...] = d_{wrt[k]} entries[...], for a nested grid of entries:
+    every derivative grid here has its derivative index first."""
+    cells = np.array(entries, dtype=object)
+    return [
+        np.vectorize(lambda e: fc.differentiate(e, name), otypes=[object])(cells)
+        for name in wrt_names
+    ]
+
+
 @dataclass(frozen=True)
 class CurvatureValues:
     """Point evaluation of the whole curvature stack."""
@@ -239,13 +249,7 @@ class CurvatureBundle:
         D = G.dimension
         inv = symbolic_inverse(G)
         gamma = [[[fc.ZERO] * D for _ in range(D)] for _ in range(D)]
-        dg = [
-            [
-                [fc.differentiate(G.components[q][p], G.coords[n]) for p in range(D)]
-                for q in range(D)
-            ]
-            for n in range(D)
-        ]  # dg[n][q][p] = d_n g_qp
+        dg = _derivative_grid(G.components, G.coords)  # dg[n][q][p] = d_n g_qp
         for m in range(D):
             for n in range(D):
                 for p in range(D):
@@ -256,16 +260,7 @@ class CurvatureBundle:
                         )
                         total = fc.add(total, fc.mul(inv[m][q], bracket))
                     gamma[m][n][p] = fc.mul(Const(0.5), total)
-        dgamma = [
-            [
-                [
-                    [fc.differentiate(gamma[m][n][c], G.coords[d]) for d in range(D)]
-                    for c in range(D)
-                ]
-                for n in range(D)
-            ]
-            for m in range(D)
-        ]  # dgamma[m][n][c][d] = d_d Gamma^m_nc
+        dgamma = _derivative_grid(gamma, G.coords)  # dgamma[d][m][n][c] = d_d Gamma^m_nc
         # g runs alone and first: at() checks its determinant before the
         # Gamma program divides by it; dGamma's nodes contain Gamma's
         self._g_at = _compile_grids(G.components)
@@ -277,12 +272,12 @@ class CurvatureBundle:
         if abs(det) <= DEGENERACY_EPS:
             raise DegenerateMetricError(f"|det G| = {abs(det):.3e} at {env}")
         ginv = np.linalg.inv(g)
-        gam, dgam = self._gamma_at(env)  # dgam axes (m, n, c, d) = d_d Gamma^m_nc
+        gam, dgam = self._gamma_at(env)  # dgam axes (d, m, n, c) = d_d Gamma^m_nc
         # R^m_npq = d_p Gamma^m_nq - d_q Gamma^m_np + Gamma^m_pl Gamma^l_nq
         #           - Gamma^m_ql Gamma^l_np
         up = (
-            dgam.transpose(0, 1, 3, 2)
-            - dgam
+            dgam.transpose(1, 2, 0, 3)
+            - dgam.transpose(1, 2, 3, 0)
             + np.einsum("mpl,lnq->mnpq", gam, gam)
             - np.einsum("mql,lnp->mnpq", gam, gam)
         )
@@ -302,15 +297,6 @@ def curvature_direct(G: MetricField) -> CurvatureBundle:
 
 # --------------------------------------------------------------------------
 # Block-decomposition formulas, each evaluated verbatim at a point
-
-
-def _derivative_grid(entries, wrt_names):
-    """d[k][...] = d_{wrt[k]} entries[...], for a nested grid of entries."""
-    cells = np.array(entries, dtype=object)
-    return [
-        np.vectorize(lambda e: fc.differentiate(e, name), otypes=[object])(cells)
-        for name in wrt_names
-    ]
 
 
 @dataclass(frozen=True)

@@ -454,8 +454,11 @@ def weight_form_residual(
 
 def _check_halfspace(args: dict[str, float]) -> None:
     for name, v in args.items():
-        if not math.isfinite(v):
-            raise InputError(f"{name} must be finite, got {v}")
+        try:
+            if not math.isfinite(v):
+                raise InputError(f"{name} must be finite, got {v}")
+        except OverflowError:  # an int beyond the double range
+            raise InputError(f"{name} lies beyond the double range") from None
     if args["T"] <= 0.0 or args["T'"] <= 0.0:
         raise InputError("T and T' must be positive")
 
@@ -464,9 +467,11 @@ def map_halfspace(
     t: float, r: float, T: float, T_prime: float
 ) -> tuple[float, float]:
     """Exponential map from the flat (t, r) plane to the half-space
-    0 < t' < infinity."""
+    0 < t' < infinity; a t' that underflows to 0 is a DomainError."""
     _check_halfspace({"t": t, "r": r, "T": T, "T'": T_prime})
     t_prime = fc._eval_mul(T_prime, fc._eval_exp(t / T))
+    if t_prime == 0.0:
+        raise DomainError("t' = T' exp(t/T) underflows to 0", kind="overflow")
     r_prime = fc._eval_mul(fc._eval_mul(r, fc._eval_sqrt(T_prime / T)),
                            fc._eval_exp(t / (2.0 * T)))
     return (t_prime, r_prime)

@@ -592,6 +592,31 @@ def test_map_halfspace_overflow_is_a_domain_error():
     assert exc.value.kind == "overflow"
 
 
+@pytest.mark.parametrize("args", [(-1000.0, 1.0, 1.0, 1.0), (-746, 1, 1, 1),
+                                  (-100.0, 1.0, 1.0, 1e-300)])
+def test_map_halfspace_underflow_is_a_domain_error(args):
+    # T' exp(t/T) rounded to 0 and (0.0, r') came back, a point that
+    # halfspace_correlator refuses as an input error
+    with pytest.raises(DomainError, match="^t' = T' exp\\(t/T\\) underflows to 0") as exc:
+        map_halfspace(*args)
+    assert exc.value.kind == "overflow"
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (map_halfspace, (10**400, 1, 1, 1), "t"),
+    (map_halfspace, (0.5, -10**400, 1, 1), "r"),
+    (map_halfspace, (0.5, 1, 10**400, 1), "T"),
+    (map_halfspace, (0.5, 1, 1, 10**400), "T'"),
+    (halfspace_correlator, (10**400, 0.5, 1.0, 1.0, 4), "t'"),
+    (halfspace_correlator, (1.0, 10**400, 1.0, 1.0, 4), "r'"),
+    (halfspace_correlator, (1.0, 0.5, 1.0, 1.0, 10**400), "d"),
+])
+def test_halfspace_refuses_an_int_beyond_the_double_range(call, args, name):
+    # math.isfinite raised a bare OverflowError: int too large to convert to float
+    with pytest.raises(fc.InputError, match=f"^{name} lies beyond the double range$"):
+        call(*args)
+
+
 def test_correlator_log_of_an_underflowed_ratio_is_a_domain_error():
     # t'/T' = 1e-600 rounds to 0, and math.log(0.0) raised a bare ValueError
     with pytest.raises(DomainError, match="^log of non-positive value 0.0$"):
