@@ -104,6 +104,17 @@ def _not_a_number(name: str, value: object) -> InputError:
     return InputError(f"variable {name} is not a number: {value!r}")
 
 
+def _is_finite(name: str, v: object) -> bool:
+    """math.isfinite(v) for an argument named name, refusing one that is
+    not a number or is an int beyond the double range."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        raise InputError(f"{name} lies beyond the double range") from None
+    except TypeError:
+        raise InputError(f"{name} is not a number: {v!r}") from None
+
+
 @contextlib.contextmanager
 def naming_params(params):
     """Raise a DomainError of the block again with the fields of params, a
@@ -275,10 +286,8 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def is_const(e: Expression, value: float | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
+def is_const(e: Expression, value: float) -> bool:
+    return isinstance(e, Const) and e.value == value
 
 
 # --------------------------------------------------------------------------
@@ -1227,10 +1236,6 @@ class Point:
                 f"{len(self.coords)} coordinates for {len(self.chart)}-chart {self.chart}"
             )
 
-    @property
-    def dimension(self) -> int:
-        return len(self.chart)
-
     def env(self) -> dict[str, float]:
         return dict(zip(self.chart, self.coords))
 
@@ -1282,9 +1287,6 @@ class VectorField:
     @property
     def dimension(self) -> int:
         return len(self.chart)
-
-    def eval_at(self, p: Point) -> list[float]:
-        return compile_expressions(self.components)(p)
 
 
 def scalar_field(text: str, chart: Iterable[str]) -> ScalarField:

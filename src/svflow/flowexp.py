@@ -106,7 +106,7 @@ class FlowResult:
 
 
 def _check_rho(rho: float) -> None:
-    if not math.isfinite(rho):
+    if not fc._is_finite("rho", rho):
         raise InputError("rho must be finite")
 
 
@@ -213,7 +213,8 @@ def _integrate(step, y0, rho, tol, n_coords, phase, n_steps=None):
     run of 2n steps with one of n, from n = 8 doubling until every
     component's |fine - coarse| / 15 is within tol; a fixed n_steps run is
     the single round, from n = n_steps / 2.  Returns (state, steps, est_error)."""
-    if n_steps is not None and (n_steps < 2 or n_steps % 2 != 0):
+    # a bool is an int below 2
+    if n_steps is not None and (not isinstance(n_steps, int) or n_steps < 2 or n_steps % 2 != 0):
         raise InputError("n_steps must be a positive even integer")
     if rho == 0.0:
         return list(y0), 0, 0.0
@@ -420,16 +421,11 @@ def pushforward_defect(B: VectorField, x: Point, flow: FlowResult) -> float:
     return float(np.max(np.abs(b_end - flow.jacobian @ b_origin)))
 
 
-def pushforward_residual(
-    B: VectorField,
-    x: Point,
-    rho: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """The pushforward defect of the flow over [0, rho].
+def pushforward_residual(B: VectorField, x: Point, rho: float) -> float:
+    """The pushforward defect of the flow over [0, rho] at DEFAULT_TOLERANCE.
 
     Zero (to integrator accuracy) exactly when the flow pushes B forward
     onto itself, which is the lemma underlying the factorization.
     """
-    flow = integrate_flow(B, x, rho, tol, jacobian=True)
+    flow = integrate_flow(B, x, rho, jacobian=True)
     return pushforward_defect(B, x, flow)

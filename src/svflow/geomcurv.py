@@ -218,10 +218,10 @@ def _derivative_grid(entries, wrt_names):
     """d[k][...] = d_{wrt[k]} entries[...], for a nested grid of entries:
     every derivative grid here has its derivative index first."""
     cells = np.array(entries, dtype=object)
-    return [
-        np.vectorize(lambda e: fc.differentiate(e, name), otypes=[object])(cells)
-        for name in wrt_names
-    ]
+    # a list, not np.vectorize: a ufunc warns on the floating-point flags
+    # that an overflowing constant fold inside differentiate leaves set
+    return [np.array([fc.differentiate(e, name) for e in cells.flat],
+                     dtype=object).reshape(cells.shape) for name in wrt_names]
 
 
 @dataclass(frozen=True)

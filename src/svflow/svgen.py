@@ -68,9 +68,9 @@ class CorrelatorSingularityError(SvflowError):
 class EpsilonFn:
     """eps(t) = sum_n eps_n t^{n+1} with finitely many nonzero terms.
 
-    Terms with n <= -2 make eps singular at t = 0; evaluation there
-    raises DomainError, and so does eps or eps' overflowing (kind
-    "overflow").
+    Coefficients are finite.  Terms with n <= -2 make eps singular at
+    t = 0; evaluation there raises DomainError, and so does a value or a
+    derivative coefficient that overflows (kind "overflow").
     """
 
     terms: tuple[tuple[int, float], ...]
@@ -81,6 +81,9 @@ class EpsilonFn:
         )
         if not cleaned:
             raise InputError("eps needs at least one nonzero coefficient")
+        for n, c in cleaned:
+            if not math.isfinite(c):
+                raise InputError(f"eps coefficient of t^{n + 1} must be finite, got {c}")
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
@@ -101,34 +104,26 @@ class EpsilonFn:
         return cls.from_coefficients({k - 1: c for k, c in _laurent_coefficients(expr).items()})
 
     @cached_property
-    def _roots(self) -> tuple[Expression, Expression]:
-        return self.expression("t", 0), self.expression("t", 1)
+    def derivatives(self) -> tuple[Expression, Expression, Expression]:
+        """(eps, eps', eps'') in t, each summed term by term."""
+        tower = []
+        for order in range(3):
+            total: Expression = fc.ZERO
+            for n, c in self.terms:
+                k = n + 1
+                for _ in range(order):
+                    c, k = fc._eval_mul(c, k), k - 1
+                if c != 0.0:
+                    term = fc.pow_(Var("t"), Const(float(k))) if k else fc.ONE
+                    total = fc.add(total, fc.mul(Const(c), term))
+            tower.append(total)
+        return tuple(tower)
 
     def program(self) -> Callable[[Sequence[float]], list[float]]:
         """[eps(t), eps'(t)] from [t]: one compiled program.  It is fetched
         from the program memo on each call, so it lives in the innermost
         derivative_memo() block and turns into generated code when hot."""
-        return fc.compile_expressions(self._roots, ("t",))
-
-    def value(self, t: float) -> float:
-        return self.program()([float(t)])[0]
-
-    def deriv(self, t: float) -> float:
-        return self.program()([float(t)])[1]
-
-    def expression(self, var: str = "t", order: int = 0) -> Expression:
-        """Symbolic eps (order 0), eps' (1) or eps'' (2)."""
-        if order not in (0, 1, 2):
-            raise InputError("order must be 0, 1 or 2")
-        total: Expression = fc.ZERO
-        for n, c in self.terms:
-            k = n + 1
-            for _ in range(order):
-                c, k = c * k, k - 1
-            if c != 0.0:
-                term = fc.pow_(Var(var), Const(float(k))) if k else fc.ONE
-                total = fc.add(total, fc.mul(Const(c), term))
-        return total
+        return fc.compile_expressions(self.derivatives[:2], ("t",))
 
 
 # Largest |power of t| of a product in an eps formula: expanding costs
@@ -140,7 +135,7 @@ def _product(left: dict[int, float], right: dict[int, float]) -> dict[int, float
     out: dict[int, float] = {}
     for k1, c1 in left.items():
         for k2, c2 in right.items():
-            out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
+            out[k1 + k2] = fc._eval_add(out.get(k1 + k2, 0.0), fc._eval_mul(c1, c2))
     if any(abs(k) > MAX_EPS_DEGREE for k in out):
         raise InputError(f"powers of t beyond +-{MAX_EPS_DEGREE}")
     return out
@@ -166,7 +161,7 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
         sign = 1.0 if isinstance(e, fc.Add) else -1.0
         out = dict(left)
         for k, c in right.items():
-            out[k] = out.get(k, 0.0) + sign * c
+            out[k] = fc._eval_add(out.get(k, 0.0), sign * c)
         return out
     if isinstance(e, fc.Mul):
         return _product(*ops)
@@ -176,7 +171,7 @@ def _laurent_node(e: fc.Expression, ops: list[dict[int, float]]) -> dict[int, fl
         if len(live) != 1:
             raise InputError("division only by a constant or a monomial in t")
         (k0, c0), = live.items()
-        return {k - k0: c / c0 for k, c in num.items()}
+        return {k - k0: fc._eval_div(c, c0) for k, c in num.items()}
     if isinstance(e, fc.Pow):
         if not isinstance(e.right, Const) or e.right.value != int(e.right.value):
             raise InputError("powers must have integer constant exponents")
@@ -203,7 +198,7 @@ def bracket_eps(eps: EpsilonFn, eta: EpsilonFn) -> dict[int, float]:
     for m, a in eps.terms:
         for n, b in eta.terms:
             k = m + n
-            out[k] = out.get(k, 0.0) + (m - n) * a * b
+            out[k] = fc._eval_add(out.get(k, 0.0), fc._eval_mul(fc._eval_mul(m - n, a), b))
     return {k: v for k, v in out.items() if v != 0.0}
 
 
@@ -293,9 +288,7 @@ def build_generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarFie
 
 
 def _generator(eps: EpsilonFn, p: SVParams) -> tuple[VectorField, ScalarField]:
-    e0 = eps.expression("t", 0)
-    e1 = eps.expression("t", 1)
-    e2 = eps.expression("t", 2)
+    e0, e1, e2 = eps.derivatives
     half_n = Const(p.N / 2.0)
     b_t = e0
     b_r = fc.mul(fc.mul(half_n, e1), Var("r"))
@@ -375,7 +368,7 @@ def _solve_tprime(eps, t, rho, tol):
     eps_t = run([float(t)])
     if eps_t[0] == 0.0:
         raise EpsilonRootError(f"eps vanishes at the start point t = {t}")
-    B = fc.memoized((_solve_tprime, eps), lambda: VectorField(("t",), eps._roots[:1]))
+    B = fc.memoized((_solve_tprime, eps), lambda: VectorField(("t",), eps.derivatives[:1]))
     res = flowexp.integrate_flow(B, Point(("t",), (t,)), rho, tol, jacobian=True)
     t_prime = res.endpoint.coords[0]
 
@@ -454,11 +447,8 @@ def weight_form_residual(
 
 def _check_halfspace(args: dict[str, float]) -> None:
     for name, v in args.items():
-        try:
-            if not math.isfinite(v):
-                raise InputError(f"{name} must be finite, got {v}")
-        except OverflowError:  # an int beyond the double range
-            raise InputError(f"{name} lies beyond the double range") from None
+        if not fc._is_finite(name, v):
+            raise InputError(f"{name} must be finite, got {v}")
     if args["T"] <= 0.0 or args["T'"] <= 0.0:
         raise InputError("T and T' must be positive")
 

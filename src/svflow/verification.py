@@ -207,8 +207,8 @@ def flow_cases() -> list[FlowCase]:
     ]
 
 
-def _fit_slope(rhos, diffs, floor=FIT_FLOOR):
-    kept = [(rho, d) for rho, d in zip(rhos, diffs) if d > floor]
+def _fit_slope(rhos, diffs):
+    kept = [(rho, d) for rho, d in zip(rhos, diffs) if d > FIT_FLOOR]
     if len(kept) < 3:
         return None
     return nrlimit.log_log_slope([rho for rho, _ in kept], [d for _, d in kept])

@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one
 pass/fail line printed per criterion (run pytest -s to see them live)."""
 
+import math
 import os
 import subprocess
 import sys
@@ -285,6 +286,21 @@ def test_c01_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     result = verification.criterion_flow_factorization()
     golden = Path(__file__).parent / "golden" / "c01_flow_factorization.csv"
     assert verification.render_csv(result.columns, result.rows) == golden.read_bytes()
+
+
+def test_c01_fails_its_slope_gate_when_too_few_gaps_clear_the_fit_floor(monkeypatch):
+    # with the exponential route replaced by the series itself every gap is
+    # 0, so no slope is fit: the gate reads inf and the slope row nan
+    def series_route(B, C, psi, x, rho, tol):
+        return flowexp.taylor_sum(flowexp.series_terms(B, C, psi, x, 6), rho)
+
+    monkeypatch.setattr(flowexp, "apply_exponential", series_route)
+    result = verification.criterion_flow_factorization()
+    slopes = [g for g in result.gates if "slope distance" in g.label]
+    assert len(slopes) == 5 and all(g.value == math.inf and not g.passed for g in slopes)
+    rows = [row for row in result.rows if row[1] == "slope"]
+    assert len(rows) == 5 and all(math.isnan(row[2]) for row in rows)
+    assert not result.passed
 
 
 @pytest.mark.parametrize("criterion", [

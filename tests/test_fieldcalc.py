@@ -308,7 +308,6 @@ def test_deep_nesting_is_a_parse_error():
 
 def test_point_env_and_validation():
     p = Point(("t", "r"), (1.0, 2.0))
-    assert p.dimension == 2
     assert p.env() == {"t": 1.0, "r": 2.0}
     assert p["r"] == 2.0
     with pytest.raises(KeyError):

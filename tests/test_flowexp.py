@@ -22,6 +22,7 @@ from svflow.flowexp import (
     apply_exponential,
     displacement_series,
     integrate_flow,
+    pushforward_defect,
     pushforward_residual,
     series_oracle,
     taylor_sum,
@@ -286,12 +287,26 @@ def test_series_refuses_a_rho_that_is_not_finite(rho):
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.1])
-@pytest.mark.parametrize("n_steps", [0, 3, -2])
+@pytest.mark.parametrize("n_steps", [0, 3, -2, 4.0, "4"])
 def test_a_bad_n_steps_is_refused_at_every_rho(rho, n_steps):
-    # at rho = 0 the early return came first, and n_steps=3 ran as 0 steps
+    # at rho = 0 the early return came first, and n_steps=3 ran as 0 steps;
+    # at rho = 0.1 range() inside the stepper raised a bare TypeError on 4.0
+    # and "4"
     B = vector_field(["t"], T1)
     with pytest.raises(fc.InputError, match="^n_steps must be a positive even integer$"):
         integrate_flow(B, Point(T1, (1.0,)), rho, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("0.1", "^rho is not a number: '0.1'$"),
+    (None, "^rho is not a number: None$"),
+    (10**400, "^rho lies beyond the double range$"),
+], ids=["str", "None", "huge-int"])
+def test_a_rho_that_is_not_a_number_is_refused(rho, message):
+    # math.isfinite raised a bare TypeError (or OverflowError)
+    B = vector_field(["t"], T1)
+    with pytest.raises(fc.InputError, match=message):
+        integrate_flow(B, Point(T1, (1.0,)), rho)
 
 
 # ------------------------------------------------------------ displacement
@@ -432,7 +447,7 @@ def test_jacobian_of_a_dense_3d_field():
             shifted.append(np.array(end.coords))
         column = (shifted[0] - shifted[1]) / (2 * h)
         assert np.allclose(J[:, mu], column, rtol=0, atol=1e-8)
-    assert pushforward_residual(B, x, 0.6, TIGHT) < 1e-9
+    assert pushforward_defect(B, x, integrate_flow(B, x, 0.6, TIGHT, jacobian=True)) < 1e-9
 
 
 @pytest.mark.parametrize("names", [("_J[1,0]", "_T"), ("_J[0,1]", "_J[1,0]"), ("J", "T")])

@@ -212,8 +212,7 @@ def test_barut_constant_f_reduces_to_pure_lift():
 
 def test_barut_dilation_closed_form():
     f = fc.parse_expression("t", ["t"])
-    psi = ScalarField(("t",), fc.parse_expression("1/(1+t^2)", ["t"]))
-    res = barut_flow_identity(f, UNIT, t=1.0, rho=0.5, tol=TIGHT, psi=psi)
+    res = barut_flow_identity(f, UNIT, t=1.0, rho=0.5, tol=TIGHT)
     assert res <= 1e-8
     # and t' must be e^{0.5} with phase a (t' - t)
     from svflow.flowexp import integrate_flow

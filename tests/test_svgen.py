@@ -62,28 +62,64 @@ def test_epsilon_requires_a_nonzero_coefficient():
         EpsilonFn.from_coefficients({2: 0.0})
 
 
+@pytest.mark.parametrize("coeffs, power", [({0: math.nan}, 1), ({-3: math.inf}, -2),
+                                           ({2: -math.inf, 0: 1.0}, 3)])
+def test_epsilon_refuses_a_coefficient_that_is_not_finite(coeffs, power):
+    with pytest.raises(fc.InputError, match=f"^eps coefficient of t\\^{power} must be finite"):
+        EpsilonFn.from_coefficients(coeffs)
+
+
+def test_an_overflowing_derivative_coefficient_is_a_domain_error():
+    # 5 * 1e308 made eps' hold Const(inf), whose str() raised a bare OverflowError
+    eps = EpsilonFn.from_coefficients({4: 1e308})
+    with pytest.raises(DomainError) as exc:
+        eps.derivatives
+    assert exc.value.kind == "overflow"
+
+
+def test_an_overflowing_formula_coefficient_is_a_domain_error():
+    # the coefficient map held terms=((-1, inf),)
+    with pytest.raises(DomainError) as exc:
+        EpsilonFn.from_formula("1e308*10")
+    assert exc.value.kind == "overflow"
+
+
+def test_eps_and_its_derivatives_are_built_once():
+    eps, p = EpsilonFn.from_formula("1 + 0.1*t + 0.05*t^2"), SVParams(m=1.3, chi=0.7)
+    e0, e1, e2 = eps.derivatives
+    assert eps.derivatives[0] is e0
+    with fc.derivative_memo():
+        B, C = build_generator(eps, p)
+        assert B.components[0] is e0
+        eps.program()
+        keys = [k for k in fc._PROGRAMS.get() if k[-1] == ("t",)]
+    assert len(keys) == 1 and keys[0][0] is e0 and keys[0][1] is e1
+
+
 def test_epsilon_values_and_derivatives():
     eps = EPS_POLY
     for t in (0.3, 1.0, 2.2):
-        assert eps.value(t) == pytest.approx(1 + 0.1 * t + 0.05 * t * t, rel=1e-15)
-        assert eps.deriv(t) == pytest.approx(0.1 + 0.1 * t, rel=1e-15)
-        assert fc.evaluate(eps.expression("t", 2), {"t": t}) == pytest.approx(0.1, rel=1e-15)
+        value, deriv = eps.program()([t])
+        assert value == pytest.approx(1 + 0.1 * t + 0.05 * t * t, rel=1e-15)
+        assert deriv == pytest.approx(0.1 + 0.1 * t, rel=1e-15)
+        assert fc.evaluate(eps.derivatives[2], {"t": t}) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_epsilon_negative_terms_need_nonzero_t():
     eps = EpsilonFn.monomial(-3)  # t^{-2}
-    assert eps.value(2.0) == 0.25
+    assert eps.program()([2.0])[0] == 0.25
     with pytest.raises(DomainError):
-        eps.value(0.0)
+        eps.program()([0.0])
 
 
 def test_epsilon_expression_matches_numeric():
     # eps = 0.5 t^-2 + 1.2 t - 0.3 t^3
     eps = EpsilonFn.from_coefficients({-3: 0.5, 0: 1.2, 2: -0.3})
-    second = fc.compile_expression(eps.expression("t", 2))
+    second = fc.compile_expression(eps.derivatives[2])
     for t in (0.4, 1.0, 1.7):
-        assert eps.value(t) == pytest.approx(0.5 / t**2 + 1.2 * t - 0.3 * t**3, rel=1e-13)
-        assert eps.deriv(t) == pytest.approx(-1.0 / t**3 + 1.2 - 0.9 * t**2, rel=1e-13)
+        value, deriv = eps.program()([t])
+        assert value == pytest.approx(0.5 / t**2 + 1.2 * t - 0.3 * t**3, rel=1e-13)
+        assert deriv == pytest.approx(-1.0 / t**3 + 1.2 - 0.9 * t**2, rel=1e-13)
         assert second({"t": t}) == pytest.approx(3.0 / t**4 - 1.8 * t, rel=1e-13)
 
 
@@ -122,11 +158,10 @@ def test_compiled_epsilon_matches_the_term_sums(coeffs, t):
     try:
         expected = (_summed(eps, t, 0), _summed(eps, t, 1))
     except DomainError:
-        for method in (eps.value, eps.deriv):
-            with pytest.raises(DomainError):
-                method(t)
+        with pytest.raises(DomainError):
+            eps.program()([t])
         return
-    assert (eps.value(t), eps.deriv(t)) == expected
+    assert tuple(eps.program()([t])) == expected
 
 
 # ------------------------------------------------------------ generator
@@ -135,7 +170,7 @@ def test_compiled_epsilon_matches_the_term_sums(coeffs, t):
 def test_generator_pure_time_translation():
     B, C = build_generator(EPS_ONE, SVParams(m=1.0, chi=0.5))
     p = Point(CHART, (0.7, 1.3))
-    assert B.eval_at(p) == [1.0, 0.0]
+    assert fc.compile_expressions(B.components)(p) == [1.0, 0.0]
     assert C.eval_at(p) == 0.0
 
 
@@ -144,7 +179,7 @@ def test_generator_dilation_case():
     p = SVParams(m=2.0, chi=0.8, N=1.0)
     B, C = build_generator(EPS_T, p)
     pt = Point(CHART, (1.4, 0.6))
-    bt, br = B.eval_at(pt)
+    bt, br = fc.compile_expressions(B.components)(pt)
     assert bt == pytest.approx(1.4, rel=1e-15)
     assert br == pytest.approx(0.3, rel=1e-15)
     assert C.eval_at(pt) == pytest.approx(0.4, rel=1e-15)
@@ -176,7 +211,8 @@ def test_bracket_eps_monomial_oracle():
         coeffs = bracket_eps(EpsilonFn.monomial(m), EpsilonFn.monomial(n))
         em, en = EpsilonFn.monomial(m), EpsilonFn.monomial(n)
         for t in (0.7, 1.3):
-            expected = em.deriv(t) * en.value(t) - em.value(t) * en.deriv(t)
+            (em_v, em_d), (en_v, en_d) = em.program()([t]), en.program()([t])
+            expected = em_d * en_v - em_v * en_d
             got = sum(c * t ** (k + 1) for k, c in coeffs.items())
             assert got == pytest.approx(expected, rel=1e-13, abs=1e-15)
         if m == n:
@@ -582,6 +618,19 @@ def test_correlator_refuses_a_value_that_is_not_finite(args, name):
         halfspace_correlator(*args)
 
 
+@pytest.mark.parametrize("call, name, v", [
+    (lambda: map_halfspace("1", 1, 1, 1), "t", "'1'"),
+    (lambda: map_halfspace(None, 1, 1, 1), "t", "None"),
+    (lambda: map_halfspace(0.5, 1.0, 1.0, []), "T'", r"\[\]"),
+    (lambda: halfspace_correlator(1.0, 0.5, 1.0, 1.0, "4"), "d", "'4'"),
+    (lambda: halfspace_correlator(None, 0.5, 1.0, 1.0, 4), "t'", "None"),
+], ids=["map-t-str", "map-t-None", "map-T'-list", "correlator-d-str", "correlator-t'-None"])
+def test_halfspace_refuses_a_value_that_is_not_a_number(call, name, v):
+    # math.isfinite raised a bare TypeError
+    with pytest.raises(fc.InputError, match=f"^{name} is not a number: {v}$"):
+        call()
+
+
 def test_map_halfspace_overflow_is_a_domain_error():
     # math.exp(1000) raised a bare OverflowError
     with pytest.raises(DomainError) as exc:
@@ -628,7 +677,7 @@ def test_power_overflow_is_a_domain_error():
         halfspace_correlator(1.0, 1e-160, 1.0, 1.0, 5)
     assert exc.value.kind == "overflow"
     with pytest.raises(DomainError):
-        EpsilonFn.from_formula("1 + t^6").value(1e100)
+        EpsilonFn.from_formula("1 + t^6").program()([1e100])
     with pytest.raises(DomainError):
         EpsilonFn.from_formula("(1e-200*t)^-2")
     with pytest.raises(DomainError):
@@ -640,20 +689,19 @@ def test_epsilon_sum_overflow_is_a_domain_error():
     # every term is finite for t = 1e10, but c * t^k overflows the sum
     assert math.isinf(1e300 * 1e10**2 + 1.0)
     with pytest.raises(DomainError) as exc:
-        EpsilonFn.from_formula("1e300*t^2 + 1").value(1e10)
+        EpsilonFn.from_formula("1e300*t^2 + 1").program()([1e10])
     assert exc.value.kind == "overflow"
     eps = EpsilonFn.from_formula("1e300*t^3 + 1")
-    second = fc.compile_expression(eps.expression("t", 2))
-    for method in (eps.value, eps.deriv, lambda t: second({"t": t})):
+    for e in eps.derivatives:
         with pytest.raises(DomainError) as exc:
-            method(1e10)
+            fc.compile_expression(e)({"t": 1e10})
         assert exc.value.kind == "overflow"
 
 
 def test_long_laurent_formula_parses():
     eps = EpsilonFn.from_formula(" + ".join(["t"] * 3000))
     assert eps.terms == ((0, 3000.0),)
-    assert eps.value(0.5) == 1500.0
+    assert eps.program()([0.5])[0] == 1500.0
 
 
 def test_the_generator_memo_ends_with_its_derivative_memo_block():
