@@ -65,11 +65,7 @@ class InputError(SvflowError, ValueError):
     """Input refused before computing; a ValueError too, for callers that catch one."""
 
 
-class ExpressionError(SvflowError):
-    """Base class for errors raised by this module."""
-
-
-class ParseError(ExpressionError, InputError):
+class ParseError(InputError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
@@ -81,7 +77,7 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-class DomainError(ExpressionError):
+class DomainError(SvflowError):
     """Evaluation left the real domain (log of non-positive, zero division,
     fractional power of a non-positive base, overflow)."""
 
@@ -617,8 +613,7 @@ def _nodes(e: Expression, seen: set[int] | None = None) -> list[Expression]:
 #   about 150 in the median.  A grid runs once per CurvatureBundle.at(),
 #   so in that benchmark each passes 64 runs in its first sweeps and runs
 #   thousands of times more; verify-all, with a fresh memo per criterion,
-#   generates 14 programs (6 under the former rule of generating only
-#   what compile_expressions was asked for again) in 3 to 4 ms in all.
+#   generates 14 programs in 3 to 4 ms in all.
 # - MAX_MEMO_OPS: Python's compile() of generated code peaks at about
 #   9.3 KB per operation (256 ops 2.4 MB, 1,000 ops 9.3 MB), against a
 #   bound of 4 MB on the benchmark's 42 MB peak.  A larger program is

@@ -50,12 +50,13 @@ class MetricFileError(InputError):
 # Metric and split types
 
 
-def _metric_entry(i: int, j: int, raw, D: int, chart) -> Expression:
-    """Entry (i, j) of a D-dimensional metric as an expression over chart."""
+def _metric_entry(i: int, j: int, raw, coords: tuple[str, ...]) -> Expression:
+    """Entry (i, j) of the metric over coords as an expression."""
+    D = len(coords)
     if not (0 <= i < D and 0 <= j < D):
         raise InputError(f"entry index ({i},{j}) outside 0..{D - 1}")
     if isinstance(raw, str):
-        return parse_expression(raw, chart)
+        return parse_expression(raw, coords)
     if isinstance(raw, Expression):
         return raw
     return Const(float(raw))
@@ -94,18 +95,15 @@ class MetricField:
         cls,
         coords: Iterable[str],
         entries: Mapping[tuple[int, int], Expression | str | float],
-        param_vars: Iterable[str] = (),
     ) -> "MetricField":
         """Build from upper-triangle entries; the rest mirror or default
         to zero."""
         coords = tuple(coords)
-        param_vars = tuple(param_vars)
         D = len(coords)
         grid: list[list[Expression]] = [[fc.ZERO] * D for _ in range(D)]
-        chart = coords + param_vars
         for (i, j), raw in entries.items():
-            grid[i][j] = grid[j][i] = _metric_entry(i, j, raw, D, chart)
-        return cls(coords, tuple(tuple(row) for row in grid), param_vars)
+            grid[i][j] = grid[j][i] = _metric_entry(i, j, raw, coords)
+        return cls(coords, tuple(tuple(row) for row in grid))
 
     def is_diagonal(self) -> bool:
         D = self.dimension
@@ -228,7 +226,6 @@ def _derivative_grid(entries, wrt_names):
 class CurvatureValues:
     """Point evaluation of the whole curvature stack."""
 
-    metric: np.ndarray
     inverse: np.ndarray
     christoffel: np.ndarray       # Gamma[m, n, p] = Gamma^m_np
     riemann: np.ndarray           # all-lower R[m, n, p, q]
@@ -285,8 +282,7 @@ class CurvatureBundle:
         ricci = np.einsum("mnmq->nq", up)
         scalar = float(np.einsum("nq,nq->", ginv, ricci))
         return CurvatureValues(
-            metric=g, inverse=ginv, christoffel=gam, riemann=low, ricci=ricci,
-            scalar=scalar,
+            inverse=ginv, christoffel=gam, riemann=low, ricci=ricci, scalar=scalar,
         )
 
 
@@ -673,7 +669,7 @@ def parse_metric_text(text: str) -> tuple[MetricField, BlockSplit | None]:
     parsed = {}
     for (i, j), (value, lineno) in entries.items():
         try:
-            parsed[(i, j)] = _metric_entry(i, j, value, dim, coords)
+            parsed[(i, j)] = _metric_entry(i, j, value, coords)
         except InputError as err:
             raise MetricFileError(str(err), lineno) from err
     split = None

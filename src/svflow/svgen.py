@@ -68,22 +68,28 @@ class CorrelatorSingularityError(SvflowError):
 class EpsilonFn:
     """eps(t) = sum_n eps_n t^{n+1} with finitely many nonzero terms.
 
-    Coefficients are finite.  Terms with n <= -2 make eps singular at
-    t = 0; evaluation there raises DomainError, and so does a value or a
-    derivative coefficient that overflows (kind "overflow").
+    Each n is an int given once, each coefficient finite.  Terms with
+    n <= -2 make eps singular at t = 0; evaluation there raises
+    DomainError, and so does a value or a derivative coefficient that
+    overflows (kind "overflow").
     """
 
     terms: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        cleaned = tuple(
-            sorted((int(n), float(c)) for n, c in dict(self.terms).items() if c != 0.0)
-        )
+        coeffs: dict[int, float] = {}
+        for n, c in self.terms:
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise InputError(f"eps index n of t^(n+1) must be an integer, got {n!r}")
+            if n in coeffs:
+                raise InputError(f"eps gives the coefficient of t^{n + 1} twice")
+            name = f"eps coefficient of t^{n + 1}"
+            if not fc._is_finite(name, c):
+                raise InputError(f"{name} must be finite, got {c}")
+            coeffs[n] = float(c)
+        cleaned = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0.0))
         if not cleaned:
             raise InputError("eps needs at least one nonzero coefficient")
-        for n, c in cleaned:
-            if not math.isfinite(c):
-                raise InputError(f"eps coefficient of t^{n + 1} must be finite, got {c}")
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod

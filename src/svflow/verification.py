@@ -148,7 +148,6 @@ def pushforward_gate(residual: float, tol: Tolerance) -> Gate:
 @dataclass
 class CriterionResult:
     key: str
-    title: str
     gates: list[Gate]
     detail: str
     columns: tuple[str, ...]
@@ -243,7 +242,6 @@ def criterion_flow_factorization(seed: int = DEFAULT_SEED) -> CriterionResult:
         details.append(f"{case.name}: slope={slope:.3f} diff(0.1)={diffs[-1]:.2e}")
     return CriterionResult(
         key="c01_flow_factorization",
-        title="flow factorization: |exp route - series order 6| ~ rho^7",
         gates=gates,
         detail="; ".join(details),
         columns=("case", "rho", "difference"),
@@ -261,7 +259,6 @@ def criterion_key_lemma(seed: int = DEFAULT_SEED) -> CriterionResult:
     gate = Gate("pushforward residual", worst, KEY_LEMMA_BOUND)
     return CriterionResult(
         key="c02_key_lemma",
-        title="pushforward residual at rho = 0.5",
         gates=[gate],
         detail=gate.report("worst residual"),
         columns=("case", "residual"),
@@ -301,7 +298,6 @@ def criterion_virasoro(seed: int = DEFAULT_SEED) -> CriterionResult:
     monomials = Gate("monomial table mismatches", wrong, EXACT)
     return CriterionResult(
         key="c03_virasoro_bracket",
-        title="Virasoro bracket residuals, |m|,|n| <= 3",
         gates=[bracket, monomials],
         detail=f"{bracket.report('worst residual')}; "
         f"monomial table {'exact' if monomials.passed else 'WRONG'}; seed {seed}",
@@ -339,7 +335,6 @@ def criterion_primary(seed: int = DEFAULT_SEED) -> CriterionResult:
     closed_form = Gate("closed-form error", max(closed), CLOSED_FORM_BOUND)
     return CriterionResult(
         key="c04_primary_transform",
-        title="primary transformation law vs flow route",
         gates=[flow, closed_form],
         detail=f"{flow.report('worst grid residual')}; "
         f"{closed_form.report('closed-form errors')}",
@@ -362,7 +357,6 @@ def criterion_scale_form(seed: int = DEFAULT_SEED) -> CriterionResult:
     gates = weight_form_gates(worst_form, worst_jac)
     return CriterionResult(
         key="c05_scale_form",
-        title="time-dependent-scale reformulation",
         gates=gates,
         detail=f"worst form residual {worst_form:.2e}, worst dt'/dt residual "
         f"{worst_jac:.2e} (bounds {fmt_bound(gates[0].bound)})",
@@ -402,7 +396,6 @@ def criterion_nr_limit(seed: int = DEFAULT_SEED) -> CriterionResult:
     worst = max(worst_contraction, worst_kg)
     return CriterionResult(
         key="c06_nr_limit",
-        title="contraction and KG/diffusion identities, defect scaling",
         gates=[*identity, slope_gate],
         detail=f"worst identity residual {worst:.2e} "
         f"(bound {fmt_bound(identity[0].bound)}); defect slope {slope:.4f} "
@@ -428,7 +421,6 @@ def criterion_barut(seed: int = DEFAULT_SEED) -> CriterionResult:
     gate = Gate("lift identity residual", worst, BARUT_BOUND)
     return CriterionResult(
         key="c07_barut_identity",
-        title="reparametrized lift identity for f in {1, t, 1+t^2}",
         gates=[gate],
         detail=gate.report("worst residual"),
         columns=("f", "rho", "residual"),
@@ -479,7 +471,6 @@ def criterion_curvature(seed: int = DEFAULT_SEED) -> CriterionResult:
     report_txt = ", ".join(f"{k}={v:.1e}" for k, v in report_worst.items())
     return CriterionResult(
         key="c08_curvature",
-        title="curvature oracle gates and block-formula report",
         gates=gates,
         detail="; ".join(f"{g.label}: {'ok' if g.passed else 'FAIL'}" for g in gates)
         + f"; informational residuals: {report_txt}",
@@ -514,7 +505,6 @@ def criterion_frame(seed: int = DEFAULT_SEED) -> CriterionResult:
     solve = frame_gates(fm.converged, bx, bt)
     return CriterionResult(
         key="c09_frame",
-        title="accelerated-frame solver gates",
         gates=[lorentz, tau, *solve],
         detail=f"{lorentz.report('lorentz error')}; {tau.report('proper-time error')}; "
         f"boundary ({bx:.1e}, {bt:.1e}) (bound {fmt_bound(solve[1].bound)}); "
@@ -546,7 +536,6 @@ def criterion_correlator(seed: int = DEFAULT_SEED) -> CriterionResult:
     composition = Gate("composition error", worst, CORRELATOR_BOUND)
     return CriterionResult(
         key="c10_correlator",
-        title="half-space correlator vs flat propagator composition",
         gates=[composition, Gate("special-case error", special_err, SPECIAL_CASE_BOUND)],
         detail=f"{composition.report('worst composition error')}; "
         f"special-case error {special_err:.2e}; seed {seed}",
@@ -606,7 +595,6 @@ def run_all(seed: int = DEFAULT_SEED) -> tuple[list[CriterionResult], dict[str, 
     )
     det = CriterionResult(
         key="c11_determinism",
-        title="two same-seed runs produce identical CSV bytes",
         gates=[differing],
         detail=f"{len(bundle1)} report files compared, "
         f"{'identical' if differing.passed else 'DIFFER'}; seed {seed}",

@@ -63,10 +63,27 @@ def test_epsilon_requires_a_nonzero_coefficient():
 
 
 @pytest.mark.parametrize("coeffs, power", [({0: math.nan}, 1), ({-3: math.inf}, -2),
-                                           ({2: -math.inf, 0: 1.0}, 3)])
+                                           ({2: -math.inf, 0: 1.0}, 3), ({0: 10**400}, 1),
+                                           ({0: "x"}, 1), ({0: None}, 1)])
 def test_epsilon_refuses_a_coefficient_that_is_not_finite(coeffs, power):
-    with pytest.raises(fc.InputError, match=f"^eps coefficient of t\\^{power} must be finite"):
+    c = coeffs[power - 1]
+    why = ("must be finite" if isinstance(c, float)
+           else "lies beyond the double range" if isinstance(c, int) else "is not a number")
+    with pytest.raises(fc.InputError, match=f"^eps coefficient of t\\^{power} {why}"):
         EpsilonFn.from_coefficients(coeffs)
+
+
+@pytest.mark.parametrize("make, message", [
+    # int() read the first four as t^1, t^2, t^3 and t^2; a repeated power kept its last value
+    (lambda: EpsilonFn.from_coefficients({0.5: 1.0}), "must be an integer, got 0.5"),
+    (lambda: EpsilonFn.from_coefficients({"1": 2.0}), "must be an integer, got '1'"),
+    (lambda: EpsilonFn.monomial(2.7), "must be an integer, got 2.7"),
+    (lambda: EpsilonFn.monomial(True), "must be an integer, got True"),
+    (lambda: EpsilonFn(((0, 1.0), (0, 2.0))), "gives the coefficient of t\\^1 twice"),
+], ids=["half", "string", "float_monomial", "bool", "repeated"])
+def test_epsilon_refuses_a_power_that_is_not_one_integer(make, message):
+    with pytest.raises(fc.InputError, match=f"^eps .*{message}$"):
+        make()
 
 
 def test_an_overflowing_derivative_coefficient_is_a_domain_error():
