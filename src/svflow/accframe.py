@@ -19,7 +19,7 @@ construction of the per-slice integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +59,7 @@ class Trajectory:
 
     def __post_init__(self):
         fc._check_chart_vars(("t",), [self.f], "f")
+        fc._require_finite({"c": self.c})
         if not self.c > 0:
             raise InputError(f"c must be positive, got {self.c:g}")
         # the frame divides by c^2
@@ -123,6 +124,7 @@ class GridSpec:
     nx: int = 200
 
     def __post_init__(self):
+        fc._require_finite({f"grid {f.name}": getattr(self, f.name) for f in fields(self)})
         if not (0 < self.t_max - self.t_min < math.inf and 0 < self.x_max - self.x_min < math.inf):
             raise InputError("grid ranges must be non-empty, of finite width")
         if not all(float(n).is_integer() for n in (self.nt, self.nx)):

@@ -111,6 +111,14 @@ def _is_finite(name: str, v: object) -> bool:
         raise InputError(f"{name} is not a number: {v!r}") from None
 
 
+def _require_finite(values: Mapping[str, object]) -> None:
+    """Refuse each value of the name -> value map that is not a finite
+    number, naming it."""
+    for name, v in values.items():
+        if not _is_finite(name, v):
+            raise InputError(f"{name} must be finite, got {v}")
+
+
 @contextlib.contextmanager
 def naming_params(params):
     """Raise a DomainError of the block again with the fields of params, a

@@ -134,7 +134,9 @@ class BlockSplit:
             raise InputError("both blocks must be non-empty")
 
     def validate_against(self, G: MetricField):
-        """Off-block components must vanish structurally."""
+        """The split covers G's indices; off-block components vanish structurally."""
+        if sorted(self.first + self.second) != list(range(G.dimension)):
+            raise InputError(f"split must cover the metric's indices 0..{G.dimension - 1}")
         for i in self.first:
             for j in self.second:
                 if not fc.is_const(G.components[i][j], 0.0):
@@ -157,8 +159,8 @@ def restrict(G: MetricField, indices: tuple[int, ...]) -> MetricField:
 
 
 # --------------------------------------------------------------------------
-# Symbolic inverse (feeds Gamma; never differentiated afterwards by name,
-# the derivative route goes through d-Gamma)
+# Symbolic inverse and det G (the inverse feeds Gamma and is never
+# differentiated by name, the derivative route goes through d-Gamma)
 
 
 def _sym_det(m: Sequence[Sequence[Expression]]) -> Expression:
@@ -167,21 +169,21 @@ def _sym_det(m: Sequence[Sequence[Expression]]) -> Expression:
         return m[0][0]
     total: Expression = fc.ZERO
     for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = fc.mul(m[0][j], _sym_det(minor))
-        total = fc.add(total, term) if j % 2 == 0 else fc.sub(total, term)
+        if not fc.is_const(m[0][j], 0.0):  # a zero entry's term folds away
+            term = fc.mul(m[0][j], _sym_det([row[:j] + row[j + 1:] for row in m[1:]]))
+            total = fc.add(total, term) if j % 2 == 0 else fc.sub(total, term)
     return total
 
 
-def symbolic_inverse(G: MetricField) -> list[list[Expression]]:
+def symbolic_inverse(G: MetricField) -> tuple[list[list[Expression]], Expression]:
     D = G.dimension
     m = G.components
+    det = _sym_det(m)
     if G.is_diagonal():
         return [
             [fc.div(fc.ONE, m[i][i]) if i == j else fc.ZERO for j in range(D)]
             for i in range(D)
-        ]
-    det = _sym_det(m)
+        ], det
     inv = [[fc.ZERO] * D for _ in range(D)]
     for i in range(D):
         for j in range(D):
@@ -190,7 +192,7 @@ def symbolic_inverse(G: MetricField) -> list[list[Expression]]:
             if (i + j) % 2 == 1:
                 cof = fc.neg(cof)
             inv[j][i] = fc.div(cof, det)
-    return inv
+    return inv, det
 
 
 # --------------------------------------------------------------------------
@@ -244,7 +246,7 @@ class CurvatureBundle:
     def __init__(self, G: MetricField):
         self.metric = G
         D = G.dimension
-        inv = symbolic_inverse(G)
+        inv, det = symbolic_inverse(G)
         gamma = [[[fc.ZERO] * D for _ in range(D)] for _ in range(D)]
         dg = _derivative_grid(G.components, G.coords)  # dg[n][q][p] = d_n g_qp
         for m in range(D):
@@ -258,18 +260,16 @@ class CurvatureBundle:
                         total = fc.add(total, fc.mul(inv[m][q], bracket))
                     gamma[m][n][p] = fc.mul(Const(0.5), total)
         dgamma = _derivative_grid(gamma, G.coords)  # dgamma[d][m][n][c] = d_d Gamma^m_nc
-        # g runs alone and first: at() checks its determinant before the
-        # Gamma program divides by it; dGamma's nodes contain Gamma's
-        self._g_at = _compile_grids(G.components)
-        self._gamma_at = _compile_grids(gamma, dgamma)
+        # g and det g run alone and first: at() checks the determinant before
+        # the program of g^-1, Gamma and dGamma (each inside the next) divides by it
+        self._g_at = _compile_grids(G.components, det)
+        self._gamma_at = _compile_grids(inv, gamma, dgamma)
 
     def at(self, env: Mapping[str, float] | Point) -> CurvatureValues:
-        g, = self._g_at(env)
-        det = np.linalg.det(g)
+        g, det = self._g_at(env)
         if abs(det) <= DEGENERACY_EPS:
             raise DegenerateMetricError(f"|det G| = {abs(det):.3e} at {env}")
-        ginv = np.linalg.inv(g)
-        gam, dgam = self._gamma_at(env)  # dgam axes (d, m, n, c) = d_d Gamma^m_nc
+        ginv, gam, dgam = self._gamma_at(env)  # dgam axes (d, m, n, c) = d_d Gamma^m_nc
         # R^m_npq = d_p Gamma^m_nq - d_q Gamma^m_np + Gamma^m_pl Gamma^l_nq
         #           - Gamma^m_ql Gamma^l_np
         up = (
@@ -429,13 +429,20 @@ def _scalar_block(v: BlockValues) -> float:
     return float(total)
 
 
+def _finite(values, env):
+    if not np.isfinite(values).all():  # einsum's inf or NaN
+        raise fc.DomainError(f"curvature at {env} is not finite", kind="overflow")
+    return values
+
+
 def _block_factory(formula):
     """The public factory of one formula: (G, split) -> an evaluator of
-    that formula over points."""
+    that formula over points; an overflow or NaN is a DomainError."""
 
     def factory(G: MetricField, s: BlockSplit) -> Callable[[Mapping | Point], np.ndarray]:
         pieces = _BlockPieces(G, s)
-        return lambda env: formula(pieces.at(env))
+        checked = fc._checked_numpy("block curvature")
+        return checked(lambda env: _finite(formula(pieces.at(env)), env))
 
     factory.__name__ = factory.__qualname__ = formula.__name__[1:]
     factory.__doc__ = formula.__doc__
@@ -486,8 +493,7 @@ def block_vs_direct_residual(
             ),
             "scalar_block": abs(_scalar_block(bv) - dv.scalar),
         }
-        if not np.isfinite(list(res.values())).all():  # einsum's inf or NaN
-            raise fc.DomainError(f"curvature at {env} is not finite", kind="overflow")
+        _finite(list(res.values()), env)
         for name, value in res.items():
             report.rows.append((name, idx, value))
             report.max_residuals[name] = max(report.max_residuals[name], value)

@@ -46,6 +46,7 @@ class RelParams:
     h: float
 
     def __post_init__(self):
+        fc._require_finite({"m": self.m, "c": self.c, "h": self.h})
         for name, value in (("m", self.m), ("c", self.c), ("h", self.h)):
             if not value > 0:
                 raise InputError(f"{name} must be positive, got {value:g}")

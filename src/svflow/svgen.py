@@ -83,9 +83,7 @@ class EpsilonFn:
                 raise InputError(f"eps index n of t^(n+1) must be an integer, got {n!r}")
             if n in coeffs:
                 raise InputError(f"eps gives the coefficient of t^{n + 1} twice")
-            name = f"eps coefficient of t^{n + 1}"
-            if not fc._is_finite(name, c):
-                raise InputError(f"{name} must be finite, got {c}")
+            fc._require_finite({f"eps coefficient of t^{n + 1}": c})
             coeffs[n] = float(c)
         cleaned = tuple(sorted((n, c) for n, c in coeffs.items() if c != 0.0))
         if not cleaned:
@@ -222,6 +220,7 @@ class SVParams:
     N: float = 1.0
 
     def __post_init__(self):
+        fc._require_finite({"m": self.m, "chi": self.chi, "N": self.N})
         if self.N == 0:
             raise InputError("N must be nonzero")
         # the exponents of r and of eps(t')/eps(t) in the law
@@ -452,9 +451,7 @@ def weight_form_residual(
 
 
 def _check_halfspace(args: dict[str, float]) -> None:
-    for name, v in args.items():
-        if not fc._is_finite(name, v):
-            raise InputError(f"{name} must be finite, got {v}")
+    fc._require_finite(args)
     if args["T"] <= 0.0 or args["T'"] <= 0.0:
         raise InputError("T and T' must be positive")
 

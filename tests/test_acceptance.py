@@ -3,6 +3,7 @@ pass/fail line printed per criterion (run pytest -s to see them live)."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svflow import cli, fieldcalc, flowexp, geomcurv, svgen, verification
+from svflow import (
+    GridSpec, InputError, RelParams, SVParams, Tolerance, Trajectory,
+    cli, fieldcalc, flowexp, geomcurv, svgen, verification,
+)
 from svflow.cli import run
 from svflow.verification import DEFAULT_SEED, RUNTIME_BUDGETS, run_all
 
@@ -344,6 +348,39 @@ def test_goldens_hold_under_other_blas_kernels():
     for kernel, child in children.items():
         out, _ = child.communicate(timeout=600)
         assert child.returncode == 0, f"OPENBLAS_CORETYPE={kernel}:\n{out[-3000:]}"
+
+
+def test_curvature_makes_no_lapack_call(monkeypatch, tmp_path):
+    # det g and g^-1 come from each bundle's own programs, the inverse the
+    # one Gamma is built from
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    assert verification.criterion_curvature().passed
+    metric = tmp_path / "cross_4d.metric"
+    metric.write_text(
+        "dim = 4\ncoords = x1, x2, y1, y2\nsplit = x1 x2 | y1 y2\n"
+        "g[0,0] = 1 + 0.2*y1\ng[0,1] = 0.1*y2\ng[1,1] = 1 + 0.1*x1^2\n"
+        "g[2,2] = 1 + 0.1*x1\ng[2,3] = 0.05*x2\ng[3,3] = 1 + 0.1*y1^2\n"
+    )
+    assert run(["curvature", "--metric", str(metric), "--output", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Tolerance(absolute="x"), "tolerance absolute is not a number: 'x'"),
+    (lambda: Tolerance(max_steps=None), "tolerance max_steps is not a number: None"),
+    (lambda: RelParams(m="1", c=1, h=1), "m is not a number: '1'"),
+    (lambda: SVParams(m=1, chi=None), "chi is not a number: None"),
+    (lambda: SVParams(m=1, chi=0.7, N="2"), "N is not a number: '2'"),
+    (lambda: Trajectory.from_formula("0.5*t", c="1"), "c is not a number: '1'"),
+    (lambda: GridSpec("0", 1, 0, 1, 5, 5), "grid t_min is not a number: '0'"),
+], ids=["tol_absolute", "tol_max_steps", "rel_m", "sv_chi", "sv_N", "trajectory_c", "grid_t_min"])
+def test_a_parameter_record_names_a_value_that_is_not_a_number(make, message):
+    # each ended in a bare TypeError from a comparison or an operator
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 SPHERE_METRIC = "dim = 2\ncoords = theta, phi\nsplit = theta | phi\ng[0,0] = 1\ng[1,1] = sin(theta)^2\n"

@@ -552,6 +552,10 @@ _METRIC_AB = "dim = 2\ncoords = a, b\ng[0,0] = 1\ng[1,1] = 1\n"
         (_METRIC_AB + "split = a b | b\n", "line 5: split blocks overlap"),
         (_METRIC_AB + "split = a b |\n", "line 5: both blocks must be non-empty"),
         (_METRIC_AB + "split = a | b\ng[1,1] = q\n", "line 6: unknown identifier 'q'"),
+        # it exited 0, comparing the formulas of the x1, x2 sub-metric with
+        # the direct pipeline of all three coordinates
+        ("dim = 3\ncoords = x1, x2, y\nsplit = x1 | x2\ng[0,0] = 1 + 0.1*y^2\n"
+         "g[1,1] = 1 + x1^2\ng[2,2] = 1 + x2*y\n", "split must cover the metric's indices 0..2"),
     ],
 )
 def test_a_refused_metric_file_is_a_config_error(metric, message, tmp_path, capsys):

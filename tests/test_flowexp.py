@@ -16,6 +16,7 @@ from svflow.flowexp import (
     DEFAULT_TOLERANCE,
     BlowupError,
     FlowError,
+    FlowResult,
     SeriesOrderError,
     StepLimitError,
     Tolerance,
@@ -448,6 +449,15 @@ def test_jacobian_of_a_dense_3d_field():
         column = (shifted[0] - shifted[1]) / (2 * h)
         assert np.allclose(J[:, mu], column, rtol=0, atol=1e-8)
     assert pushforward_defect(B, x, integrate_flow(B, x, 0.6, TIGHT, jacobian=True)) < 1e-9
+
+
+def test_an_overflowing_pushforward_is_a_domain_error():
+    # the row sum 1e308 * 1 + 1e308 * 1 of J B(x) overflows; the defect read inf
+    B = vector_field(["1", "1"], TR)
+    x = Point(TR, (1.0, 0.5))
+    flow = FlowResult(x, 0.0, 0, 0.0, jacobian=np.array([[1e308, 1e308], [0.0, 1.0]]))
+    with pytest.raises(DomainError, match="^sum overflowed the double range$"):
+        pushforward_defect(B, x, flow)
 
 
 @pytest.mark.parametrize("names", [("_J[1,0]", "_T"), ("_J[0,1]", "_J[1,0]"), ("J", "T")])

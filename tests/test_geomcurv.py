@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from svflow.fieldcalc import DomainError, InputError
 from svflow.geomcurv import (
     FORMULA_NAMES,
     METRIC_SUITE,
@@ -103,13 +104,14 @@ def test_degenerate_metric_detected():
 
 def test_symbolic_inverse_general_block():
     G = METRIC_SUITE["offdiag_block"].metric
-    inv = symbolic_inverse(G)
+    inv, det = symbolic_inverse(G)
     env = {"x1": 0.4, "x2": 0.6, "y": 0.7}
     from svflow import fieldcalc as fc
 
     num = np.array([[fc.evaluate(e, env) for e in row] for row in inv])
     mat = np.array([[fc.evaluate(e, env) for e in row] for row in G.components])
     assert np.allclose(num @ mat, np.eye(3), atol=1e-12)
+    assert fc.evaluate(det, env) == pytest.approx(np.linalg.det(mat), rel=1e-14)
 
 
 # ------------------------------------------------------------ type validation
@@ -130,6 +132,23 @@ def test_split_validation():
     G = MetricField.from_entries(("a", "b"), {(0, 0): 1.0, (0, 1): "a", (1, 1): 1.0})
     with pytest.raises(ValueError):
         BlockSplit((0,), (1,)).validate_against(G)
+
+
+@pytest.mark.parametrize("coords, split", [
+    # narrower than its metric: the formulas of the 2-d sub-metric were
+    # compared with the 3-d direct pipeline, and the report passed
+    (("x1", "x2", "y"), BlockSplit((0,), (1,))),
+    # wider than its metric: a bare IndexError
+    (("x1", "x2"), BlockSplit((0,), (1, 2))),
+])
+def test_a_split_must_cover_its_metric(coords, split):
+    G = MetricField.from_entries(coords, {(k, k): f"1 + 0.1*{c}^2" for k, c in enumerate(coords)})
+    env = dict.fromkeys(coords, 0.5)
+    message = rf"^split must cover the metric's indices 0\.\.{len(coords) - 1}$"
+    with pytest.raises(InputError, match=message):
+        block_vs_direct_residual(curvature_direct(G), split, [env])
+    with pytest.raises(InputError, match=message):
+        riemann_block(G, split)
 
 
 def test_restrict_freezes_other_block():
@@ -173,6 +192,19 @@ def test_block_riemann_product_metric_is_factor_riemann():
     factor = curvature_direct(restrict(s.metric, s.split.first))
     for env in s.sample_envs(4):
         assert np.max(np.abs(at(env) - factor.at(env).riemann)) <= 1e-12
+
+
+def test_block_evaluators_end_an_overflow_as_a_domain_error():
+    # (1/4) h^ab d_a g d_b g reads inf - inf: riemann_block returned
+    # [[[[nan]]]] and printed a numpy RuntimeWarning
+    G = MetricField.from_entries(("x", "y"), {(0, 0): "1e200*exp(y)", (1, 1): 1.0})
+    split = BlockSplit((0,), (1,))
+    env = {"x": 0.5, "y": 0.5}
+    with pytest.raises(DomainError, match="^block curvature: ") as err:
+        riemann_block(G, split)(env)
+    assert err.value.kind == "overflow"
+    for factory in (mixed_block, ricci_block, scalar_block):
+        assert np.isfinite(factory(G, split)(env)).all()
 
 
 def test_mixed_block_zero_for_product_metric():
